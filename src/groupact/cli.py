@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import grad, metrics, simgen
 from .features import ObservationUnavailable
-from .seqmodel import DataError, TrainConfig, train_bank
+from .seqmodel import DataError, TrainConfig, check_window, train_bank
 from .trackio import (
     ModelFormatError,
     ParseError,
@@ -51,9 +51,21 @@ class CliError(Exception):
 
 def _atomic_write(path: Path, writer) -> None:
     tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fp:
-        writer(fp)
-    tmp.replace(path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fp:
+            writer(fp)
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _check_window(command: str, window: int, dt: int) -> None:
+    """Usage error for a window/dt pair the correlation lattice cannot read out."""
+    try:
+        check_window(window, dt)
+    except ValueError as exc:
+        raise CliError(EXIT_USAGE, f"groupact {command}: error: {exc}") from None
 
 
 def _read_text(path: str) -> str:
@@ -138,6 +150,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _check_window("train", args.window, args.dt)
     tracks = parse_tracks(_read_text(args.tracks), strict=not args.lenient)
     annotations = parse_annotations(_read_text(args.annotations))
     config = TrainConfig(
@@ -162,9 +175,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    tracks = parse_tracks(_read_text(args.tracks), strict=not args.lenient)
     with open(args.model, "r", encoding="utf-8") as fp:
         bank = load_model(fp)
+    _check_window(
+        "detect",
+        bank.window if args.window is None else args.window,
+        bank.dt if args.dt is None else args.dt,
+    )
+    tracks = parse_tracks(_read_text(args.tracks), strict=not args.lenient)
     config = grad.PipelineConfig.from_bank(
         bank,
         gr=args.gr, variant=args.variant, baseline=args.baseline,

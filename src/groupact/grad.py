@@ -28,7 +28,7 @@ from .clustering import (
     seed_representatives,
 )
 from .grouprep import GroupRepresentative, make_representative
-from .seqmodel import ActivityModelBank, CorrelationEngine, DataError
+from .seqmodel import ActivityModelBank, CorrelationEngine, DataError, check_window
 from .taxonomy import SINGLE
 from .trackio import ParseError, TrackSet
 
@@ -58,6 +58,7 @@ class PipelineConfig:
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"threshold {name} must lie in [0, 1]")
+        check_window(self.window, self.dt)
 
     @classmethod
     def from_bank(cls, bank: ActivityModelBank, **overrides) -> "PipelineConfig":

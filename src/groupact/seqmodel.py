@@ -28,6 +28,18 @@ class DataError(ValueError):
     """Training or evaluation data does not support the requested operation."""
 
 
+def check_window(window: int, dt: int) -> None:
+    """Reject a correlation window whose near-diagonal read-out is empty.
+
+    Windows need at least 2 frames, and the alignment slack ``dt`` must
+    satisfy ``0 <= dt < window``.
+    """
+    if window < 2:
+        raise ValueError(f"window must be at least 2 frames (got {window})")
+    if not 0 <= dt < window:
+        raise ValueError(f"alignment slack must satisfy 0 <= dt < window (got dt={dt}, window={window})")
+
+
 def _log(a: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         return np.log(a)
@@ -147,10 +159,7 @@ class ActivityModelBank:
     tr: float = 0.3
 
     def __post_init__(self) -> None:
-        if self.window < 2:
-            raise ValueError("window must be at least 2 frames")
-        if not (0 <= self.dt < self.window):
-            raise ValueError("alignment slack must satisfy 0 <= dt < window")
+        check_window(self.window, self.dt)
         missing = [l for l in self.taxonomy.modelable_labels() if l not in self.models]
         if missing:
             raise ValueError(f"bank lacks models for activities: {missing}")
@@ -833,6 +842,7 @@ def train_bank(
     tr: float = 0.3,
 ) -> ActivityModelBank:
     """Train one model per modelable activity plus group-feature models."""
+    check_window(window, dt)
     config = config or TrainConfig()
     tax = annotations.taxonomy
     chunk = config.chunk or window
@@ -937,6 +947,7 @@ class CorrelationEngine:
         self.tracks = tracks
         self.window = window if window is not None else bank.window
         self.dt = dt if dt is not None else bank.dt
+        check_window(self.window, self.dt)
         self.labels = bank.labels()
         models = [bank.models[l] for l in self.labels]
         self.n_states = models[0].n_states
@@ -995,34 +1006,45 @@ class CorrelationEngine:
         return out
 
     def _window_masses(self, fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
-        """Log lattice masses near the diagonal, shape (items, activities)."""
+        """Log lattice masses near the diagonal, shape (items, activities).
+
+        Cells are indexed by hold count ``h = (t+1) - s`` rather than by the
+        consumed prefix ``s``: an advance keeps ``h`` and a hold raises it by
+        one, so ``h`` never decreases along a path.  The read-out keeps only
+        final cells with ``s >= max(1, W - dt)``, i.e. ``h < D`` with
+        ``D = min(dt, W-1) + 1``, so a cell with ``h >= D`` cannot reach it and
+        dropping it is exact.  The band holds ``D`` cells per step and needs
+        joint emissions only for ``(fa[t-h], fb[t])``.
+        """
         I, W, d = fa.shape
         A, n = len(self.labels), self.n_states
+        D = min(self.dt, W - 1) + 1
         me = self._marg.log_density(fb.reshape(I * W, d)).reshape(I, W, A, n)
+        # band cell (t, h) advances on fa[t-h]; t-h < 0 means nothing to consume
+        src = np.arange(W)[:, None] - np.arange(D)[None, :]
         pairs = np.concatenate(
             [
-                np.repeat(fa, W, axis=1).reshape(I * W * W, d),
-                np.tile(fb, (1, W, 1)).reshape(I * W * W, d),
+                fa[:, np.maximum(src, 0)],
+                np.broadcast_to(fb[:, :, None, :], (I, W, D, d)),
             ],
-            axis=1,
+            axis=3,
         )
-        je = self._joint.log_density(pairs).reshape(I, W, W, A, n)
-        la = np.full((I, A, W + 1, n), -np.inf)
-        la[:, :, 0, :] = self._ent[None] + self._hold[None] + me[:, 0]
-        la[:, :, 1, :] = self._ent[None] + self._eps[None] + je[:, 0, 0]
+        je = self._joint.log_density(pairs.reshape(I * W * D, 2 * d)).reshape(I, W, D, A, n)
+        je[:, src < 0] = -np.inf
+        la = np.full((I, A, D, n), -np.inf)
+        la[:, :, 0, :] = self._ent[None] + self._eps[None] + je[:, 0, 0]
+        if D > 1:
+            la[:, :, 1, :] = self._ent[None] + self._hold[None] + me[:, 0]
         for t in range(1, W):
             tin = logsumexp(la[:, :, :, :, None] + self._tr[None, :, None, :, :], axis=3)
-            hold = tin + (self._hold[None, :, None, :] + me[:, t][:, :, None, :])
-            adv = np.full_like(hold, -np.inf)
-            smax = min(t + 1, W)
-            adv[:, :, 1 : smax + 1, :] = (
-                tin[:, :, 0:smax, :]
-                + self._eps[None, :, None, :]
-                + je[:, 0:smax, t].transpose(0, 2, 1, 3)
+            hold = np.full_like(tin, -np.inf)
+            hold[:, :, 1:, :] = tin[:, :, :-1, :] + (
+                self._hold[None, :, None, :] + me[:, t][:, :, None, :]
             )
+            adv = tin + self._eps[None, :, None, :] + je[:, t].transpose(0, 2, 1, 3)
             la = np.logaddexp(hold, adv)
-        lo = max(1, W - self.dt)
-        return logsumexp(la[:, :, lo:, :].reshape(I, A, -1), axis=2)
+        # descending h is ascending s, the scalar read-out's summation order
+        return logsumexp(la[:, :, ::-1, :].reshape(I, A, -1), axis=2)
 
     def group_score(self, label: str, members, t: int) -> float | None:
         """Windowed group-feature likelihood under an activity's group model."""

@@ -5,19 +5,12 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from groupact.seqmodel import TrainConfig, train_bank
 
-# Acceptance-scale pipeline configuration: a 12-frame correlation window with
-# alignment slack 4 keeps the full scenario suite inside its runtime budget.
-WINDOW = 12
-DT = 4
-WARMUP = WINDOW + 1
+from scenarios import DT, WINDOW, merge_for_training, training_specs
 
 
 def _train(fix_advance=None):
-    from groupact.seqmodel import TrainConfig, train_bank
-
-    from scenarios import merge_for_training, training_specs
-
     tracks, annotations = merge_for_training(training_specs())
     config = TrainConfig(
         seed=0, max_iters=20, max_segments=48, chunk=WINDOW, fix_advance=fix_advance

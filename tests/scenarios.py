@@ -13,6 +13,12 @@ from groupact.trackio import AnnotationSet, TrackSet
 DURATION = 300
 SPAN = (0, DURATION - 1)
 
+# Acceptance-scale pipeline configuration: a 12-frame correlation window with
+# alignment slack 4 keeps the full scenario suite inside its runtime budget.
+WINDOW = 12
+DT = 4
+WARMUP = WINDOW + 1
+
 
 def walk_together(seed=0, offsets=None, gait_amp=0.8, n_members=3) -> ScenarioSpec:
     offsets = offsets if offsets is not None else {"2": 1, "3": 2}

@@ -28,10 +28,12 @@ from groupact.seqmodel import (
 from groupact.simgen import generate
 from groupact.taxonomy import SYMMETRIC
 
-from conftest import DT, WARMUP, WINDOW
 from oracles import enumerate_ahmm
 from scenarios import (
+    DT,
     EVAL_SCENARIOS,
+    WARMUP,
+    WINDOW,
     approach_with_outlier,
     fig1_hierarchy,
     outlier_probe,

@@ -162,3 +162,38 @@ def test_simulate_invalid_spec(tmp_path, capsys):
     code = run(["simulate", "--spec", p, "--out-prefix", tmp_path / "out"])
     assert code == 2
     assert not (tmp_path / "out.tracks.csv").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--window", "0"], ["--window", "1"], ["--dt", "-1"], ["--dt", "50"],
+])
+@pytest.mark.parametrize("command", ["train", "detect"])
+def test_bad_window_or_dt_is_usage_error(workdir, tmp_path, capsys, command, flags):
+    out = tmp_path / "out"
+    if command == "train":
+        args = ["train", "--tracks", workdir / "train.tracks.csv",
+                "--annotations", workdir / "train.annotations.jsonl",
+                "--out", out, "--window", "12", "--max-iters", "1", *flags]
+    else:
+        # the model path is the only input read before the check
+        args = ["detect", "--tracks", tmp_path / "missing.csv",
+                "--model", workdir / "model.json", "--out", out, *flags]
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert f"groupact {command}: error:" in err and "Traceback" not in err
+    assert "window" in err
+    assert not out.exists()
+
+
+def test_atomic_write_removes_temp_file_when_writer_raises(tmp_path):
+    from groupact.cli import _atomic_write
+
+    target = tmp_path / "dets.jsonl"
+
+    def writer(fp):
+        fp.write("partial")
+        raise RuntimeError("writer failed")
+
+    with pytest.raises(RuntimeError, match="writer failed"):
+        _atomic_write(target, writer)
+    assert list(tmp_path.iterdir()) == []

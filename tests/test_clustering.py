@@ -16,8 +16,7 @@ from groupact.seqmodel import CorrelationEngine, CorrelationProfile
 from groupact.taxonomy import default_taxonomy
 from groupact.trackio import MbbSample, TrackSet
 
-from conftest import WARMUP
-from scenarios import fight, walk_together
+from scenarios import WARMUP, fight, walk_together
 from groupact.simgen import generate
 
 

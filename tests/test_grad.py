@@ -23,8 +23,7 @@ from groupact.seqmodel import CorrelationEngine, CorrelationProfile
 from groupact.simgen import generate
 from groupact.trackio import MbbSample, TrackSet, parse_tracks
 
-from conftest import WARMUP
-from scenarios import fig1_hierarchy, walk_together
+from scenarios import WARMUP, fig1_hierarchy, walk_together
 
 
 class StubEngine:

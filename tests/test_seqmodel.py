@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from groupact.features import pair_feature_windows
 from groupact.gmm import GaussianMixture
 from groupact.seqmodel import (
     ActivityModel,
@@ -339,6 +340,32 @@ def test_engine_matches_reference_correlation():
     got = engine.profile(1, (2, 3), 12)
     for lbl in models:
         assert got.values[lbl] == pytest.approx(ref.values[lbl], abs=1e-9)
+
+    # the engine's banded lattice against the full scalar lattice, for every
+    # window/dt pair, with dropped samples leaving short and missing windows
+    shapes = {"short": 0, "none": 0}
+    items = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3) if a != b]
+    for window in range(2, 10):
+        for dt in range(window):
+            rng3 = np.random.default_rng(100 * window + dt)
+            keep = rng3.random(len(rows)) > 0.2
+            gappy = TrackSet([MbbSample(*r) for r, k in zip(rows, keep) if k])
+            engine = CorrelationEngine(bank, gappy, window=window, dt=dt)
+            for t in (9, 11, 14):
+                got = engine.profiles(items, t)
+                for a, b in items:
+                    ref = correlation(bank, gappy, a, b, t, window=window, dt=dt)
+                    prof = got[((a,), (b,))]
+                    assert (ref is None) == (prof is None)
+                    if ref is None:
+                        shapes["none"] += 1
+                        continue
+                    n = len(pair_feature_windows(gappy, a, b, t, window)[0])
+                    shapes["short"] += n <= dt
+                    for lbl in models:
+                        assert prof.values[lbl] == pytest.approx(ref.values[lbl], abs=1e-9)
+                    assert prof.label == ref.label
+    assert shapes["short"] > 0 and shapes["none"] > 0
 
 
 # --- training -------------------------------------------------------------
