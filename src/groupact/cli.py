@@ -60,10 +60,12 @@ def _atomic_write(path: Path, writer) -> None:
         raise
 
 
-def _check_window(command: str, window: int, dt: int) -> None:
-    """Usage error for a window/dt pair the correlation lattice cannot read out."""
+def _check_flags(command: str, window: int, dt: int, **thresholds: float | None) -> None:
+    """Usage error for a window/dt pair the correlation lattice cannot read out,
+    or for a threshold flag outside [0, 1]."""
     try:
         check_window(window, dt)
+        grad.check_thresholds(**{k: v for k, v in thresholds.items() if v is not None})
     except ValueError as exc:
         raise CliError(EXIT_USAGE, f"groupact {command}: error: {exc}") from None
 
@@ -150,7 +152,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _check_window("train", args.window, args.dt)
+    _check_flags("train", args.window, args.dt, tc=args.tc, to=args.to, tr=args.tr)
     tracks = parse_tracks(_read_text(args.tracks), strict=not args.lenient)
     annotations = parse_annotations(_read_text(args.annotations))
     config = TrainConfig(
@@ -177,10 +179,11 @@ def cmd_train(args) -> int:
 def cmd_detect(args) -> int:
     with open(args.model, "r", encoding="utf-8") as fp:
         bank = load_model(fp)
-    _check_window(
+    _check_flags(
         "detect",
         bank.window if args.window is None else args.window,
         bank.dt if args.dt is None else args.dt,
+        tc=args.tc, to=args.to, tr=args.tr,
     )
     tracks = parse_tracks(_read_text(args.tracks), strict=not args.lenient)
     config = grad.PipelineConfig.from_bank(

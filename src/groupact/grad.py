@@ -33,6 +33,13 @@ from .taxonomy import SINGLE
 from .trackio import ParseError, TrackSet
 
 
+def check_thresholds(**thresholds: float) -> None:
+    """Reject a clustering or representative threshold outside [0, 1]."""
+    for name, v in thresholds.items():
+        if not (0.0 <= v <= 1.0):
+            raise ValueError(f"threshold {name} must lie in [0, 1]")
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Runtime knobs; defaults follow the trained bank where not given."""
@@ -54,10 +61,7 @@ class PipelineConfig:
             raise ValueError("variant must be 1 or 2")
         if self.baseline not in (None, "mv"):
             raise ValueError("baseline must be omitted or 'mv'")
-        for name in ("tc", "to", "tr"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"threshold {name} must lie in [0, 1]")
+        check_thresholds(tc=self.tc, to=self.to, tr=self.tr)
         check_window(self.window, self.dt)
 
     @classmethod

@@ -432,7 +432,8 @@ def train_activity_model(
     """Fit an activity model to ordered stream pairs by expectation-maximisation.
 
     Each segment is ``(fi, fj)`` with ``len(fi) <= len(fj)``.  The E-step runs
-    exact forward-backward over the alignment-state lattice; the M-step
+    exact forward-backward over the alignment-state lattice, one batched sweep
+    per segment shape over the cells that can reach the read-out; the M-step
     updates entry/transition/exit rows, per-state advance probabilities
     (unless ``fix_advance`` pins them), and both emission mixture families.
     The training log-likelihood never decreases.
@@ -484,12 +485,13 @@ def train_activity_model(
     history: list[float] = []
     prev_ll = -np.inf
     model = ActivityModel(label, kind, entry, trans, exit_, advance, marginal, joint, fallback)
+    slack = 0 if config.fix_advance is not None else config.terminal_slack
+    batches = _stack_by_shape(segs)
     for _ in range(config.max_iters):
         stats = _EmStats(n, d, config, marg_floor, joint_floor)
         ll = 0.0
-        slack = 0 if config.fix_advance is not None else config.terminal_slack
-        for fi, fj in segs:
-            ll += _accumulate_segment(model, fi, fj, stats, slack)
+        for fi, fj in batches:
+            ll += float(_accumulate_batch(model, fi, fj, stats, slack).sum())
         history.append(ll)
         model = stats.m_step(model)
         if prev_ll > -np.inf and ll - prev_ll < config.tol * max(1.0, abs(prev_ll)):
@@ -556,88 +558,84 @@ class _EmStats:
         )
 
 
-def _accumulate_segment(
-    model: ActivityModel, fi: np.ndarray, fj: np.ndarray, stats: _EmStats,
-    terminal_slack: int = 0,
-) -> float:
-    """Exact E-step over one segment; returns its log-likelihood."""
-    S, T = fi.shape[0], fj.shape[0]
+def _stack_by_shape(items: list[tuple[np.ndarray, ...]]) -> list[tuple[np.ndarray, ...]]:
+    """Tuples of equal-shape arrays stacked on a new batch axis, one per shape."""
+    groups: dict[tuple, list] = {}
+    for item in items:
+        groups.setdefault(tuple(a.shape for a in item), []).append(item)
+    return [tuple(np.stack(col) for col in zip(*group)) for group in groups.values()]
+
+
+def _accumulate_batch(
+    model: ActivityModel, fi: np.ndarray, fj: np.ndarray, stats: _EmStats, terminal_slack: int
+) -> np.ndarray:
+    """Exact E-step over B segments of one shape; returns their log-likelihoods.
+
+    ``fi`` is (B, S, d) and ``fj`` (B, T, d).  As in
+    :meth:`CorrelationEngine._window_masses`, cells are indexed by hold count
+    ``h = (t+1) - s``, which never decreases along a path.  The read-out keeps
+    ``s >= S - terminal_slack``, so a cell with ``h >= D`` cannot reach it and
+    carries no posterior mass.  ``tin[:, t, h]`` is the mass entering step
+    ``t`` with ``h`` holds so far and ``beta[:, t, h]`` the mass of steps
+    ``t..T-1`` from there; ``lb[:, t, h]`` is the mass after step ``t``.
+    """
+    B, S, d = fi.shape
+    T = fj.shape[1]
     n = model.n_states
-    log_entry = _log(model.entry)
+    D = min(T - S + terminal_slack, T) + 1
     log_trans = _log(model.trans)
     log_exit = _log(model.exit)
-    log_eps = _log(model.advance)
-    log_hold = _log(1.0 - model.advance)
-    logp_m, logp_j = _emission_tables(model, fi, fj)
+    hm = _log(1.0 - model.advance) + np.stack(
+        [g.log_density(fj.reshape(B * T, d)) for g in model.marginal], axis=1
+    ).reshape(B, T, n)
+    # advancing from band cell (t, h) consumes fi[t-h]
+    band = np.arange(T)[:, None] - np.arange(D)[None, :]
+    band = (band >= 0) & (band < S)
+    tt, hh = np.nonzero(band)
+    pairs = np.concatenate([fi[:, tt - hh], fj[:, tt]], axis=2).reshape(-1, 2 * d)
+    ae = np.full((B, T, D, n), -np.inf)
+    ae[:, band] = _log(model.advance) + np.stack(
+        [g.log_density(pairs) for g in model.joint], axis=1
+    ).reshape(B, -1, n)
 
-    la = np.full((T, S + 1, n), -np.inf)
-    tins = np.full((T, S + 1, n), -np.inf)
-    la[0, 0, :] = log_entry + log_hold + logp_m[0]
-    la[0, 1, :] = log_entry + log_eps + logp_j[0, 0]
-    for t in range(1, T):
-        tin = logsumexp(la[t - 1][:, :, None] + log_trans[None, :, :], axis=1)
-        tins[t] = tin
-        hold = tin + (log_hold + logp_m[t])[None, :]
-        adv = np.full_like(hold, -np.inf)
-        smax = min(t + 1, S)
-        adv[1 : smax + 1] = tin[0:smax] + log_eps[None, :] + logp_j[0:smax, t]
-        la[t] = np.logaddexp(hold, adv)
+    tin = np.full((B, T, D, n), -np.inf)
+    la = np.full((B, T, D, n), -np.inf)
+    tin[:, 0, 0] = _log(model.entry)
+    for t in range(T):
+        if t:
+            tin[:, t] = logsumexp(la[:, t - 1, :, :, None] + log_trans, axis=2)
+        la[:, t] = tin[:, t] + ae[:, t]
+        la[:, t, 1:] = np.logaddexp(la[:, t, 1:], tin[:, t, :-1] + hm[:, t, None])
 
-    lb = np.full((T, S + 1, n), -np.inf)
-    s_lo = max(0, S - terminal_slack)
-    lb[T - 1, s_lo : S + 1, :] = log_exit
-    for t in range(T - 2, -1, -1):
-        nxt = lb[t + 1]
-        inner_hold = (log_hold + logp_m[t + 1])[None, :] + nxt  # (S+1, n)
-        inner_adv = np.full_like(inner_hold, -np.inf)
-        inner_adv[0:S] = log_eps[None, :] + logp_j[:, t + 1] + nxt[1 : S + 1]
-        inner = np.logaddexp(inner_hold, inner_adv)
-        lb[t] = logsumexp(log_trans[None, :, :] + inner[:, None, :], axis=2)
+    beta = np.full((B, T, D, n), -np.inf)
+    lb = np.full((B, T, D, n), -np.inf)
+    lb[:, T - 1] = log_exit
+    for t in range(T - 1, -1, -1):
+        beta[:, t] = ae[:, t] + lb[:, t]
+        beta[:, t, :-1] = np.logaddexp(beta[:, t, :-1], hm[:, t, None] + lb[:, t, 1:])
+        if t:
+            lb[:, t - 1] = logsumexp(log_trans + beta[:, t, :, None, :], axis=3)
 
-    total = logsumexp(la[T - 1] + lb[T - 1])
-    if not np.isfinite(total):
+    total = logsumexp((la[:, T - 1] + log_exit).reshape(B, -1), axis=1)
+    if not np.all(np.isfinite(total)):
         raise DataError("segment has zero likelihood under the current model")
+    stats.entry += np.exp(tin[:, 0, 0] + beta[:, 0, 0] - total[:, None]).sum(axis=0)
+    stats.exit += np.exp(la[:, T - 1] + log_exit - total[:, None, None]).sum(axis=(0, 1))
+    xi = la[:, :-1, :, :, None] + log_trans + beta[:, 1:, :, None, :]
+    stats.trans += np.exp(xi - total[:, None, None, None, None]).sum(axis=(0, 1, 2))
+    tot = total[:, None, None, None]
+    adv_w = np.exp(tin + ae + lb - tot)
+    hold_w = np.zeros_like(adv_w)
+    hold_w[:, :, 1:] = np.exp(tin[:, :, :-1] + hm[:, :, None] + lb[:, :, 1:] - tot)
+    stats.adv += adv_w.sum(axis=(0, 1, 2))
+    stats.hold += hold_w.sum(axis=(0, 1, 2))
 
-    # entry and exit occupancies
-    stats.entry += np.exp(logsumexp(la[0] + lb[0], axis=0) - total)
-    stats.exit += np.exp(logsumexp(la[T - 1] + lb[T - 1], axis=0) - total)
-
-    # branch-resolved node posteriors
-    adv_node = np.full((T, S + 1, n), -np.inf)
-    hold_node = np.full((T, S + 1, n), -np.inf)
-    adv_node[0, 1, :] = log_entry + log_eps + logp_j[0, 0] + lb[0, 1, :]
-    hold_node[0, 0, :] = log_entry + log_hold + logp_m[0] + lb[0, 0, :]
-    for t in range(1, T):
-        tin = tins[t]
-        hold_node[t] = tin + (log_hold + logp_m[t])[None, :] + lb[t]
-        smax = min(t + 1, S)
-        adv_node[t, 1 : smax + 1] = (
-            tin[0:smax] + log_eps[None, :] + logp_j[0:smax, t] + lb[t, 1 : smax + 1]
-        )
-    adv_w = np.exp(adv_node - total)
-    hold_w = np.exp(hold_node - total)
-    stats.adv += adv_w.sum(axis=(0, 1))
-    stats.hold += hold_w.sum(axis=(0, 1))
-
-    # transitions between consecutive steps, both branches
-    for t in range(T - 1):
-        nxt = lb[t + 1]
-        inner_hold = (log_hold + logp_m[t + 1])[None, :] + nxt
-        inner_adv = np.full_like(inner_hold, -np.inf)
-        inner_adv[0:S] = log_eps[None, :] + logp_j[:, t + 1] + nxt[1 : S + 1]
-        inner = np.logaddexp(inner_hold, inner_adv)  # (S+1, n_next)
-        xi = logsumexp(
-            la[t][:, :, None] + log_trans[None, :, :] + inner[:, None, :], axis=0
-        )
-        stats.trans += np.exp(xi - total)
-
-    # emission statistics: joint on advance nodes, marginal on hold mass
-    jx = np.concatenate([np.repeat(fi, T, axis=0), np.tile(fj, (S, 1))], axis=1)
-    stats.joint_x.append(jx)
-    stats.joint_w.append(adv_w[:, 1:, :].transpose(1, 0, 2).reshape(S * T, n))
-    stats.marg_x.append(fj)
-    stats.marg_w.append(hold_w.sum(axis=1))
-    return float(total)
+    # emission statistics: joint on advance cells in the band, marginal on hold mass
+    stats.joint_x.append(pairs)
+    stats.joint_w.append(adv_w[:, band].reshape(-1, n))
+    stats.marg_x.append(fj.reshape(B * T, d))
+    stats.marg_w.append(hold_w.sum(axis=2).reshape(B * T, n))
+    return total
 
 
 def train_hmm_model(
@@ -673,6 +671,7 @@ def train_hmm_model(
 
     history: list[float] = []
     prev_ll = -np.inf
+    batches = _stack_by_shape([(s,) for s in seqs])
     for _ in range(config.max_iters):
         entry_c = np.zeros(n)
         trans_c = np.zeros((n, n))
@@ -680,27 +679,27 @@ def train_hmm_model(
         xs, ws = [], []
         log_trans = _log(model.trans)
         ll = 0.0
-        for s in seqs:
-            logb = np.stack([g.log_density(s) for g in model.marginal], axis=1)
-            T = s.shape[0]
-            la = np.full((T, n), -np.inf)
-            la[0] = _log(model.entry) + logb[0]
+        for (s,) in batches:
+            B, T, d = s.shape
+            x = s.reshape(B * T, d)
+            logb = np.stack([g.log_density(x) for g in model.marginal], axis=1).reshape(B, T, n)
+            la = np.full((B, T, n), -np.inf)
+            la[:, 0] = _log(model.entry) + logb[:, 0]
             for t in range(1, T):
-                la[t] = logsumexp(la[t - 1][:, None] + log_trans, axis=0) + logb[t]
-            lb = np.full((T, n), -np.inf)
-            lb[T - 1] = _log(model.exit)
+                la[:, t] = logsumexp(la[:, t - 1, :, None] + log_trans, axis=1) + logb[:, t]
+            lb = np.full((B, T, n), -np.inf)
+            lb[:, T - 1] = _log(model.exit)
             for t in range(T - 2, -1, -1):
-                lb[t] = logsumexp(log_trans + (logb[t + 1] + lb[t + 1])[None, :], axis=1)
-            total = logsumexp(la[T - 1] + lb[T - 1])
-            ll += float(total)
-            gamma = np.exp(la + lb - total)
-            entry_c += gamma[0]
-            exit_c += gamma[T - 1]
-            for t in range(T - 1):
-                xi = la[t][:, None] + log_trans + (logb[t + 1] + lb[t + 1])[None, :]
-                trans_c += np.exp(xi - total)
-            xs.append(s)
-            ws.append(gamma)
+                lb[:, t] = logsumexp(log_trans + (logb[:, t + 1] + lb[:, t + 1])[:, None, :], axis=2)
+            total = logsumexp(la[:, T - 1] + lb[:, T - 1], axis=1)
+            ll += float(total.sum())
+            gamma = np.exp(la + lb - total[:, None, None])
+            entry_c += gamma[:, 0].sum(axis=0)
+            exit_c += gamma[:, T - 1].sum(axis=0)
+            xi = la[:, :-1, :, None] + log_trans + (logb[:, 1:] + lb[:, 1:])[:, :, None, :]
+            trans_c += np.exp(xi - total[:, None, None, None]).sum(axis=(0, 1))
+            xs.append(x)
+            ws.append(gamma.reshape(B * T, n))
         history.append(ll)
         entry = entry_c / entry_c.sum() if entry_c.sum() > 0 else model.entry
         rows = trans_c.sum(axis=1) + exit_c
@@ -724,42 +723,38 @@ def train_hmm_model(
     return model
 
 
-def _stream_chunks(
-    tracks: TrackSet, ea, eb, start: int, end: int, chunk: int, min_len: int = 4
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Ordered feature-stream pairs over an interval, split at gaps and chunked."""
+def _usable_chunks(valid: np.ndarray, chunk: int, min_len: int = 4) -> list[np.ndarray]:
+    """Indices into ``valid`` of frames usable with their predecessor.
+
+    Runs of such frames are split at gaps, then into pieces of at most
+    ``chunk``; pieces shorter than ``min_len`` are dropped.
+    """
+    ok = np.concatenate([[False], valid[1:] & valid[:-1], [False]])
+    edges = np.flatnonzero(ok[1:] != ok[:-1])
     out = []
-    lo = max(start, 1)
-    ta = feats.EntityTrack(tracks, feats.as_entity(ea), lo - 1, end)
-    tb = feats.EntityTrack(tracks, feats.as_entity(eb), lo - 1, end)
-    both = ta.valid & tb.valid
-    ok = both[1:] & both[:-1]
-    run_start = None
-    runs = []
-    for i, v in enumerate(list(ok) + [False]):
-        if v and run_start is None:
-            run_start = i
-        elif not v and run_start is not None:
-            runs.append((run_start, i))
-            run_start = None
-    for a, b in runs:
-        idx_all = np.arange(a + 1, b + 1)
-        for c0 in range(0, idx_all.size, chunk):
-            idx = idx_all[c0 : c0 + chunk]
-            if idx.size < min_len:
-                continue
-            fa = _subject(ta, tb, idx)
-            fb = _subject(tb, ta, idx)
-            out.append((fa, fb))
+    for a, b in zip(edges[::2] + 1, edges[1::2] + 1):
+        for c0 in range(a, b, chunk):
+            idx = np.arange(c0, min(c0 + chunk, b))
+            if idx.size >= min_len:
+                out.append(idx)
     return out
 
 
-def _subject(ta, tb, idx):
-    return feats._subject_features(ta, tb, idx)
+def _stream_chunks(
+    tracks: TrackSet, ea, eb, start: int, end: int, chunk: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Ordered feature-stream pairs over an interval, split at gaps and chunked."""
+    lo = max(start, 1)
+    ta = feats.EntityTrack(tracks, feats.as_entity(ea), lo - 1, end)
+    tb = feats.EntityTrack(tracks, feats.as_entity(eb), lo - 1, end)
+    return [
+        (feats._subject_features(ta, tb, idx), feats._subject_features(tb, ta, idx))
+        for idx in _usable_chunks(ta.valid & tb.valid, chunk)
+    ]
 
 
 def _group_chunks(
-    tracks: TrackSet, members, start: int, end: int, chunk: int, min_len: int = 4
+    tracks: TrackSet, members, start: int, end: int, chunk: int
 ) -> list[np.ndarray]:
     """Group-feature sequences over an interval, split at gaps and chunked."""
     ms = feats.as_entity(members)
@@ -767,24 +762,7 @@ def _group_chunks(
     allv = np.logical_and.reduce(
         [feats.EntityTrack(tracks, (m,), lo - 1, end).valid for m in ms]
     )
-    ok = allv[1:] & allv[:-1]
-    out = []
-    run_start = None
-    runs = []
-    for i, v in enumerate(list(ok) + [False]):
-        if v and run_start is None:
-            run_start = i
-        elif not v and run_start is not None:
-            runs.append((run_start, i))
-            run_start = None
-    for a, b in runs:
-        frames_all = np.arange(lo + a, lo + b)
-        for c0 in range(0, frames_all.size, chunk):
-            frames = frames_all[c0 : c0 + chunk]
-            if frames.size < min_len:
-                continue
-            out.append(feats._group_rows(tracks, ms, frames))
-    return out
+    return [feats._group_rows(tracks, ms, lo - 1 + idx) for idx in _usable_chunks(allv, chunk)]
 
 
 def assemble_training_data(
@@ -960,6 +938,7 @@ class CorrelationEngine:
         self._hold = np.stack([_log(1.0 - m.advance) for m in models])
         self._marg = _BatchGmm([list(m.marginal) for m in models], self.obs_dim)
         self._joint = _BatchGmm([list(m.joint) for m in models], 2 * self.obs_dim)
+        # profiles of one frame only: a lookup at another frame drops them
         self._cache: dict[tuple, CorrelationProfile | None] = {}
 
     def profile(self, subject, target, t: int) -> CorrelationProfile | None:
@@ -973,6 +952,8 @@ class CorrelationEngine:
         self, items: list[tuple], t: int
     ) -> dict[tuple, CorrelationProfile | None]:
         """Profiles for many (subject, target) entity pairs at one frame."""
+        if self._cache and next(iter(self._cache))[2] != t:
+            self._cache.clear()
         out: dict[tuple, CorrelationProfile | None] = {}
         todo = []
         for a, b in items:

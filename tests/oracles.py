@@ -44,17 +44,11 @@ def _branch_sequences(T: int, S: int, terminal_slack: int):
             yield bits
 
 
-def enumerate_ahmm(
-    entry, trans, exit_, eps, joint_logpdf, marg_logpdf, S: int, T: int,
-    terminal_slack: int = 0,
-) -> float:
-    """Total log-likelihood by explicit enumeration.
-
-    ``joint_logpdf(k, s, t)`` scores the pair (fi[s], fj[t]) (0-based) under
-    state k; ``marg_logpdf(k, t)`` scores fj[t] alone.
-    """
+def _weighted_paths(
+    entry, trans, exit_, eps, joint_logpdf, marg_logpdf, S: int, T: int, terminal_slack: int
+):
+    """Every (branch string, state path, probability including exit)."""
     n = len(entry)
-    total = 0.0
     for bits in _branch_sequences(T, S, terminal_slack):
         for path in itertools.product(range(n), repeat=T):
             p = entry[path[0]]
@@ -69,10 +63,63 @@ def enumerate_ahmm(
                 else:
                     p *= (1.0 - eps[k]) * math.exp(marg_logpdf(k, t))
             p *= exit_[path[T - 1]]
-            total += p
+            yield bits, path, p
+
+
+def enumerate_ahmm(
+    entry, trans, exit_, eps, joint_logpdf, marg_logpdf, S: int, T: int,
+    terminal_slack: int = 0,
+) -> float:
+    """Total log-likelihood by explicit enumeration.
+
+    ``joint_logpdf(k, s, t)`` scores the pair (fi[s], fj[t]) (0-based) under
+    state k; ``marg_logpdf(k, t)`` scores fj[t] alone.
+    """
+    total = 0.0
+    for _, _, p in _weighted_paths(
+        entry, trans, exit_, eps, joint_logpdf, marg_logpdf, S, T, terminal_slack
+    ):
+        total += p
     if total <= 0.0:
         return -math.inf
     return math.log(total)
+
+
+def enumerate_ahmm_counts(
+    entry, trans, exit_, eps, joint_logpdf, marg_logpdf, S: int, T: int,
+    terminal_slack: int = 0,
+) -> dict[str, np.ndarray]:
+    """Posterior expected counts (the Baum-Welch E-step) by explicit enumeration.
+
+    Returns ``entry`` and ``exit`` (n,), the state occupancies at the first
+    and last step; ``trans`` (n, n), summed over consecutive steps;
+    ``adv`` (S, T, n), the posterior that step t advances in state k while
+    consuming fi[s]; and ``hold`` (T, n), that step t holds in state k.
+    """
+    n = len(entry)
+    acc = {
+        "entry": np.zeros(n), "exit": np.zeros(n), "trans": np.zeros((n, n)),
+        "adv": np.zeros((S, T, n)), "hold": np.zeros((T, n)),
+    }
+    total = 0.0
+    for bits, path, p in _weighted_paths(
+        entry, trans, exit_, eps, joint_logpdf, marg_logpdf, S, T, terminal_slack
+    ):
+        total += p
+        acc["entry"][path[0]] += p
+        acc["exit"][path[T - 1]] += p
+        s = 0
+        for t in range(T):
+            if t > 0:
+                acc["trans"][path[t - 1], path[t]] += p
+            if bits[t]:
+                acc["adv"][s, t, path[t]] += p
+                s += 1
+            else:
+                acc["hold"][t, path[t]] += p
+    if total <= 0.0:
+        raise ValueError("zero likelihood: no posterior")
+    return {key: v / total for key, v in acc.items()}
 
 
 def enumerate_ahmm_lattice_masses(

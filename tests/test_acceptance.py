@@ -107,16 +107,20 @@ def test_criterion_02_hmm_degeneracy():
 def test_criterion_03_correlation_normalization(bank):
     tracks, _ = generate(walk_together(seed=33))
     engine = CorrelationEngine(bank, tracks)
-    grad.run_pipeline(bank, tracks, grad.PipelineConfig.from_bank(bank), engine=engine)
+    config = grad.PipelineConfig.from_bank(bank)
     checked = 0
     worst = 0.0
-    for profile in engine._cache.values():
-        if profile is None:
-            continue
-        total = sum(profile.values.values())
-        worst = max(worst, abs(total - 1.0))
-        assert abs(total - 1.0) <= 1e-9
-        checked += 1
+    # the engine caches one frame's profiles, so read them after every frame
+    lo, hi = tracks.frame_range
+    for t in range(lo + 1, hi + 1):
+        grad.run_pipeline(bank, tracks, config, frames=[t], engine=engine)
+        for profile in engine._cache.values():
+            if profile is None:
+                continue
+            total = sum(profile.values.values())
+            worst = max(worst, abs(total - 1.0))
+            assert abs(total - 1.0) <= 1e-9
+            checked += 1
     assert checked > 5000  # every pair, frame, and entity the run evaluated
     ok(3, f"{checked} profiles from a full pipeline run sum to 1 (worst dev {worst:.1e})")
 

@@ -166,6 +166,7 @@ def test_simulate_invalid_spec(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags", [
     ["--window", "0"], ["--window", "1"], ["--dt", "-1"], ["--dt", "50"],
+    ["--tc", "2"], ["--to", "-0.1"], ["--tr", "nan"],
 ])
 @pytest.mark.parametrize("command", ["train", "detect"])
 def test_bad_window_or_dt_is_usage_error(workdir, tmp_path, capsys, command, flags):
@@ -181,7 +182,7 @@ def test_bad_window_or_dt_is_usage_error(workdir, tmp_path, capsys, command, fla
     assert run(args) == 1
     err = capsys.readouterr().err
     assert f"groupact {command}: error:" in err and "Traceback" not in err
-    assert "window" in err
+    assert flags[0].lstrip("-") in err
     assert not out.exists()
 
 

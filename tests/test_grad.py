@@ -179,6 +179,20 @@ def test_pipeline_deterministic(bank):
     assert d1 == d2
 
 
+def test_engine_cache_holds_only_the_current_frame(bank):
+    tracks, _ = generate(fig1_hierarchy(seed=4))
+    cfg = PipelineConfig.from_bank(bank)
+    frames = range(60, 66)
+    engine = CorrelationEngine(bank, tracks, window=cfg.window, dt=cfg.dt)
+    stepped = []
+    for t in frames:
+        stepped += run_pipeline(bank, tracks, cfg, frames=[t], engine=engine)
+        assert engine._cache and {key[2] for key in engine._cache} == {t}
+    assert stepped == run_pipeline(bank, tracks, cfg, frames=frames)
+    # a frame visited again is recomputed, to the same detections
+    assert run_pipeline(bank, tracks, cfg, frames=[60], engine=engine) == stepped[:1]
+
+
 def test_detections_round_trip(bank):
     tracks, _ = generate(walk_together(seed=13))
     dets = run_pipeline(bank, tracks, PipelineConfig.from_bank(bank),

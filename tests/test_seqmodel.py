@@ -1,12 +1,14 @@
 """Sequence-model tests: exhaustive-enumeration oracles, degeneracies, training."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from groupact.features import pair_feature_windows
 from groupact.gmm import GaussianMixture
+from groupact import seqmodel
 from groupact.seqmodel import (
     ActivityModel,
     ActivityModelBank,
@@ -25,7 +27,12 @@ from groupact.seqmodel import (
 from groupact.taxonomy import SYMMETRIC, Taxonomy
 from groupact.trackio import MbbSample, TrackSet
 
-from oracles import enumerate_ahmm, enumerate_ahmm_lattice_masses, enumerate_hmm
+from oracles import (
+    enumerate_ahmm,
+    enumerate_ahmm_counts,
+    enumerate_ahmm_lattice_masses,
+    enumerate_hmm,
+)
 
 
 def random_gmm(rng, d, k=None):
@@ -478,6 +485,102 @@ def test_fixed_advance_training_keeps_eps_pinned():
     cfg = TrainConfig(states=2, mixtures=1, seed=2, max_iters=6, fix_advance=1.0)
     model = train_activity_model(segs, cfg, label="x")
     assert np.all(model.advance == 1.0)
+
+
+def _with_ones(rows):
+    x = np.concatenate(rows)
+    return np.column_stack([np.ones(len(x)), x])
+
+
+def _oracle_counts(model, segs, slack):
+    """Summed enumerated E-step counts plus the total log-likelihood."""
+    total, want = 0.0, None
+    for fi, fj in segs:
+        S, T = fi.shape[0], fj.shape[0]
+        jfn, mfn = oracle_fns(model, fi, fj)
+        args = (model.entry, model.trans, model.exit, model.advance, jfn, mfn, S, T)
+        total += enumerate_ahmm(*args, terminal_slack=slack)
+        c = enumerate_ahmm_counts(*args, terminal_slack=slack)
+        # weighted moments of the emission data, with a leading column of ones
+        pairs = np.array([[1.0, *fi[s], *fj[t]] for s in range(S) for t in range(T)])
+        c["joint"] = c.pop("adv").reshape(S * T, -1).T @ pairs
+        c["marg"] = c["hold"].T @ np.column_stack([np.ones(T), fj])
+        c["adv"] = c["joint"][:, 0]
+        c["hold"] = c["marg"][:, 0]
+        want = c if want is None else {k: want[k] + c[k] for k in want}
+    return total, want
+
+
+@pytest.mark.parametrize("slack, fix_advance", [(0, None), (1, None), (9, None), (3, 0.6), (3, 1.0)])
+def test_em_counts_match_enumeration(monkeypatch, slack, fix_advance):
+    """Every E-step of one mixed-shape training run against brute-force counts."""
+    rng = np.random.default_rng(300 + slack)
+    shapes = [(4, 4), (2, 4), (3, 3), (3, 4), (4, 4), (1, 3)]
+    if fix_advance == 1.0:  # only equal lengths have an all-advance path
+        shapes = [(4, 4), (3, 3), (4, 4), (2, 2)]
+    segs = [(rng.normal(size=(S, 2)), rng.normal(size=(T, 2))) for S, T in shapes]
+    seen = []
+    m_step = seqmodel._EmStats.m_step
+
+    def spy(stats, model):
+        seen.append((stats, model))
+        return m_step(stats, model)
+
+    monkeypatch.setattr(seqmodel._EmStats, "m_step", spy)
+    cfg = TrainConfig(states=2, mixtures=1, seed=4, max_iters=3, tol=0.0, max_segments=None,
+                      terminal_slack=slack, fix_advance=fix_advance)
+    _, hist = train_activity_model(segs, cfg, label="x", return_history=True)
+    assert len(seen) == len(hist) == 3
+    used_slack = 0 if fix_advance is not None else slack
+    for (stats, model), ll in zip(seen, hist):
+        want_ll, want = _oracle_counts(model, segs, used_slack)
+        assert ll == pytest.approx(want_ll, rel=1e-9)
+        got = {
+            "entry": stats.entry, "exit": stats.exit, "trans": stats.trans,
+            "adv": stats.adv, "hold": stats.hold,
+            "joint": np.concatenate(stats.joint_w).T @ _with_ones(stats.joint_x),
+            "marg": np.concatenate(stats.marg_w).T @ _with_ones(stats.marg_x),
+        }
+        for key in want:
+            np.testing.assert_allclose(got[key], want[key], rtol=1e-9, atol=1e-12, err_msg=key)
+
+
+@pytest.mark.parametrize("S, T, slack", [(2, 4, 0), (3, 4, 1), (4, 4, 0), (2, 5, 7)])
+def test_batched_estep_loglik_per_segment(S, T, slack):
+    rng = np.random.default_rng(10 * S + T)
+    model = random_model(rng, n=2, d=1)
+    fi = rng.normal(size=(3, S, 1))
+    fj = rng.normal(size=(3, T, 1))
+    stats = seqmodel._EmStats(2, 1, TrainConfig())
+    got = seqmodel._accumulate_batch(model, fi, fj, stats, slack)
+    for b in range(3):
+        jfn, mfn = oracle_fns(model, fi[b], fj[b])
+        want = enumerate_ahmm(
+            model.entry, model.trans, model.exit, model.advance, jfn, mfn, S, T,
+            terminal_slack=slack,
+        )
+        assert got[b] == pytest.approx(want, rel=1e-9)
+
+
+def test_zero_likelihood_segment_raises():
+    # advance pinned at one cannot align a shorter first stream
+    segs = [(np.zeros((4, 1)), np.ones((4, 1))), (np.zeros((2, 1)), np.ones((3, 1)))]
+    cfg = TrainConfig(states=2, mixtures=1, max_iters=2, fix_advance=1.0)
+    with pytest.raises(DataError, match="zero likelihood"):
+        train_activity_model(segs, cfg, label="x")
+
+
+def test_train_hmm_model_loglik_matches_enumeration():
+    rng = np.random.default_rng(41)
+    seqs = [rng.normal(size=(T, 2)) for T in (3, 5, 4, 3, 5, 1)]
+    cfg = TrainConfig(states=2, mixtures=1, seed=2, max_iters=1)
+    m1 = train_hmm_model(seqs, cfg, label="g")
+    _, hist = train_hmm_model(seqs, replace(cfg, max_iters=2), label="g", return_history=True)
+    want = 0.0
+    for s in seqs:
+        logb = [[float(m1.marginal[k].log_density(s[t])) for k in range(2)] for t in range(len(s))]
+        want += enumerate_hmm(m1.entry, m1.trans, m1.exit, logb)
+    assert hist[1] == pytest.approx(want, rel=1e-9)
 
 
 def test_group_likelihood_factorized_cross_check():
