@@ -10,11 +10,9 @@ from .clustering import (
     ClusterSeed,
     GroupAssignment,
     Partition,
-    SeedRepresentative,
     assign_remaining,
     detect_seeds,
     merge_seeds,
-    seed_representatives,
 )
 from .features import GroupObservation, ObservationUnavailable, PairObservation
 from .gmm import GaussianMixture, fit_em

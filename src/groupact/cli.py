@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import grad, metrics, simgen
 from .features import ObservationUnavailable
-from .seqmodel import DataError, TrainConfig, check_window, train_bank
+from .seqmodel import DataError, TrainConfig, check_thresholds, check_window, train_bank
 from .trackio import (
     ModelFormatError,
     ParseError,
@@ -65,7 +65,7 @@ def _check_flags(command: str, window: int, dt: int, **thresholds: float | None)
     or for a threshold flag outside [0, 1]."""
     try:
         check_window(window, dt)
-        grad.check_thresholds(**{k: v for k, v in thresholds.items() if v is not None})
+        check_thresholds(**{k: v for k, v in thresholds.items() if v is not None})
     except ValueError as exc:
         raise CliError(EXIT_USAGE, f"groupact {command}: error: {exc}") from None
 

@@ -38,19 +38,6 @@ class ClusterSeed:
 
 
 @dataclass(frozen=True)
-class SeedRepresentative:
-    """Per-frame average of a seed's members over the correlation window."""
-
-    seed: ClusterSeed
-    members: tuple[int, ...]
-    frame: int
-    window: int
-
-    def track(self, tracks: TrackSet) -> feats.EntityTrack:
-        return feats.EntityTrack(tracks, self.members, self.frame - self.window, self.frame)
-
-
-@dataclass(frozen=True)
 class GroupAssignment:
     members: tuple[int, ...]
     seed_members: tuple[int, ...]
@@ -246,26 +233,20 @@ def merge_seeds(
     return out
 
 
-def seed_representatives(
-    seeds: list[ClusterSeed], tracks: TrackSet, t: int, window: int
-) -> list[SeedRepresentative]:
-    """One per-frame member average per seed over the window ending at t."""
-    return [SeedRepresentative(s, s.members, t, window) for s in seeds]
-
-
 def assign_remaining(
     bank: ActivityModelBank,
     tracks: TrackSet,
     t: int,
     seeds: list[ClusterSeed],
-    srs: list[SeedRepresentative],
     engine: CorrelationEngine | None = None,
 ) -> Partition:
     """Attach non-seed people to their best representative, or leave them single.
 
-    Person i joins the representative K with the highest correlation value
-    under i's best label toward K, provided that label is a grouping
-    activity; only person-to-representative values are used.
+    A seed's representative is the per-frame average of its members (the
+    entity ``seed.members``).  Person i joins the representative K with the
+    highest correlation value under i's best label toward K, provided that
+    label is a grouping activity; only person-to-representative values are
+    used.
     """
     tax = bank.taxonomy
     present = tracks.observable_persons(t)
@@ -273,14 +254,14 @@ def assign_remaining(
         engine = CorrelationEngine(bank, tracks)
     seeded = {m for s in seeds for m in s.members}
     remaining = [p for p in present if p not in seeded]
-    joined: dict[int, list[int]] = {i: [] for i in range(len(srs))}
-    items = [((p,), sr.members) for p in remaining for sr in srs]
+    joined: dict[int, list[int]] = {i: [] for i in range(len(seeds))}
+    items = [((p,), s.members) for p in remaining for s in seeds]
     profs = engine.profiles(items, t) if items else {}
     for p in remaining:
         best_idx = None
         best_val = -1.0
-        for idx, sr in enumerate(srs):
-            prof = profs.get(((p,), sr.members))
+        for idx, s in enumerate(seeds):
+            prof = profs.get(((p,), s.members))
             if prof is None:
                 continue
             lbl = prof.label

@@ -25,19 +25,11 @@ from .clustering import (
     assign_remaining,
     detect_seeds,
     merge_seeds,
-    seed_representatives,
 )
 from .grouprep import GroupRepresentative, make_representative
-from .seqmodel import ActivityModelBank, CorrelationEngine, DataError, check_window
+from .seqmodel import ActivityModelBank, CorrelationEngine, DataError, check_thresholds, check_window
 from .taxonomy import SINGLE
 from .trackio import ParseError, TrackSet
-
-
-def check_thresholds(**thresholds: float) -> None:
-    """Reject a clustering or representative threshold outside [0, 1]."""
-    for name, v in thresholds.items():
-        if not (0.0 <= v <= 1.0):
-            raise ValueError(f"threshold {name} must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -292,8 +284,7 @@ def _detect_frame(
     profiles = engine.profiles([((a,), (b,)) for a in present for b in present if a != b], t)
     seeds = detect_seeds(bank, tracks, t, config.tc, config.to, profiles=profiles)
     seeds = merge_seeds(seeds, profiles, taxonomy=bank.taxonomy)
-    srs = seed_representatives(seeds, tracks, t, config.window)
-    partition = assign_remaining(bank, tracks, t, seeds, srs, engine=engine)
+    partition = assign_remaining(bank, tracks, t, seeds, engine=engine)
 
     contexts = []
     labels = []

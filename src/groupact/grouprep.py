@@ -38,9 +38,6 @@ class GroupRepresentative:
     person: int | None = None
     fallback: bool = False
 
-    def track(self, tracks: TrackSet, t: int, window: int) -> feats.EntityTrack:
-        return feats.EntityTrack(tracks, self.members, t - window, t)
-
 
 def _frame_density(bank: ActivityModelBank, tracks: TrackSet, person: int,
                    rest: tuple[int, ...], label: str, t: int) -> float:
@@ -100,7 +97,7 @@ def p_gr(
     return GroupRepresentative(P_KIND, members, (best,), person=best)
 
 
-def v_gr(tracks: TrackSet, group, t: int | None = None, window: int | None = None) -> GroupRepresentative:
+def v_gr(tracks: TrackSet, group) -> GroupRepresentative:
     """The average of all members in feature space."""
     members = feats.as_entity(group)
     if not members:

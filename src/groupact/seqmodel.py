@@ -13,6 +13,7 @@ and for relations between groups.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -38,6 +39,13 @@ def check_window(window: int, dt: int) -> None:
         raise ValueError(f"window must be at least 2 frames (got {window})")
     if not 0 <= dt < window:
         raise ValueError(f"alignment slack must satisfy 0 <= dt < window (got dt={dt}, window={window})")
+
+
+def check_thresholds(**thresholds: float) -> None:
+    """Reject a clustering or representative threshold outside [0, 1]."""
+    for name, v in thresholds.items():
+        if not (0.0 <= v <= 1.0):
+            raise ValueError(f"threshold {name} must lie in [0, 1]")
 
 
 def _log(a: np.ndarray) -> np.ndarray:
@@ -93,7 +101,7 @@ class ActivityModel:
             if len(self.joint) != n:
                 raise ValueError("need one joint mixture per state")
             jdims = {g.dim for g in self.joint}
-            if jdims != {2 * self.obs_dim_raw(dims)}:
+            if jdims != {2 * next(iter(dims))}:
                 raise ValueError("joint mixtures must cover concatenated observation pairs")
         object.__setattr__(self, "entry", entry)
         object.__setattr__(self, "trans", trans)
@@ -102,10 +110,6 @@ class ActivityModel:
         object.__setattr__(self, "marginal", tuple(self.marginal))
         if self.joint is not None:
             object.__setattr__(self, "joint", tuple(self.joint))
-
-    @staticmethod
-    def obs_dim_raw(dims: set[int]) -> int:
-        return next(iter(dims))
 
     @property
     def n_states(self) -> int:
@@ -160,6 +164,7 @@ class ActivityModelBank:
 
     def __post_init__(self) -> None:
         check_window(self.window, self.dt)
+        check_thresholds(tc=self.tc, to=self.to, tr=self.tr)
         missing = [l for l in self.taxonomy.modelable_labels() if l not in self.models]
         if missing:
             raise ValueError(f"bank lacks models for activities: {missing}")
@@ -177,9 +182,6 @@ class CorrelationProfile:
     frame: int
     values: dict[str, float]
     label: str
-
-    def value(self, label: str) -> float:
-        return self.values[label]
 
 
 def _argmax_label(values: dict[str, float]) -> str:
@@ -265,6 +267,71 @@ def ahmm_forward(
     return lat, float(loglik)
 
 
+def _band_forward(log_entry, log_trans, ae: np.ndarray, hm: np.ndarray):
+    """Forward sweep over the hold-count band of the alignment lattice.
+
+    Cell ``h = (t+1) - s`` counts the holds so far: an advance keeps it and a
+    hold raises it, so a read-out that needs ``h < D`` keeps ``D`` cells per
+    step.  ``ae`` (T, ..., D, n) is the log weight of advancing from cell
+    ``h`` at step ``t`` (-inf where nothing is left to consume), ``hm``
+    (T, ..., n) that of holding; ``log_entry`` and ``log_trans`` broadcast
+    over the batch axes.  Returns the log mass entering and leaving each
+    step, shaped like ``ae``.  With ``D = 1`` this is the plain HMM forward.
+    """
+    tin = np.full(ae.shape, -np.inf)
+    la = np.full(ae.shape, -np.inf)
+    tin[0, ..., 0, :] = log_entry
+    for t in range(ae.shape[0]):
+        if t:
+            tin[t] = logsumexp(la[t - 1][..., None] + log_trans[..., None, :, :], axis=-2)
+        la[t] = tin[t] + ae[t]
+        la[t, ..., 1:, :] = np.logaddexp(la[t, ..., 1:, :], tin[t, ..., :-1, :] + hm[t][..., None, :])
+    return tin, la
+
+
+def _band_posteriors(model: ActivityModel, ae: np.ndarray, hm: np.ndarray, stats: _EmStats):
+    """Forward-backward over the band of B sequences of one shape.
+
+    ``ae`` (T, B, D, n) and ``hm`` (T, B, n) are as in :func:`_band_forward`.
+    Adds the expected chain, advance and hold counts to ``stats`` and returns
+    the log-likelihoods (B,), the posteriors (T, B, D, n) of advancing from
+    each cell and those (T, B, n) of holding at each step.
+    """
+    log_trans, log_exit = _log(model.trans), _log(model.exit)
+    tin, la = _band_forward(_log(model.entry), log_trans, ae, hm)
+    T, B = ae.shape[:2]
+    # beta: mass of steps t..T-1 from a cell entered at t; lb: of the steps after t
+    beta = np.full(ae.shape, -np.inf)
+    lb = np.full(ae.shape, -np.inf)
+    lb[T - 1] = log_exit
+    for t in range(T - 1, -1, -1):
+        beta[t] = ae[t] + lb[t]
+        beta[t, :, :-1] = np.logaddexp(beta[t, :, :-1], hm[t, :, None] + lb[t, :, 1:])
+        if t:
+            lb[t - 1] = logsumexp(log_trans + beta[t, :, :, None, :], axis=3)
+    total = logsumexp((la[T - 1] + log_exit).reshape(B, -1), axis=1)
+    if not np.all(np.isfinite(total)):
+        raise DataError("segment has zero likelihood under the current model")
+    tot = total[:, None, None]
+    stats.entry += np.exp(tin[0, :, 0] + beta[0, :, 0] - total[:, None]).sum(axis=0)
+    stats.exit += np.exp(la[T - 1] + log_exit - tot).sum(axis=(0, 1))
+    xi = la[:-1, :, :, :, None] + log_trans + beta[1:, :, :, None, :]
+    stats.trans += np.exp(xi - tot[..., None]).sum(axis=(0, 1, 2))
+    adv = np.exp(tin + ae + lb - tot)
+    hold = np.exp(tin[:, :, :-1] + hm[:, :, None] + lb[:, :, 1:] - tot).sum(axis=2)
+    stats.adv += adv.sum(axis=(0, 1, 2))
+    stats.hold += hold.sum(axis=(0, 1))
+    return total, adv, hold
+
+
+def _hmm_loglik(model: ActivityModel, logb: np.ndarray) -> float:
+    """Forward over a (T, n) emission table: the band with ``D = 1``, never holding."""
+    _, la = _band_forward(
+        _log(model.entry), _log(model.trans), logb[:, None, :], np.full(logb.shape, -np.inf)
+    )
+    return float(logsumexp(la[-1, 0] + _log(model.exit)))
+
+
 def pair_hmm_loglik(model: ActivityModel, fi: np.ndarray, fj: np.ndarray) -> float:
     """Synchronous pair likelihood: standard forward over joint emissions."""
     fi = np.atleast_2d(np.asarray(fi, dtype=float))
@@ -274,8 +341,7 @@ def pair_hmm_loglik(model: ActivityModel, fi: np.ndarray, fj: np.ndarray) -> flo
     if model.joint is None:
         raise ValueError("model lacks joint emissions")
     obs = np.concatenate([fi, fj], axis=1)
-    logb = np.stack([g.log_density(obs) for g in model.joint], axis=1)
-    return _hmm_forward_loglik(model, logb)
+    return _hmm_loglik(model, np.stack([g.log_density(obs) for g in model.joint], axis=1))
 
 
 def hmm_group_likelihood(model: ActivityModel, fa: np.ndarray) -> float:
@@ -285,16 +351,7 @@ def hmm_group_likelihood(model: ActivityModel, fa: np.ndarray) -> float:
         raise ValueError("sequence must be non-empty")
     if fa.shape[1] != model.obs_dim:
         raise ValueError("observation dimension does not match emission models")
-    logb = np.stack([g.log_density(fa) for g in model.marginal], axis=1)
-    return _hmm_forward_loglik(model, logb)
-
-
-def _hmm_forward_loglik(model: ActivityModel, logb: np.ndarray) -> float:
-    log_trans = _log(model.trans)
-    alpha = _log(model.entry) + logb[0]
-    for t in range(1, logb.shape[0]):
-        alpha = logsumexp(alpha[:, None] + log_trans, axis=0) + logb[t]
-    return float(logsumexp(alpha + _log(model.exit)))
+    return _hmm_loglik(model, np.stack([g.log_density(fa) for g in model.marginal], axis=1))
 
 
 def window_log_mass(model: ActivityModel, fi: np.ndarray, fj: np.ndarray, dt: int) -> float:
@@ -422,6 +479,45 @@ def _fit_weighted_mixture(
     return GaussianMixture(weights, means, variances)
 
 
+def _subsample(items: list, limit: int | None) -> list:
+    """At most ``limit`` of ``items``, evenly spaced and in order."""
+    if limit is None or len(items) <= limit:
+        return items
+    idx = np.linspace(0, len(items) - 1, limit).astype(int)
+    return [items[i] for i in sorted(set(idx.tolist()))]
+
+
+def _initial_chain(n: int, mean_len: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Uniform entry, exit ``1 / mean_len`` (at most 0.5), diagonal-heavy transitions."""
+    exit0 = min(0.5, 1.0 / mean_len)
+    if n == 1:
+        trans = np.array([[1.0 - exit0]])
+    else:
+        trans = np.full((n, n), 0.4 / (n - 1))
+        np.fill_diagonal(trans, 0.6)
+        trans *= 1.0 - exit0
+    return np.full(n, 1.0 / n), trans, np.full(n, exit0)
+
+
+def _run_em(model: ActivityModel, batches: list[tuple], accumulate, config: TrainConfig,
+            marg_floor, joint_floor=None) -> tuple[ActivityModel, list[float]]:
+    """EM from ``model`` until the log-likelihood gain falls below ``config.tol``;
+    ``accumulate(model, *batch, stats)`` is the E-step of one batch."""
+    history: list[float] = []
+    prev_ll = -np.inf
+    for _ in range(config.max_iters):
+        stats = _EmStats(model.n_states, config, marg_floor, joint_floor)
+        ll = 0.0
+        for batch in batches:
+            ll += float(accumulate(model, *batch, stats).sum())
+        history.append(ll)
+        model = stats.m_step(model)
+        if prev_ll > -np.inf and ll - prev_ll < config.tol * max(1.0, abs(prev_ll)):
+            break
+        prev_ll = ll
+    return model, history
+
+
 def train_activity_model(
     segments: list[tuple[np.ndarray, np.ndarray]],
     config: TrainConfig | None = None,
@@ -448,16 +544,10 @@ def train_activity_model(
         if fi.shape[0] > fj.shape[0]:
             raise DataError("segment has first stream longer than second")
         segs.append((fi, fj))
-    if config.max_segments is not None and len(segs) > config.max_segments:
-        idx = np.linspace(0, len(segs) - 1, config.max_segments).astype(int)
-        segs = [segs[i] for i in sorted(set(idx.tolist()))]
-    d = segs[0][0].shape[1]
+    segs = _subsample(segs, config.max_segments)
     n = config.states
 
-    joint_pools = _temporal_pools(
-        [np.concatenate([fi[: min(len(fi), len(fj))], fj[: min(len(fi), len(fj))]], axis=1) for fi, fj in segs],
-        n,
-    )
+    joint_pools = _temporal_pools([np.concatenate([fi, fj[: len(fi)]], axis=1) for fi, fj in segs], n)
     marg_pools = _temporal_pools([fj for _, fj in segs], n)
     # per-dimension floors keyed to the pooled spread keep collapsed
     # components from spiking the density scale
@@ -465,47 +555,22 @@ def train_activity_model(
     joint_floor = _dim_floor(np.concatenate(joint_pools, axis=0), config)
     joint, fb1 = _init_mixtures(joint_pools, config.mixtures, config.seed, joint_floor)
     marginal, fb2 = _init_mixtures(marg_pools, config.mixtures, config.seed + 7, marg_floor)
-    fallback = fb1 or fb2
 
-    mean_t = float(np.mean([fj.shape[0] for _, fj in segs]))
-    exit0 = min(0.5, 1.0 / mean_t)
-    if n == 1:
-        trans = np.array([[1.0 - exit0]])
-    else:
-        base = np.full((n, n), 0.4 / (n - 1))
-        np.fill_diagonal(base, 0.6)
-        trans = base * (1.0 - exit0)
-    entry = np.full(n, 1.0 / n)
-    exit_ = np.full(n, exit0)
-    if config.fix_advance is not None:
-        advance = np.full(n, float(config.fix_advance))
-    else:
-        advance = np.full(n, 0.7)
-
-    history: list[float] = []
-    prev_ll = -np.inf
-    model = ActivityModel(label, kind, entry, trans, exit_, advance, marginal, joint, fallback)
+    entry, trans, exit_ = _initial_chain(n, float(np.mean([fj.shape[0] for _, fj in segs])))
+    advance = np.full(n, 0.7 if config.fix_advance is None else float(config.fix_advance))
+    model = ActivityModel(label, kind, entry, trans, exit_, advance, marginal, joint, fb1 or fb2)
     slack = 0 if config.fix_advance is not None else config.terminal_slack
-    batches = _stack_by_shape(segs)
-    for _ in range(config.max_iters):
-        stats = _EmStats(n, d, config, marg_floor, joint_floor)
-        ll = 0.0
-        for fi, fj in batches:
-            ll += float(_accumulate_batch(model, fi, fj, stats, slack).sum())
-        history.append(ll)
-        model = stats.m_step(model)
-        if prev_ll > -np.inf and ll - prev_ll < config.tol * max(1.0, abs(prev_ll)):
-            break
-        prev_ll = ll
-    if return_history:
-        return model, history
-    return model
+    model, history = _run_em(
+        model, _stack_by_shape(segs), partial(_accumulate_batch, terminal_slack=slack),
+        config, marg_floor, joint_floor,
+    )
+    return (model, history) if return_history else model
 
 
 class _EmStats:
     """Accumulated expected counts for one EM iteration."""
 
-    def __init__(self, n: int, d: int, config: TrainConfig, marg_floor=None, joint_floor=None):
+    def __init__(self, n: int, config: TrainConfig, marg_floor=None, joint_floor=None):
         self.config = config
         self.marg_floor = config.var_floor if marg_floor is None else marg_floor
         self.joint_floor = config.var_floor if joint_floor is None else joint_floor
@@ -520,6 +585,8 @@ class _EmStats:
         self.marg_w: list[np.ndarray] = []
 
     def m_step(self, model: ActivityModel) -> ActivityModel:
+        """Re-estimated model.  A synchronous model (no ``advance``) or a
+        pinned ``fix_advance`` keeps its advance probabilities."""
         cfg = self.config
         n = model.n_states
         entry = self.entry / self.entry.sum() if self.entry.sum() > 0 else model.entry
@@ -530,11 +597,10 @@ class _EmStats:
             if rows[k] > 1e-10:
                 trans[k] = self.trans[k] / rows[k]
                 exit_[k] = self.exit[k] / rows[k]
-        if cfg.fix_advance is not None:
-            advance = np.full(n, float(cfg.fix_advance))
-        else:
+        advance = model.advance
+        if advance is not None and cfg.fix_advance is None:
             tot = self.adv + self.hold
-            advance = model.advance.copy()
+            advance = advance.copy()
             mask = tot > 1e-10
             advance[mask] = self.adv[mask] / tot[mask]
             advance = np.clip(advance, cfg.eps_min, 1.0 - cfg.eps_min)
@@ -571,70 +637,49 @@ def _accumulate_batch(
 ) -> np.ndarray:
     """Exact E-step over B segments of one shape; returns their log-likelihoods.
 
-    ``fi`` is (B, S, d) and ``fj`` (B, T, d).  As in
-    :meth:`CorrelationEngine._window_masses`, cells are indexed by hold count
-    ``h = (t+1) - s``, which never decreases along a path.  The read-out keeps
-    ``s >= S - terminal_slack``, so a cell with ``h >= D`` cannot reach it and
-    carries no posterior mass.  ``tin[:, t, h]`` is the mass entering step
-    ``t`` with ``h`` holds so far and ``beta[:, t, h]`` the mass of steps
-    ``t..T-1`` from there; ``lb[:, t, h]`` is the mass after step ``t``.
+    ``fi`` is (B, S, d) and ``fj`` (B, T, d).  The read-out keeps
+    ``s >= S - terminal_slack``, so only the band cells ``h < D`` of
+    :func:`_band_forward` can carry posterior mass.
     """
     B, S, d = fi.shape
     T = fj.shape[1]
     n = model.n_states
     D = min(T - S + terminal_slack, T) + 1
-    log_trans = _log(model.trans)
-    log_exit = _log(model.exit)
+    fi, fj = fi.swapaxes(0, 1), fj.swapaxes(0, 1)
+    x = fj.reshape(T * B, d)
     hm = _log(1.0 - model.advance) + np.stack(
-        [g.log_density(fj.reshape(B * T, d)) for g in model.marginal], axis=1
-    ).reshape(B, T, n)
+        [g.log_density(x) for g in model.marginal], axis=1
+    ).reshape(T, B, n)
     # advancing from band cell (t, h) consumes fi[t-h]
-    band = np.arange(T)[:, None] - np.arange(D)[None, :]
-    band = (band >= 0) & (band < S)
-    tt, hh = np.nonzero(band)
-    pairs = np.concatenate([fi[:, tt - hh], fj[:, tt]], axis=2).reshape(-1, 2 * d)
-    ae = np.full((B, T, D, n), -np.inf)
-    ae[:, band] = _log(model.advance) + np.stack(
+    src = np.arange(T)[:, None] - np.arange(D)[None, :]
+    tt, hh = np.nonzero((src >= 0) & (src < S))
+    pairs = np.concatenate([fi[tt - hh], fj[tt]], axis=2).reshape(-1, 2 * d)
+    ae = np.full((T, B, D, n), -np.inf)
+    ae[tt, :, hh] = _log(model.advance) + np.stack(
         [g.log_density(pairs) for g in model.joint], axis=1
-    ).reshape(B, -1, n)
-
-    tin = np.full((B, T, D, n), -np.inf)
-    la = np.full((B, T, D, n), -np.inf)
-    tin[:, 0, 0] = _log(model.entry)
-    for t in range(T):
-        if t:
-            tin[:, t] = logsumexp(la[:, t - 1, :, :, None] + log_trans, axis=2)
-        la[:, t] = tin[:, t] + ae[:, t]
-        la[:, t, 1:] = np.logaddexp(la[:, t, 1:], tin[:, t, :-1] + hm[:, t, None])
-
-    beta = np.full((B, T, D, n), -np.inf)
-    lb = np.full((B, T, D, n), -np.inf)
-    lb[:, T - 1] = log_exit
-    for t in range(T - 1, -1, -1):
-        beta[:, t] = ae[:, t] + lb[:, t]
-        beta[:, t, :-1] = np.logaddexp(beta[:, t, :-1], hm[:, t, None] + lb[:, t, 1:])
-        if t:
-            lb[:, t - 1] = logsumexp(log_trans + beta[:, t, :, None, :], axis=3)
-
-    total = logsumexp((la[:, T - 1] + log_exit).reshape(B, -1), axis=1)
-    if not np.all(np.isfinite(total)):
-        raise DataError("segment has zero likelihood under the current model")
-    stats.entry += np.exp(tin[:, 0, 0] + beta[:, 0, 0] - total[:, None]).sum(axis=0)
-    stats.exit += np.exp(la[:, T - 1] + log_exit - total[:, None, None]).sum(axis=(0, 1))
-    xi = la[:, :-1, :, :, None] + log_trans + beta[:, 1:, :, None, :]
-    stats.trans += np.exp(xi - total[:, None, None, None, None]).sum(axis=(0, 1, 2))
-    tot = total[:, None, None, None]
-    adv_w = np.exp(tin + ae + lb - tot)
-    hold_w = np.zeros_like(adv_w)
-    hold_w[:, :, 1:] = np.exp(tin[:, :, :-1] + hm[:, :, None] + lb[:, :, 1:] - tot)
-    stats.adv += adv_w.sum(axis=(0, 1, 2))
-    stats.hold += hold_w.sum(axis=(0, 1, 2))
-
+    ).reshape(-1, B, n)
+    total, adv, hold = _band_posteriors(model, ae, hm, stats)
     # emission statistics: joint on advance cells in the band, marginal on hold mass
     stats.joint_x.append(pairs)
-    stats.joint_w.append(adv_w[:, band].reshape(-1, n))
-    stats.marg_x.append(fj.reshape(B * T, d))
-    stats.marg_w.append(hold_w.sum(axis=2).reshape(B * T, n))
+    stats.joint_w.append(adv[tt, :, hh].reshape(-1, n))
+    stats.marg_x.append(x)
+    stats.marg_w.append(hold.reshape(T * B, n))
+    return total
+
+
+def _accumulate_sequences(model: ActivityModel, seqs: np.ndarray, stats: _EmStats) -> np.ndarray:
+    """Exact E-step over B single-stream sequences of one length, (B, T, d).
+
+    The synchronous model is the band with one cell per step, which never
+    holds, so its advance posteriors are the state occupancies.
+    """
+    B, T, d = seqs.shape
+    n = model.n_states
+    x = seqs.swapaxes(0, 1).reshape(T * B, d)
+    logb = np.stack([g.log_density(x) for g in model.marginal], axis=1).reshape(T, B, 1, n)
+    total, occupancy, _ = _band_posteriors(model, logb, np.full((T, B, n), -np.inf), stats)
+    stats.marg_x.append(x)
+    stats.marg_w.append(occupancy.reshape(T * B, n))
     return total
 
 
@@ -649,78 +694,17 @@ def train_hmm_model(
     config = config or TrainConfig()
     if not sequences:
         raise DataError("no training sequences")
-    seqs = [np.atleast_2d(np.asarray(s, dtype=float)) for s in sequences]
-    if config.max_segments is not None and len(seqs) > config.max_segments:
-        idx = np.linspace(0, len(seqs) - 1, config.max_segments).astype(int)
-        seqs = [seqs[i] for i in sorted(set(idx.tolist()))]
+    seqs = _subsample([np.atleast_2d(np.asarray(s, dtype=float)) for s in sequences], config.max_segments)
     n = config.states
     pools = _temporal_pools(seqs, n)
     floor = _dim_floor(np.concatenate(seqs, axis=0), config)
     marginal, fallback = _init_mixtures(pools, config.mixtures, config.seed + 3, floor)
-    mean_t = float(np.mean([s.shape[0] for s in seqs]))
-    exit0 = min(0.5, 1.0 / mean_t)
-    if n == 1:
-        trans = np.array([[1.0 - exit0]])
-    else:
-        base = np.full((n, n), 0.4 / (n - 1))
-        np.fill_diagonal(base, 0.6)
-        trans = base * (1.0 - exit0)
-    model = ActivityModel(
-        label, kind, np.full(n, 1.0 / n), trans, np.full(n, exit0), None, marginal, None, fallback
+    entry, trans, exit_ = _initial_chain(n, float(np.mean([s.shape[0] for s in seqs])))
+    model = ActivityModel(label, kind, entry, trans, exit_, None, marginal, None, fallback)
+    model, history = _run_em(
+        model, _stack_by_shape([(s,) for s in seqs]), _accumulate_sequences, config, floor
     )
-
-    history: list[float] = []
-    prev_ll = -np.inf
-    batches = _stack_by_shape([(s,) for s in seqs])
-    for _ in range(config.max_iters):
-        entry_c = np.zeros(n)
-        trans_c = np.zeros((n, n))
-        exit_c = np.zeros(n)
-        xs, ws = [], []
-        log_trans = _log(model.trans)
-        ll = 0.0
-        for (s,) in batches:
-            B, T, d = s.shape
-            x = s.reshape(B * T, d)
-            logb = np.stack([g.log_density(x) for g in model.marginal], axis=1).reshape(B, T, n)
-            la = np.full((B, T, n), -np.inf)
-            la[:, 0] = _log(model.entry) + logb[:, 0]
-            for t in range(1, T):
-                la[:, t] = logsumexp(la[:, t - 1, :, None] + log_trans, axis=1) + logb[:, t]
-            lb = np.full((B, T, n), -np.inf)
-            lb[:, T - 1] = _log(model.exit)
-            for t in range(T - 2, -1, -1):
-                lb[:, t] = logsumexp(log_trans + (logb[:, t + 1] + lb[:, t + 1])[:, None, :], axis=2)
-            total = logsumexp(la[:, T - 1] + lb[:, T - 1], axis=1)
-            ll += float(total.sum())
-            gamma = np.exp(la + lb - total[:, None, None])
-            entry_c += gamma[:, 0].sum(axis=0)
-            exit_c += gamma[:, T - 1].sum(axis=0)
-            xi = la[:, :-1, :, None] + log_trans + (logb[:, 1:] + lb[:, 1:])[:, :, None, :]
-            trans_c += np.exp(xi - total[:, None, None, None]).sum(axis=(0, 1))
-            xs.append(x)
-            ws.append(gamma.reshape(B * T, n))
-        history.append(ll)
-        entry = entry_c / entry_c.sum() if entry_c.sum() > 0 else model.entry
-        rows = trans_c.sum(axis=1) + exit_c
-        trans = model.trans.copy()
-        exit_ = model.exit.copy()
-        for k in range(n):
-            if rows[k] > 1e-10:
-                trans[k] = trans_c[k] / rows[k]
-                exit_[k] = exit_c[k] / rows[k]
-        x = np.concatenate(xs, axis=0)
-        w = np.concatenate(ws, axis=0)
-        marginal = tuple(
-            _fit_weighted_mixture(model.marginal[k], x, w[:, k], floor) for k in range(n)
-        )
-        model = ActivityModel(label, kind, entry, trans, exit_, None, marginal, None, fallback)
-        if prev_ll > -np.inf and ll - prev_ll < config.tol * max(1.0, abs(prev_ll)):
-            break
-        prev_ll = ll
-    if return_history:
-        return model, history
-    return model
+    return (model, history) if return_history else model
 
 
 def _usable_chunks(valid: np.ndarray, chunk: int, min_len: int = 4) -> list[np.ndarray]:
@@ -821,6 +805,7 @@ def train_bank(
 ) -> ActivityModelBank:
     """Train one model per modelable activity plus group-feature models."""
     check_window(window, dt)
+    check_thresholds(tc=tc, to=to, tr=tr)
     config = config or TrainConfig()
     tax = annotations.taxonomy
     chunk = config.chunk or window
@@ -989,13 +974,10 @@ class CorrelationEngine:
     def _window_masses(self, fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
         """Log lattice masses near the diagonal, shape (items, activities).
 
-        Cells are indexed by hold count ``h = (t+1) - s`` rather than by the
-        consumed prefix ``s``: an advance keeps ``h`` and a hold raises it by
-        one, so ``h`` never decreases along a path.  The read-out keeps only
-        final cells with ``s >= max(1, W - dt)``, i.e. ``h < D`` with
-        ``D = min(dt, W-1) + 1``, so a cell with ``h >= D`` cannot reach it and
-        dropping it is exact.  The band holds ``D`` cells per step and needs
-        joint emissions only for ``(fa[t-h], fb[t])``.
+        The read-out keeps only final cells with ``s >= max(1, W - dt)``,
+        i.e. hold count ``h < D = min(dt, W-1) + 1``, so the sweep runs on
+        the band of :func:`_band_forward` and needs joint emissions only for
+        ``(fa[t-h], fb[t])``.
         """
         I, W, d = fa.shape
         A, n = len(self.labels), self.n_states
@@ -1012,20 +994,13 @@ class CorrelationEngine:
         )
         je = self._joint.log_density(pairs.reshape(I * W * D, 2 * d)).reshape(I, W, D, A, n)
         je[:, src < 0] = -np.inf
-        la = np.full((I, A, D, n), -np.inf)
-        la[:, :, 0, :] = self._ent[None] + self._eps[None] + je[:, 0, 0]
-        if D > 1:
-            la[:, :, 1, :] = self._ent[None] + self._hold[None] + me[:, 0]
-        for t in range(1, W):
-            tin = logsumexp(la[:, :, :, :, None] + self._tr[None, :, None, :, :], axis=3)
-            hold = np.full_like(tin, -np.inf)
-            hold[:, :, 1:, :] = tin[:, :, :-1, :] + (
-                self._hold[None, :, None, :] + me[:, t][:, :, None, :]
-            )
-            adv = tin + self._eps[None, :, None, :] + je[:, t].transpose(0, 2, 1, 3)
-            la = np.logaddexp(hold, adv)
+        je += self._eps
+        # time-major views: (W, I, A, D, n) advance and (W, I, A, n) hold weights
+        _, la = _band_forward(
+            self._ent, self._tr, je.transpose(1, 0, 3, 2, 4), (me + self._hold).swapaxes(0, 1)
+        )
         # descending h is ascending s, the scalar read-out's summation order
-        return logsumexp(la[:, :, ::-1, :].reshape(I, A, -1), axis=2)
+        return logsumexp(la[-1, :, :, ::-1, :].reshape(I, A, -1), axis=2)
 
     def group_score(self, label: str, members, t: int) -> float | None:
         """Windowed group-feature likelihood under an activity's group model."""

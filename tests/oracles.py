@@ -157,16 +157,48 @@ def enumerate_ahmm_lattice_masses(
     return out
 
 
-def enumerate_hmm(entry, trans, exit_, logb) -> float:
-    """Synchronous forward likelihood by path enumeration; logb is (T, n)."""
+def _hmm_paths(entry, trans, exit_, logb):
+    """Every (state path, probability including exit) of a synchronous model."""
     T, n = len(logb), len(entry)
-    total = 0.0
     for path in itertools.product(range(n), repeat=T):
         p = entry[path[0]] * math.exp(logb[0][path[0]])
         for t in range(1, T):
             p *= trans[path[t - 1]][path[t]] * math.exp(logb[t][path[t]])
         p *= exit_[path[T - 1]]
+        yield path, p
+
+
+def enumerate_hmm(entry, trans, exit_, logb) -> float:
+    """Synchronous forward likelihood by path enumeration; logb is (T, n)."""
+    total = 0.0
+    for _, p in _hmm_paths(entry, trans, exit_, logb):
         total += p
     if total <= 0.0:
         return -math.inf
     return math.log(total)
+
+
+def enumerate_hmm_counts(entry, trans, exit_, logb) -> dict[str, np.ndarray]:
+    """Posterior expected counts of a synchronous model by path enumeration.
+
+    Returns ``entry`` and ``exit`` (n,), the state occupancies at the first
+    and last step; ``trans`` (n, n), summed over consecutive steps; and
+    ``occupancy`` (T, n), the posterior of state k at step t.
+    """
+    T, n = len(logb), len(entry)
+    acc = {
+        "entry": np.zeros(n), "exit": np.zeros(n), "trans": np.zeros((n, n)),
+        "occupancy": np.zeros((T, n)),
+    }
+    total = 0.0
+    for path, p in _hmm_paths(entry, trans, exit_, logb):
+        total += p
+        acc["entry"][path[0]] += p
+        acc["exit"][path[T - 1]] += p
+        for t in range(T):
+            if t > 0:
+                acc["trans"][path[t - 1], path[t]] += p
+            acc["occupancy"][t, path[t]] += p
+    if total <= 0.0:
+        raise ValueError("zero likelihood: no posterior")
+    return {key: v / total for key, v in acc.items()}

@@ -1,6 +1,5 @@
 """Clustering tests: seed conditions, merging rules, assignment, partition laws."""
 
-import numpy as np
 import pytest
 
 from groupact.clustering import (
@@ -10,7 +9,6 @@ from groupact.clustering import (
     assign_remaining,
     detect_seeds,
     merge_seeds,
-    seed_representatives,
 )
 from groupact.seqmodel import CorrelationEngine, CorrelationProfile
 from groupact.taxonomy import default_taxonomy
@@ -145,23 +143,9 @@ def test_detect_seeds_pair_from_planted_scenario(bank):
             assert s.strength > 0.95
 
 
-def test_seed_representative_is_member_average():
-    tracks = make_tracks(10, {1: lambda t: (2.0 * t, 0.0), 2: lambda t: (2.0 * t, 4.0)})
-    seed = ClusterSeed((1, 2), "pair", "WalkTogether", (), 0.99)
-    (sr,) = seed_representatives([seed], tracks, 8, window=5)
-    track = sr.track(tracks)
-    # virtual track is the per-frame mean of the members
-    assert np.allclose(track.x[-1], 16.0)
-    assert np.allclose(track.y[-1], 2.0)
-    # identical members: the average equals either one
-    tracks2 = make_tracks(10, {1: lambda t: (t, 1.0), 2: lambda t: (t, 1.0)})
-    (sr2,) = seed_representatives([seed], tracks2, 8, window=5)
-    assert np.allclose(sr2.track(tracks2).y, 1.0)
-
-
 def test_assign_remaining_no_seeds_all_single(bank):
     tracks = make_tracks(30, {1: (0.0, 0.0), 2: (200.0, 10.0)})
-    partition = assign_remaining(bank, tracks, 20, [], [])
+    partition = assign_remaining(bank, tracks, 20, [])
     assert [g.members for g in partition.groups] == [(1,), (2,)]
     assert all(g.label == "single" for g in partition.groups)
 
@@ -171,8 +155,7 @@ def test_assign_remaining_joins_best_seed(bank):
     t = 80
     engine = CorrelationEngine(bank, tracks)
     seeds = [ClusterSeed((1, 2), "pair", "WalkTogether", (), 0.99)]
-    srs = seed_representatives(seeds, tracks, t, bank.window)
-    partition = assign_remaining(bank, tracks, t, seeds, srs, engine=engine)
+    partition = assign_remaining(bank, tracks, t, seeds, engine=engine)
     g0 = partition.groups[partition.group_of(3)]
     assert g0.members == (1, 2, 3)
     assert 3 in g0.assigned_members

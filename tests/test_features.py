@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupact.features import (
+    EntityTrack,
     ObservationUnavailable,
     body_size_change,
     group_observation,
@@ -186,6 +187,17 @@ def test_body_size_change_values():
     assert body_size_change(tracks, 1, 2) == 0.0
     assert body_size_change(tracks, 2, 1) == pytest.approx(0.5)
     assert body_size_change(tracks, 2, 1) > 0.1
+
+
+def test_entity_track_is_member_average():
+    rows = [(t, p, 2.0 * t, 4.0 * (p - 1), 10.0, 24.0) for t in range(10) for p in (1, 2)]
+    track = EntityTrack(make_tracks(rows), (1, 2), 3, 8)
+    # a group entity's track is the per-frame mean of its members
+    assert np.allclose(track.x[-1], 16.0)
+    assert np.allclose(track.y[-1], 2.0)
+    # identical members: the average equals either one
+    rows = [(t, p, float(t), 1.0, 10.0, 24.0) for t in range(10) for p in (1, 2)]
+    assert np.allclose(EntityTrack(make_tracks(rows), (1, 2), 3, 8).y, 1.0)
 
 
 def test_pair_feature_windows_suffix_and_minimum():

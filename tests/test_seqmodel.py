@@ -32,6 +32,7 @@ from oracles import (
     enumerate_ahmm_counts,
     enumerate_ahmm_lattice_masses,
     enumerate_hmm,
+    enumerate_hmm_counts,
 )
 
 
@@ -551,7 +552,7 @@ def test_batched_estep_loglik_per_segment(S, T, slack):
     model = random_model(rng, n=2, d=1)
     fi = rng.normal(size=(3, S, 1))
     fj = rng.normal(size=(3, T, 1))
-    stats = seqmodel._EmStats(2, 1, TrainConfig())
+    stats = seqmodel._EmStats(2, TrainConfig())
     got = seqmodel._accumulate_batch(model, fi, fj, stats, slack)
     for b in range(3):
         jfn, mfn = oracle_fns(model, fi[b], fj[b])
@@ -581,6 +582,59 @@ def test_train_hmm_model_loglik_matches_enumeration():
         logb = [[float(m1.marginal[k].log_density(s[t])) for k in range(2)] for t in range(len(s))]
         want += enumerate_hmm(m1.entry, m1.trans, m1.exit, logb)
     assert hist[1] == pytest.approx(want, rel=1e-9)
+
+
+def test_hmm_em_counts_match_enumeration(monkeypatch):
+    """Every E-step of one mixed-length group-model run against brute-force counts."""
+    rng = np.random.default_rng(43)
+    seqs = [rng.normal(size=(T, 2)) for T in (3, 5, 1, 4, 3, 5, 1)]
+    seen = []
+    m_step = seqmodel._EmStats.m_step
+
+    def spy(stats, model):
+        seen.append((stats, model))
+        return m_step(stats, model)
+
+    monkeypatch.setattr(seqmodel._EmStats, "m_step", spy)
+    cfg = TrainConfig(states=2, mixtures=1, seed=2, max_iters=3, tol=0.0, max_segments=None)
+    _, hist = train_hmm_model(seqs, cfg, label="g", return_history=True)
+    assert len(seen) == len(hist) == 3
+    for (stats, model), ll in zip(seen, hist):
+        want_ll = 0.0
+        want = {"entry": 0.0, "exit": 0.0, "trans": 0.0}
+        # every frame is a distinct row, so its weight row can be looked up by value
+        got_occupancy = {
+            tuple(x): w for x, w in zip(np.concatenate(stats.marg_x), np.concatenate(stats.marg_w))
+        }
+        assert len(got_occupancy) == sum(len(s) for s in seqs)
+        for s in seqs:
+            logb = [[float(model.marginal[k].log_density(x)) for k in range(2)] for x in s]
+            want_ll += enumerate_hmm(model.entry, model.trans, model.exit, logb)
+            c = enumerate_hmm_counts(model.entry, model.trans, model.exit, logb)
+            for key in want:
+                want[key] = want[key] + c[key]
+            for x, occ in zip(s, c["occupancy"]):
+                np.testing.assert_allclose(got_occupancy[tuple(x)], occ, rtol=1e-9, atol=1e-12)
+        assert ll == pytest.approx(want_ll, rel=1e-9)
+        for key in want:
+            got = getattr(stats, key)
+            np.testing.assert_allclose(got, want[key], rtol=1e-9, atol=1e-12, err_msg=key)
+
+
+def test_bank_rejects_out_of_range_threshold_before_training(monkeypatch):
+    from groupact.simgen import generate
+
+    from scenarios import walk_together
+
+    tracks, annotations = generate(walk_together(seed=3))
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(seqmodel, "assemble_training_data", no_training)
+    for bad in ({"tc": 2.0}, {"to": -0.1}, {"tr": float("nan")}):
+        with pytest.raises(ValueError, match=f"threshold {next(iter(bad))}"):
+            seqmodel.train_bank(tracks, annotations, **bad)
 
 
 def test_group_likelihood_factorized_cross_check():

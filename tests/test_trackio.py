@@ -240,6 +240,17 @@ def test_model_corrupt_numeric_field():
         load_model(io.StringIO(json.dumps(doc)))
 
 
+def test_model_threshold_out_of_range():
+    rng = np.random.default_rng(4)
+    bank = random_bank(rng)
+    buf = io.StringIO()
+    save_model(bank, buf)
+    doc = json.loads(buf.getvalue())
+    doc["bank"]["config"]["tc"] = 2.0
+    with pytest.raises(ModelFormatError, match="threshold tc"):
+        load_model(io.StringIO(json.dumps(doc)))
+
+
 def test_default_taxonomy_contents():
     tax = default_taxonomy()
     assert tax.is_symmetric("Fight") and tax.is_symmetric("Ignore")
