@@ -14,7 +14,7 @@ from .clustering import (
     detect_seeds,
     merge_seeds,
 )
-from .features import GroupObservation, ObservationUnavailable, PairObservation
+from .features import ObservationUnavailable
 from .gmm import GaussianMixture, fit_em
 from .grad import (
     FrameDetection,

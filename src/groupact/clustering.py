@@ -11,12 +11,11 @@ sidesteps the asymmetry of the correlation metric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import features as feats
-from .seqmodel import ActivityModelBank, CorrelationEngine, CorrelationProfile
-from .taxonomy import SINGLE
-from .trackio import TrackSet
+from .seqmodel import CorrelationEngine, CorrelationProfile
+from .taxonomy import SINGLE, Taxonomy
 
 
 @dataclass(frozen=True)
@@ -75,40 +74,21 @@ class Partition:
 ProfileMap = dict[tuple[tuple[int, ...], tuple[int, ...]], CorrelationProfile | None]
 
 
-def _person_profiles(
-    bank: ActivityModelBank,
-    tracks: TrackSet,
-    t: int,
-    persons,
-    engine: CorrelationEngine | None,
-) -> ProfileMap:
-    items = [((a,), (b,)) for a in persons for b in persons if a != b]
-    if engine is None:
-        engine = CorrelationEngine(bank, tracks)
-    return engine.profiles(items, t)
-
-
 def _pair_label(profiles: ProfileMap, a: int, b: int) -> str | None:
     p = profiles.get(((a,), (b,)))
     return None if p is None else p.label
 
 
 def detect_seeds(
-    bank: ActivityModelBank,
-    tracks: TrackSet,
-    t: int,
-    tc: float | None = None,
-    to: float | None = None,
-    profiles: ProfileMap | None = None,
-    engine: CorrelationEngine | None = None,
+    engine: CorrelationEngine, profiles: ProfileMap, t: int, tc: float, to: float
 ) -> list[ClusterSeed]:
-    """Active-person seeds plus mutually high-correlation pair seeds at frame t."""
-    tc = bank.tc if tc is None else tc
-    to = bank.to if to is None else to
-    tax = bank.taxonomy
+    """Active-person seeds plus mutually high-correlation pair seeds at frame t.
+
+    ``profiles`` holds the person-pair profiles of frame ``t``.
+    """
+    tracks = engine.tracks
+    tax = engine.bank.taxonomy
     present = tracks.observable_persons(t)
-    if profiles is None:
-        profiles = _person_profiles(bank, tracks, t, present, engine)
     seeds: list[ClusterSeed] = []
     for i in present:
         change = feats.body_size_change(tracks, i, t)
@@ -156,7 +136,7 @@ def _cross_label_agreement(
 def merge_seeds(
     seeds: list[ClusterSeed],
     profiles: ProfileMap,
-    taxonomy=None,
+    taxonomy: Taxonomy,
 ) -> list[ClusterSeed]:
     """Merge seeds whose cross labels all agree on one grouping activity.
 
@@ -166,19 +146,7 @@ def merge_seeds(
     seed; a stripped seed survives only with two or more members or an
     active remnant.
     """
-    from .taxonomy import default_taxonomy
-
-    tax = taxonomy or default_taxonomy()
-    work = [
-        {
-            "members": set(s.members),
-            "label": s.label,
-            "active": set(s.active_members),
-            "strength": s.strength,
-            "merged": False,
-        }
-        for s in sorted(seeds, key=lambda s: (min(s.members), len(s.members), s.members))
-    ]
+    work = sorted(seeds, key=lambda s: (min(s.members), len(s.members), s.members))
     changed = True
     while changed:
         changed = False
@@ -186,16 +154,15 @@ def merge_seeds(
             for j in range(i + 1, len(work)):
                 a, b = work[i], work[j]
                 lbl = _cross_label_agreement(
-                    sorted(a["members"]), a["label"], sorted(b["members"]), b["label"],
-                    profiles, tax,
+                    a.members, a.label, b.members, b.label, profiles, taxonomy
                 )
                 if lbl is None:
                     continue
-                a["members"] |= b["members"]
-                a["active"] |= b["active"]
-                a["label"] = lbl
-                a["strength"] = max(a["strength"], b["strength"])
-                a["merged"] = True
+                work[i] = ClusterSeed(
+                    tuple(sorted(set(a.members) | set(b.members))), "merged", lbl,
+                    tuple(sorted(set(a.active_members) | set(b.active_members))),
+                    max(a.strength, b.strength),
+                )
                 del work[j]
                 changed = True
                 break
@@ -203,43 +170,30 @@ def merge_seeds(
                 break
 
     # disjointness: stronger seeds keep contested members
-    order = sorted(
-        range(len(work)),
-        key=lambda i: (-work[i]["strength"], min(work[i]["members"])),
-    )
     claimed: set[int] = set()
     out = []
-    for i in order:
-        w = work[i]
-        kept = set(w["members"]) - claimed
+    for s in sorted(work, key=lambda s: (-s.strength, min(s.members))):
+        kept = set(s.members) - claimed
         if not kept:
             continue
-        if kept != w["members"]:
-            # stripped by a stronger overlapping seed
-            if len(kept) < 2 and not (kept & w["active"]):
+        label = s.label
+        if len(kept) < len(s.members) and len(kept) < 2:
+            # stripped by a stronger overlapping seed to one member
+            if not kept & set(s.active_members):
                 continue
-            if len(kept) < 2:
-                w["label"] = None  # lone active remnant loses the pair label
+            label = None  # lone active remnant loses the pair label
         claimed |= kept
         members = tuple(sorted(kept))
-        kind = "merged" if w["merged"] else ("pair" if len(members) > 1 else "active")
-        out.append(
-            ClusterSeed(
-                members, kind, w["label"],
-                tuple(sorted(kept & w["active"])), w["strength"],
-            )
-        )
+        kind = "merged" if s.kind == "merged" else ("pair" if len(members) > 1 else "active")
+        out.append(replace(
+            s, members=members, kind=kind, label=label,
+            active_members=tuple(sorted(kept & set(s.active_members))),
+        ))
     out.sort(key=lambda s: s.members)
     return out
 
 
-def assign_remaining(
-    bank: ActivityModelBank,
-    tracks: TrackSet,
-    t: int,
-    seeds: list[ClusterSeed],
-    engine: CorrelationEngine | None = None,
-) -> Partition:
+def assign_remaining(engine: CorrelationEngine, t: int, seeds: list[ClusterSeed]) -> Partition:
     """Attach non-seed people to their best representative, or leave them single.
 
     A seed's representative is the per-frame average of its members (the
@@ -248,10 +202,8 @@ def assign_remaining(
     label is a grouping activity; only person-to-representative values are
     used.
     """
-    tax = bank.taxonomy
-    present = tracks.observable_persons(t)
-    if engine is None:
-        engine = CorrelationEngine(bank, tracks)
+    tax = engine.bank.taxonomy
+    present = engine.tracks.observable_persons(t)
     seeded = {m for s in seeds for m in s.members}
     remaining = [p for p in present if p not in seeded]
     joined: dict[int, list[int]] = {i: [] for i in range(len(seeds))}

@@ -8,8 +8,6 @@ the same pairwise machinery as real people.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .trackio import TrackSet
@@ -30,52 +28,6 @@ def wrap_angle(a):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-@dataclass(frozen=True)
-class PairObservation:
-    """The six-feature vector of a subject person relative to a partner."""
-
-    change_of_width: float
-    change_of_height: float
-    speed: float
-    average_distance: float
-    speed_difference: float
-    motion_direction_angle: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [
-                self.change_of_width,
-                self.change_of_height,
-                self.speed,
-                self.average_distance,
-                self.speed_difference,
-                self.motion_direction_angle,
-            ]
-        )
-
-
-@dataclass(frozen=True)
-class GroupObservation:
-    """Per-frame aggregate features of one symmetric group."""
-
-    avg_change_of_width: float
-    avg_change_of_height: float
-    avg_speed: float
-    avg_distance: float
-    speed_variance: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [
-                self.avg_change_of_width,
-                self.avg_change_of_height,
-                self.avg_speed,
-                self.avg_distance,
-                self.speed_variance,
-            ]
-        )
 
 
 def as_entity(who) -> tuple[int, ...]:
@@ -148,15 +100,18 @@ def _subject_features(sub: EntityTrack, par: EntityTrack, i: np.ndarray) -> np.n
     return np.stack([cow, coh, speed_s, avg_dist, speed_diff, angle], axis=-1)
 
 
-def pair_observation(tracks: TrackSet, i, j, t: int) -> PairObservation:
-    """Feature vector of entity ``i`` relative to entity ``j`` at frame ``t``."""
+def pair_observation(tracks: TrackSet, i, j, t: int) -> np.ndarray:
+    """Feature vector of entity ``i`` relative to entity ``j`` at frame ``t``.
+
+    The ``PAIR_DIM`` columns: change of width, change of height, speed,
+    average distance, speed difference and motion-direction angle.
+    """
     ea, eb = as_entity(i), as_entity(j)
     ta = EntityTrack(tracks, ea, t - 1, t)
     tb = EntityTrack(tracks, eb, t - 1, t)
     if not (ta.valid.all() and tb.valid.all()):
         raise ObservationUnavailable(f"missing sample for pair {ea}/{eb} at frames {t - 1}..{t}")
-    row = _subject_features(ta, tb, np.array([1]))[0]
-    return PairObservation(*(float(v) for v in row))
+    return _subject_features(ta, tb, np.array([1]))[0]
 
 
 def body_size_change(tracks: TrackSet, i: int, t: int) -> float:
@@ -194,11 +149,13 @@ def _group_rows(tracks: TrackSet, members: tuple[int, ...], frames: np.ndarray) 
     return np.stack([cows.mean(axis=0), cohs.mean(axis=0), avg_speed, avg_dist, speed_var], axis=-1)
 
 
-def group_observation(tracks: TrackSet, members, t: int) -> GroupObservation:
-    """Aggregate features of a member set at frame ``t`` (all members required)."""
-    ms = as_entity(members)
-    row = _group_rows(tracks, ms, np.array([t]))[0]
-    return GroupObservation(*(float(v) for v in row))
+def group_observation(tracks: TrackSet, members, t: int) -> np.ndarray:
+    """Aggregate features of a member set at frame ``t`` (all members required).
+
+    The ``GROUP_DIM`` columns: average change of width, average change of
+    height, average speed, average distance to the centroid and speed variance.
+    """
+    return _group_rows(tracks, as_entity(members), np.array([t]))[0]
 
 
 def _usable_suffix(ok: np.ndarray) -> int:

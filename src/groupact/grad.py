@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,7 +27,14 @@ from .clustering import (
     merge_seeds,
 )
 from .grouprep import GroupRepresentative, make_representative
-from .seqmodel import ActivityModelBank, CorrelationEngine, DataError, check_thresholds, check_window
+from .seqmodel import (
+    ActivityModelBank,
+    CorrelationEngine,
+    DataError,
+    _argmax_label,
+    check_thresholds,
+    check_window,
+)
 from .taxonomy import SINGLE
 from .trackio import ParseError, TrackSet
 
@@ -105,12 +112,7 @@ def _pair_sum(engine: CorrelationEngine, subjects, targets, label: str, t: int) 
 
 
 def recognize_symmetric(
-    bank: ActivityModelBank,
-    tracks: TrackSet,
-    group: GroupAssignment,
-    t: int,
-    variant: int,
-    engine: CorrelationEngine | None = None,
+    engine: CorrelationEngine, group: GroupAssignment, t: int, variant: int
 ) -> str:
     """Label one group: seed label pass-through (1) or group-feature model (2).
 
@@ -122,40 +124,28 @@ def recognize_symmetric(
     members = group.members
     if len(members) == 1:
         return SINGLE
-    if engine is None:
-        engine = CorrelationEngine(bank, tracks)
-    candidates = bank.taxonomy.grouping_labels()
     if variant == 1 and group.label is not None:
         return group.label
-    scores = {}
-    for label in candidates:
-        prior = _pair_sum(engine, members, members, label, t)
-        if variant == 2:
-            glik = engine.group_score(label, members, t)
-            if glik is None:
-                continue
-            scores[label] = glik + prior
-        else:
-            scores[label] = prior
-    if not scores:  # no group models available: fall back to the prior only
+    candidates = engine.bank.taxonomy.grouping_labels()
+    prior = {label: _pair_sum(engine, members, members, label, t) for label in candidates}
+    scores = prior
+    if variant == 2:
+        scores = {}
         for label in candidates:
-            scores[label] = _pair_sum(engine, members, members, label, t)
-    best = None
-    best_v = -np.inf
-    for label in sorted(scores):
-        if scores[label] > best_v:
-            best, best_v = label, scores[label]
-    return best if best is not None else SINGLE
+            glik = engine.group_score(label, members, t)
+            if glik is not None:
+                scores[label] = glik + prior[label]
+        if not scores:  # no group models available: fall back to the prior only
+            scores = prior
+    best = _argmax_label(scores)
+    return SINGLE if best is None else best
 
 
 def _relation_scores(
-    bank: ActivityModelBank,
-    slow: GroupContext,
-    fast: GroupContext,
-    t: int,
-    engine: CorrelationEngine,
+    engine: CorrelationEngine, slow: GroupContext, fast: GroupContext, t: int
 ) -> dict[str, float]:
     """Log score per candidate: representative correlation times cross-pair prior."""
+    bank = engine.bank
     candidates = bank.taxonomy.intergroup_candidates()
     gr_prof = engine.profile(fast.rep.members, slow.rep.members, t)
     scores = {}
@@ -178,39 +168,28 @@ def _order_groups(a: GroupContext, b: GroupContext) -> tuple[GroupContext, Group
     return b, a
 
 
+def _mode(votes, tie_key) -> str:
+    """The most frequent vote; ties go to the largest ``tie_key``, then the smallest label."""
+    counts = Counter(votes)
+    top = max(counts.values())
+    return max(sorted(l for l, c in counts.items() if c == top), key=tie_key)
+
+
 def recognize_intergroup(
-    bank: ActivityModelBank,
-    tracks: TrackSet,
-    a: GroupContext,
-    b: GroupContext,
-    t: int,
-    engine: CorrelationEngine | None = None,
+    engine: CorrelationEngine, a: GroupContext, b: GroupContext, t: int
 ) -> PairLabel:
     """Relation label for a group pair from their representatives."""
-    if engine is None:
-        engine = CorrelationEngine(bank, tracks)
     slow, fast = _order_groups(a, b)
-    scores = _relation_scores(bank, slow, fast, t, engine)
-    best = None
-    best_v = -np.inf
-    for label in sorted(scores):
-        if scores[label] > best_v:
-            best, best_v = label, scores[label]
-    return PairLabel(slow.index, fast.index, best)
+    scores = _relation_scores(engine, slow, fast, t)
+    return PairLabel(slow.index, fast.index, _argmax_label(scores))
 
 
 def majority_vote_intergroup(
-    bank: ActivityModelBank,
-    tracks: TrackSet,
-    a: GroupContext,
-    b: GroupContext,
-    t: int,
-    engine: CorrelationEngine | None = None,
+    engine: CorrelationEngine, a: GroupContext, b: GroupContext, t: int
 ) -> PairLabel:
     """Mode over cross-pair labels; ties go to the larger summed correlation."""
-    if engine is None:
-        engine = CorrelationEngine(bank, tracks)
     slow, fast = _order_groups(a, b)
+    bank = engine.bank
     candidates = [l for l in bank.taxonomy.intergroup_candidates() if l in bank.models]
     votes: list[str] = []
     sums: dict[str, float] = {l: 0.0 for l in candidates}
@@ -229,12 +208,7 @@ def majority_vote_intergroup(
             votes.append(best)
     if not votes:
         raise DataError(f"no evaluable cross pair between groups at frame {t}")
-    counts = Counter(votes)
-    top = max(counts.values())
-    tied = sorted(l for l, c in counts.items() if c == top)
-    # max() keeps the first (lexicographically smallest) label on equal sums
-    best = max(tied, key=lambda l: sums[l])
-    return PairLabel(slow.index, fast.index, best)
+    return PairLabel(slow.index, fast.index, _mode(votes, lambda l: sums[l]))
 
 
 def run_pipeline(
@@ -248,20 +222,29 @@ def run_pipeline(
     """Cluster, label, and relate groups for every frame in range.
 
     Frames whose computation fails are reported as skipped records with a
-    reason instead of aborting, unless ``strict`` is set.
+    reason instead of aborting, unless ``strict`` is set.  A given ``engine``
+    must be built from ``bank`` and ``tracks`` at the config's window and dt,
+    else ValueError.
     """
     config = config or PipelineConfig.from_bank(bank)
+    if engine is None:
+        engine = CorrelationEngine(bank, tracks, window=config.window, dt=config.dt)
+    elif engine.bank is not bank or engine.tracks is not tracks:
+        raise ValueError("engine was built for another bank or track set")
+    elif (engine.window, engine.dt) != (config.window, config.dt):
+        raise ValueError(
+            f"engine window/dt {engine.window}/{engine.dt} differ from "
+            f"the config's {config.window}/{config.dt}"
+        )
     if frames is None:
         rng = tracks.frame_range
         if rng is None:
             return []
         frames = range(rng[0] + 1, rng[1] + 1)
-    if engine is None:
-        engine = CorrelationEngine(bank, tracks, window=config.window, dt=config.dt)
     out: list[FrameDetection] = []
     for t in frames:
         try:
-            out.append(_detect_frame(bank, tracks, t, config, engine))
+            out.append(_detect_frame(engine, t, config))
         except (feats.ObservationUnavailable, DataError) as exc:
             if strict:
                 raise
@@ -271,39 +254,31 @@ def run_pipeline(
     return out
 
 
-def _detect_frame(
-    bank: ActivityModelBank,
-    tracks: TrackSet,
-    t: int,
-    config: PipelineConfig,
-    engine: CorrelationEngine,
-) -> FrameDetection:
-    present = tracks.observable_persons(t)
+def _detect_frame(engine: CorrelationEngine, t: int, config: PipelineConfig) -> FrameDetection:
+    present = engine.tracks.observable_persons(t)
     if not present:
         return FrameDetection(t, Partition(t, (), ()))
     profiles = engine.profiles([((a,), (b,)) for a in present for b in present if a != b], t)
-    seeds = detect_seeds(bank, tracks, t, config.tc, config.to, profiles=profiles)
-    seeds = merge_seeds(seeds, profiles, taxonomy=bank.taxonomy)
-    partition = assign_remaining(bank, tracks, t, seeds, engine=engine)
+    seeds = detect_seeds(engine, profiles, t, config.tc, config.to)
+    seeds = merge_seeds(seeds, profiles, engine.bank.taxonomy)
+    partition = assign_remaining(engine, t, seeds)
 
     contexts = []
     labels = []
     for idx, grp in enumerate(partition.groups):
-        label = recognize_symmetric(bank, tracks, grp, t, config.variant, engine)
+        label = recognize_symmetric(engine, grp, t, config.variant)
         labels.append(label)
-        rep = make_representative(
-            config.gr, bank, tracks, grp.members, label, t, tr=config.tr, engine=engine
-        )
-        speed = feats.entity_average_speed(tracks, grp.members, t, config.window)
+        rep = make_representative(config.gr, engine, grp.members, label, t, config.tr)
+        speed = feats.entity_average_speed(engine.tracks, grp.members, t, config.window)
         contexts.append(GroupContext(idx, grp.members, label, rep, speed))
 
     pair_labels = []
     for i in range(len(contexts)):
         for j in range(i + 1, len(contexts)):
             if config.baseline == "mv":
-                pl = majority_vote_intergroup(bank, tracks, contexts[i], contexts[j], t, engine)
+                pl = majority_vote_intergroup(engine, contexts[i], contexts[j], t)
             else:
-                pl = recognize_intergroup(bank, tracks, contexts[i], contexts[j], t, engine)
+                pl = recognize_intergroup(engine, contexts[i], contexts[j], t)
             pair_labels.append(pl)
     return FrameDetection(t, partition, tuple(labels), tuple(pair_labels))
 
@@ -328,11 +303,8 @@ def _smooth_labels(dets: list[FrameDetection], radius: int = 2) -> list[FrameDet
                 for gj, other in enumerate(w.partition.groups):
                     if frozenset(other.members) == key:
                         votes.append(w.group_labels[gj])
-            counts = Counter(votes)
-            top = max(counts.values())
-            tied = sorted(l for l, c in counts.items() if c == top)
             cur = d.group_labels[gi]
-            new_group_labels.append(cur if cur in tied else tied[0])
+            new_group_labels.append(_mode(votes, lambda l: l == cur))
         new_pairs = []
         for pl in d.pair_labels:
             ka = frozenset(d.partition.groups[pl.a].members)
@@ -344,10 +316,7 @@ def _smooth_labels(dets: list[FrameDetection], radius: int = 2) -> list[FrameDet
                 for opl in w.pair_labels:
                     if frozenset((sets[opl.a], sets[opl.b])) == key:
                         votes.append(opl.label)
-            counts = Counter(votes)
-            top = max(counts.values())
-            tied = sorted(l for l, c in counts.items() if c == top)
-            new_pairs.append(replace(pl, label=pl.label if pl.label in tied else tied[0]))
+            new_pairs.append(replace(pl, label=_mode(votes, lambda l: l == pl.label)))
         out.append(replace(d, group_labels=tuple(new_group_labels), pair_labels=tuple(new_pairs)))
     return out
 

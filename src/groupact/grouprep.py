@@ -15,8 +15,7 @@ import numpy as np
 
 from . import features as feats
 from .gmm import logsumexp
-from .seqmodel import ActivityModelBank, CorrelationEngine
-from .trackio import TrackSet
+from .seqmodel import CorrelationEngine
 
 P_KIND = "p"
 V_KIND = "v"
@@ -39,30 +38,23 @@ class GroupRepresentative:
     fallback: bool = False
 
 
-def _frame_density(bank: ActivityModelBank, tracks: TrackSet, person: int,
-                   rest: tuple[int, ...], label: str, t: int) -> float:
+def _frame_density(engine: CorrelationEngine, person: int, rest: tuple[int, ...],
+                   label: str, t: int) -> float:
     """Entry-weighted marginal emission density of one member's frame features."""
-    model = bank.models[label]
-    obs = feats.pair_observation(tracks, (person,), rest, t).as_array()
+    model = engine.bank.models[label]
+    obs = feats.pair_observation(engine.tracks, (person,), rest, t)
     per_state = np.array([g.log_density(obs) for g in model.marginal])
     with np.errstate(divide="ignore"):
         return float(logsumexp(np.log(model.entry) + per_state))
 
 
 def member_log_scores(
-    bank: ActivityModelBank,
-    tracks: TrackSet,
-    group,
-    label: str,
-    t: int,
-    engine: CorrelationEngine | None = None,
+    engine: CorrelationEngine, group, label: str, t: int
 ) -> dict[int, float]:
     """Log of density(member | activity) * exp(sum of others' correlations to it)."""
     members = feats.as_entity(group)
     if len(members) < 2:
         return {m: 0.0 for m in members}
-    if engine is None:
-        engine = CorrelationEngine(bank, tracks)
     profs = engine.profiles(
         [((j,), (i,)) for i in members for j in members if j != i], t
     )
@@ -74,30 +66,23 @@ def member_log_scores(
             p = profs.get(((j,), (i,)))
             if p is not None:
                 co_sum += p.values.get(label, 0.0)
-        scores[i] = _frame_density(bank, tracks, i, rest, label, t) + co_sum
+        scores[i] = _frame_density(engine, i, rest, label, t) + co_sum
     return scores
 
 
-def p_gr(
-    bank: ActivityModelBank,
-    tracks: TrackSet,
-    group,
-    label: str,
-    t: int,
-    engine: CorrelationEngine | None = None,
-) -> GroupRepresentative:
+def p_gr(engine: CorrelationEngine, group, label: str, t: int) -> GroupRepresentative:
     """The highest-scoring actual member; ties go to the smallest person id."""
     members = feats.as_entity(group)
     if not members:
         raise ValueError("empty group")
     if len(members) == 1:
         return GroupRepresentative(P_KIND, members, members, person=members[0])
-    scores = member_log_scores(bank, tracks, group, label, t, engine)
+    scores = member_log_scores(engine, group, label, t)
     best = max(sorted(members), key=lambda m: (scores[m], -m))
     return GroupRepresentative(P_KIND, members, (best,), person=best)
 
 
-def v_gr(tracks: TrackSet, group) -> GroupRepresentative:
+def v_gr(group) -> GroupRepresentative:
     """The average of all members in feature space."""
     members = feats.as_entity(group)
     if not members:
@@ -106,13 +91,7 @@ def v_gr(tracks: TrackSet, group) -> GroupRepresentative:
 
 
 def sv_gr(
-    bank: ActivityModelBank,
-    tracks: TrackSet,
-    group,
-    label: str,
-    t: int,
-    tr: float | None = None,
-    engine: CorrelationEngine | None = None,
+    engine: CorrelationEngine, group, label: str, t: int, tr: float
 ) -> GroupRepresentative:
     """Average of members whose normalized score exceeds the threshold.
 
@@ -122,10 +101,9 @@ def sv_gr(
     members = feats.as_entity(group)
     if not members:
         raise ValueError("empty group")
-    tr = bank.tr if tr is None else tr
     if len(members) == 1:
         return GroupRepresentative(SV_KIND, members, members)
-    scores = member_log_scores(bank, tracks, group, label, t, engine)
+    scores = member_log_scores(engine, group, label, t)
     logs = np.array([scores[m] for m in members])
     norm = np.exp(logs - logsumexp(logs))
     subset = tuple(m for m, v in zip(members, norm) if v > tr)
@@ -135,19 +113,12 @@ def sv_gr(
 
 
 def make_representative(
-    kind: str,
-    bank: ActivityModelBank,
-    tracks: TrackSet,
-    group,
-    label: str,
-    t: int,
-    tr: float | None = None,
-    engine: CorrelationEngine | None = None,
+    kind: str, engine: CorrelationEngine, group, label: str, t: int, tr: float
 ) -> GroupRepresentative:
     if kind == P_KIND:
-        return p_gr(bank, tracks, group, label, t, engine)
+        return p_gr(engine, group, label, t)
     if kind == V_KIND:
-        return v_gr(tracks, group)
+        return v_gr(group)
     if kind == SV_KIND:
-        return sv_gr(bank, tracks, group, label, t, tr, engine)
+        return sv_gr(engine, group, label, t, tr)
     raise ValueError(f"unknown representative kind {kind!r}")

@@ -184,7 +184,8 @@ class CorrelationProfile:
     label: str
 
 
-def _argmax_label(values: dict[str, float]) -> str:
+def _argmax_label(values: dict[str, float]) -> str | None:
+    """The label with the largest value, ties to the smallest; None if none beats -inf."""
     best = None
     best_v = -np.inf
     for label in sorted(values):

@@ -215,8 +215,8 @@ def test_criterion_07_grad_versus_majority_vote(bank):
             for i in (1, 2, 3)
         }
         p0_bad += not (p0[3] < p0[1] and p0[3] < p0[2])
-        p_bad += grouprep.p_gr(bank, probe_tracks, (1, 2, 3), "InGroup", t, engine).person == 3
-        sv_bad += 3 in grouprep.sv_gr(bank, probe_tracks, (1, 2, 3), "InGroup", t, engine=engine).members
+        p_bad += grouprep.p_gr(engine, (1, 2, 3), "InGroup", t).person == 3
+        sv_bad += 3 in grouprep.sv_gr(engine, (1, 2, 3), "InGroup", t, bank.tr).members
     assert p0_bad == 0, "outlier's peer-correlation prior must be strictly smallest"
     assert p_bad <= 0.1 * len(frames)
     assert sv_bad <= 0.1 * len(frames)

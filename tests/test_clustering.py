@@ -35,7 +35,7 @@ def test_merge_two_pair_seeds_all_agree():
         ClusterSeed((3, 4), "pair", "Fight", (), 0.99),
     ]
     labels = {(i, j): "Fight" for i in (1, 2, 3, 4) for j in (1, 2, 3, 4) if i != j}
-    merged = merge_seeds(seeds, profile_map(labels))
+    merged = merge_seeds(seeds, profile_map(labels), default_taxonomy())
     assert len(merged) == 1
     assert merged[0].members == (1, 2, 3, 4)
     assert merged[0].label == "Fight"
@@ -49,7 +49,7 @@ def test_no_merge_on_label_mismatch():
     ]
     labels = {(i, j): "WalkTogether" for i in (1, 2) for j in (1, 2) if i != j}
     labels.update({(1, 3): "Ignore", (3, 1): "Ignore", (2, 3): "Ignore", (3, 2): "Ignore"})
-    merged = merge_seeds(seeds, profile_map(labels))
+    merged = merge_seeds(seeds, profile_map(labels), default_taxonomy())
     assert sorted(s.members for s in merged) == [(1, 2), (3,)]
 
 
@@ -60,7 +60,7 @@ def test_active_seed_merges_into_pair_on_agreement():
         ClusterSeed((3,), "active", None, (3,), 0.4),
     ]
     labels = {(i, j): "Fight" for i in (1, 2, 3) for j in (1, 2, 3) if i != j}
-    merged = merge_seeds(seeds, profile_map(labels))
+    merged = merge_seeds(seeds, profile_map(labels), default_taxonomy())
     assert len(merged) == 1
     assert merged[0].members == (1, 2, 3)
     assert merged[0].active_members == (3,)
@@ -74,7 +74,7 @@ def test_chain_disagreement_blocks_triple_merge():
     ]
     labels = {(i, j): "Fight" for i in (1, 2, 3) for j in (1, 2, 3) if i != j}
     labels[(1, 3)] = "Ignore"
-    merged = merge_seeds(seeds, profile_map(labels))
+    merged = merge_seeds(seeds, profile_map(labels), default_taxonomy())
     # all-pairs agreement fails; the stronger pair keeps the shared member
     assert merged[0].members == (1, 2)
     assert all(3 not in s.members or len(s.members) == 1 for s in merged)
@@ -90,7 +90,7 @@ def test_overlap_resolution_keeps_active_remnant():
     ]
     labels = {(i, j): "Ignore" for i in (1, 2, 3) for j in (1, 2, 3) if i != j}
     labels.update({(1, 2): "Fight", (2, 1): "Fight", (2, 3): "WalkTogether", (3, 2): "WalkTogether"})
-    merged = merge_seeds(seeds, profile_map(labels))
+    merged = merge_seeds(seeds, profile_map(labels), default_taxonomy())
     members = sorted(s.members for s in merged)
     assert (1, 2) in members
     assert (3,) in members  # active remnant survives
@@ -110,13 +110,21 @@ def make_tracks(n_frames, positions, boxes=None):
     return TrackSet(rows)
 
 
+def seeds_at(bank, tracks, t, tc, to):
+    """detect_seeds given the person-pair profiles the pipeline passes it."""
+    engine = CorrelationEngine(bank, tracks)
+    persons = tracks.observable_persons(t)
+    profiles = engine.profiles([((a,), (b,)) for a in persons for b in persons if a != b], t)
+    return detect_seeds(engine, profiles, t, tc, to)
+
+
 def test_detect_seeds_empty_when_nothing_fires(bank):
     # far-apart stationary people with constant boxes: mutual labels are
     # non-grouping and nobody's body size changes
     tracks = make_tracks(
         30, {1: (0.0, 0.0), 2: (200.0, 10.0), 3: (30.0, -250.0)}
     )
-    seeds = detect_seeds(bank, tracks, 20)
+    seeds = seeds_at(bank, tracks, 20, bank.tc, bank.to)
     assert seeds == []
 
 
@@ -125,7 +133,7 @@ def test_detect_seeds_active_person(bank):
     tracks = make_tracks(
         20, {1: (0.0, 0.0), 2: (300.0, 0.0)}, boxes={1: (grow, 90.0)}
     )
-    seeds = detect_seeds(bank, tracks, 10, tc=0.1, to=0.95)
+    seeds = seeds_at(bank, tracks, 10, tc=0.1, to=0.95)
     actives = [s for s in seeds if s.kind == "active"]
     assert [s.members for s in actives] == [(1,)]
     assert actives[0].strength > 0.1
@@ -134,7 +142,7 @@ def test_detect_seeds_active_person(bank):
 def test_detect_seeds_pair_from_planted_scenario(bank):
     tracks, _ = generate(walk_together(seed=77))
     t = 60
-    seeds = detect_seeds(bank, tracks, t)
+    seeds = seeds_at(bank, tracks, t, bank.tc, bank.to)
     pair_members = {s.members for s in seeds if s.kind == "pair"}
     assert any(set(m) <= {1, 2, 3} for m in pair_members)
     for s in seeds:
@@ -145,7 +153,7 @@ def test_detect_seeds_pair_from_planted_scenario(bank):
 
 def test_assign_remaining_no_seeds_all_single(bank):
     tracks = make_tracks(30, {1: (0.0, 0.0), 2: (200.0, 10.0)})
-    partition = assign_remaining(bank, tracks, 20, [])
+    partition = assign_remaining(CorrelationEngine(bank, tracks), 20, [])
     assert [g.members for g in partition.groups] == [(1,), (2,)]
     assert all(g.label == "single" for g in partition.groups)
 
@@ -155,7 +163,7 @@ def test_assign_remaining_joins_best_seed(bank):
     t = 80
     engine = CorrelationEngine(bank, tracks)
     seeds = [ClusterSeed((1, 2), "pair", "WalkTogether", (), 0.99)]
-    partition = assign_remaining(bank, tracks, t, seeds, engine=engine)
+    partition = assign_remaining(engine, t, seeds)
     g0 = partition.groups[partition.group_of(3)]
     assert g0.members == (1, 2, 3)
     assert 3 in g0.assigned_members

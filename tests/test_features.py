@@ -43,30 +43,30 @@ def test_pair_observation_hand_values():
         i_box=[(40.0, 90.0), (44.0, 90.0)],
         j_box=[(40.0, 90.0), (40.0, 90.0)],
     )
-    obs = pair_observation(tracks, 1, 2, 1)
-    assert obs.speed == pytest.approx(5.0)
-    assert obs.change_of_width == pytest.approx(4.0 / 44.0)
-    assert obs.change_of_height == pytest.approx(0.0)
-    assert obs.average_distance == pytest.approx(0.5 * math.sqrt(3**2 + 6**2))
-    assert obs.average_distance == pytest.approx(math.sqrt(11.25))
-    assert obs.speed_difference == pytest.approx(2.5)
-    assert obs.motion_direction_angle == pytest.approx(math.atan2(4.0, 3.0))
+    cow, coh, speed, dist, speed_diff, angle = pair_observation(tracks, 1, 2, 1)
+    assert speed == pytest.approx(5.0)
+    assert cow == pytest.approx(4.0 / 44.0)
+    assert coh == pytest.approx(0.0)
+    assert dist == pytest.approx(0.5 * math.sqrt(3**2 + 6**2))
+    assert dist == pytest.approx(math.sqrt(11.25))
+    assert speed_diff == pytest.approx(2.5)
+    assert angle == pytest.approx(math.atan2(4.0, 3.0))
 
 
 def test_pair_observation_both_stationary():
     tracks = two_person_tracks([(1.0, 1.0)] * 2, [(4.0, 5.0)] * 2)
-    obs = pair_observation(tracks, 1, 2, 1)
-    assert obs.speed == 0.0
-    assert obs.speed_difference == 0.0
-    assert obs.motion_direction_angle == 0.0
+    _, _, speed, _, speed_diff, angle = pair_observation(tracks, 1, 2, 1)
+    assert speed == 0.0
+    assert speed_diff == 0.0
+    assert angle == 0.0
 
 
 def test_pair_observation_identical_tracks():
     tracks = two_person_tracks([(0.0, 0.0), (1.0, 1.0)], [(0.0, 0.0), (1.0, 1.0)])
-    obs = pair_observation(tracks, 1, 2, 1)
-    assert obs.average_distance == 0.0
-    assert obs.motion_direction_angle == 0.0
-    assert obs.speed_difference == 0.0
+    _, _, _, dist, speed_diff, angle = pair_observation(tracks, 1, 2, 1)
+    assert dist == 0.0
+    assert angle == 0.0
+    assert speed_diff == 0.0
 
 
 def test_pair_observation_missing_sample_raises():
@@ -100,11 +100,7 @@ def test_pair_observation_matches_scalar_oracle_and_translates(vals, ox, oy):
     tracks = two_person_tracks([(xip, yip), (xi, yi)], [(xjp, yjp), (xj, yj)])
     obs = pair_observation(tracks, 1, 2, 1)
     ref = _oracle_pair(xi, yi, 10.0, 20.0, xip, yip, 10.0, 20.0, xj, yj, xjp, yjp)
-    got = (
-        obs.change_of_width, obs.change_of_height, obs.speed,
-        obs.average_distance, obs.speed_difference, obs.motion_direction_angle,
-    )
-    for g, r in zip(got, ref):
+    for g, r in zip(obs, ref):
         assert g == pytest.approx(r, abs=1e-9)
     # translation invariance
     shifted = two_person_tracks(
@@ -112,9 +108,8 @@ def test_pair_observation_matches_scalar_oracle_and_translates(vals, ox, oy):
         [(xjp + ox, yjp + oy), (xj + ox, yj + oy)],
     )
     obs2 = pair_observation(shifted, 1, 2, 1)
-    assert obs2.speed == pytest.approx(obs.speed, abs=1e-6)
-    assert obs2.average_distance == pytest.approx(obs.average_distance, abs=1e-6)
-    assert obs2.speed_difference == pytest.approx(obs.speed_difference, abs=1e-6)
+    # speed, average distance and speed difference
+    assert obs2[2:5] == pytest.approx(obs[2:5], abs=1e-6)
 
 
 @settings(max_examples=60, deadline=None)
@@ -124,12 +119,14 @@ def test_pair_observation_swap_asymmetry(vals):
     tracks = two_person_tracks([(xip, yip), (xi, yi)], [(xjp, yjp), (xj, yj)])
     ij = pair_observation(tracks, 1, 2, 1)
     ji = pair_observation(tracks, 2, 1, 1)
-    assert ji.average_distance == pytest.approx(ij.average_distance, abs=1e-9)
-    assert ji.speed_difference == pytest.approx(-ij.speed_difference, abs=1e-9)
+    _, _, speed_ij, dist_ij, diff_ij, angle_ij = ij
+    _, _, speed_ji, dist_ji, diff_ji, angle_ji = ji
+    assert dist_ji == pytest.approx(dist_ij, abs=1e-9)
+    assert diff_ji == pytest.approx(-diff_ij, abs=1e-9)
     # negation modulo 2*pi: both wrapped angles map to the same residue class
-    diff = (ji.motion_direction_angle + ij.motion_direction_angle) % (2 * math.pi)
+    diff = (angle_ji + angle_ij) % (2 * math.pi)
     assert min(diff, 2 * math.pi - diff) == pytest.approx(0.0, abs=1e-9)
-    assert ji.speed == pytest.approx(math.hypot(xj - xjp, yj - yjp), abs=1e-9)
+    assert speed_ji == pytest.approx(math.hypot(xj - xjp, yj - yjp), abs=1e-9)
 
 
 def test_wrap_angle_range():
@@ -146,24 +143,23 @@ def test_group_observation_hand_values():
         [(1.0, 0.0), (0.0, 0.0)],
         [(3.0, 8.0), (6.0, 8.0)],
     )
-    obs = group_observation(tracks, [1, 2], 1)
-    assert obs.avg_distance == pytest.approx(5.0)
-    assert obs.avg_speed == pytest.approx(2.0)
-    assert obs.speed_variance == pytest.approx(1.0)
+    _, _, avg_speed, avg_dist, speed_var = group_observation(tracks, [1, 2], 1)
+    assert avg_dist == pytest.approx(5.0)
+    assert avg_speed == pytest.approx(2.0)
+    assert speed_var == pytest.approx(1.0)
 
 
 def test_group_observation_singleton():
     tracks = two_person_tracks([(0.0, 0.0), (3.0, 4.0)], [(0.0, 0.0), (0.0, 0.0)])
-    obs = group_observation(tracks, [1], 1)
-    assert obs.avg_speed == pytest.approx(5.0)
-    assert obs.avg_distance == 0.0
-    assert obs.speed_variance == 0.0
+    _, _, avg_speed, avg_dist, speed_var = group_observation(tracks, [1], 1)
+    assert avg_speed == pytest.approx(5.0)
+    assert avg_dist == 0.0
+    assert speed_var == 0.0
 
 
 def test_group_observation_identical_movers():
     tracks = two_person_tracks([(0.0, 0.0), (2.0, 0.0)], [(5.0, 0.0), (7.0, 0.0)])
-    obs = group_observation(tracks, [1, 2], 1)
-    assert obs.speed_variance == 0.0
+    assert group_observation(tracks, [1, 2], 1)[4] == 0.0  # speed variance
 
 
 def test_group_observation_missing_member_raises():

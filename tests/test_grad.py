@@ -1,9 +1,12 @@
 """Pipeline tests: recognition paths, majority vote, structure, determinism."""
 
+import copy
 import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupact.clustering import GroupAssignment
 from groupact.grad import (
@@ -21,7 +24,7 @@ from groupact.grad import (
 from groupact.grouprep import GroupRepresentative
 from groupact.seqmodel import CorrelationEngine, CorrelationProfile
 from groupact.simgen import generate
-from groupact.trackio import MbbSample, TrackSet, parse_tracks
+from groupact.trackio import MbbSample, TrackSet, parse_tracks, write_tracks
 
 from scenarios import WARMUP, fig1_hierarchy, walk_together
 
@@ -29,7 +32,8 @@ from scenarios import WARMUP, fig1_hierarchy, walk_together
 class StubEngine:
     """Duck-typed engine returning scripted profiles for vote-rule tests."""
 
-    def __init__(self, table):
+    def __init__(self, bank, table):
+        self.bank = bank
         self.table = table  # (subject, target) -> {label: value}
 
     def profile(self, subject, target, t):
@@ -59,8 +63,8 @@ def test_majority_vote_unanimous(bank):
     a = ctx(0, (1, 2), "InGroup", (1, 2), 0.1)
     b = ctx(1, (5,), "single", (5,), 2.0)
     table = {((5,), (m,)): vote_values("Approach") for m in (1, 2)}
-    engine = StubEngine(table)
-    pl = majority_vote_intergroup(bank, None, a, b, 10, engine)
+    engine = StubEngine(bank, table)
+    pl = majority_vote_intergroup(engine, a, b, 10)
     assert pl == PairLabel(0, 1, "Approach")
 
 
@@ -72,7 +76,7 @@ def test_majority_vote_two_to_one(bank):
         ((5,), (2,)): vote_values("Approach"),
         ((5,), (3,)): vote_values("Ignore"),
     }
-    pl = majority_vote_intergroup(bank, None, a, b, 10, StubEngine(table))
+    pl = majority_vote_intergroup(StubEngine(bank, table), a, b, 10)
     assert pl.label == "Approach"
 
 
@@ -83,14 +87,14 @@ def test_majority_vote_tie_breaks_on_summed_correlation(bank):
         ((5,), (1,)): vote_values("Approach", v=0.6),
         ((5,), (2,)): vote_values("Chase", v=0.9),  # higher summed correlation
     }
-    pl = majority_vote_intergroup(bank, None, a, b, 10, StubEngine(table))
+    pl = majority_vote_intergroup(StubEngine(bank, table), a, b, 10)
     assert pl.label == "Chase"
     # equal sums fall back to the lexicographically smaller label
     table2 = {
         ((5,), (1,)): vote_values("Chase", v=0.8),
         ((5,), (2,)): vote_values("Approach", v=0.8),
     }
-    pl2 = majority_vote_intergroup(bank, None, a, b, 10, StubEngine(table2))
+    pl2 = majority_vote_intergroup(StubEngine(bank, table2), a, b, 10)
     assert pl2.label == "Approach"
 
 
@@ -102,13 +106,13 @@ def test_intergroup_orders_by_speed_then_index(bank):
         ((5,), (1,)): vote_values("Approach"),
         ((5,), (2,)): vote_values("Approach"),
     }
-    pl = recognize_intergroup(bank, None, fast, slow, 10, StubEngine(table))
+    pl = recognize_intergroup(StubEngine(bank, table), fast, slow, 10)
     assert (pl.a, pl.b) == (0, 1)  # slower group always first
     # ties on speed: smaller index first
     g0 = ctx(0, (1,), "single", (1,), 1.0)
     g1 = ctx(1, (2,), "single", (2,), 1.0)
     table2 = {((2,), (1,)): vote_values("Ignore")}
-    pl2 = recognize_intergroup(bank, None, g1, g0, 10, StubEngine(table2))
+    pl2 = recognize_intergroup(StubEngine(bank, table2), g1, g0, 10)
     assert (pl2.a, pl2.b) == (0, 1)
 
 
@@ -117,15 +121,15 @@ def test_recognize_symmetric_variants(bank):
     engine = CorrelationEngine(bank, tracks)
     t = 60
     singleton = GroupAssignment((8,), (), (), None)
-    assert recognize_symmetric(bank, tracks, singleton, t, 1, engine) == "single"
-    assert recognize_symmetric(bank, tracks, singleton, t, 2, engine) == "single"
+    assert recognize_symmetric(engine, singleton, t, 1) == "single"
+    assert recognize_symmetric(engine, singleton, t, 2) == "single"
     seeded = GroupAssignment((1, 2, 3), (1, 2), (3,), "WalkTogether")
-    assert recognize_symmetric(bank, tracks, seeded, t, 1, engine) == "WalkTogether"
+    assert recognize_symmetric(engine, seeded, t, 1) == "WalkTogether"
     # variant 2 recomputes from group features plus the correlation prior
-    assert recognize_symmetric(bank, tracks, seeded, t, 2, engine) == "WalkTogether"
+    assert recognize_symmetric(engine, seeded, t, 2) == "WalkTogether"
     # variant 1 without a seed label falls back to the strongest grouping label
     unlabeled = GroupAssignment((1, 2, 3), (1,), (2, 3), None)
-    assert recognize_symmetric(bank, tracks, unlabeled, t, 1, engine) == "WalkTogether"
+    assert recognize_symmetric(engine, unlabeled, t, 1) == "WalkTogether"
 
 
 def test_fixed_length_representative_streams(bank):
@@ -191,6 +195,79 @@ def test_engine_cache_holds_only_the_current_frame(bank):
     assert stepped == run_pipeline(bank, tracks, cfg, frames=frames)
     # a frame visited again is recomputed, to the same detections
     assert run_pipeline(bank, tracks, cfg, frames=[60], engine=engine) == stepped[:1]
+
+
+def test_run_pipeline_rejects_an_engine_built_for_another_run(bank):
+    tracks, _ = generate(walk_together(seed=31))
+    cfg = PipelineConfig.from_bank(bank, window=6, dt=2)
+    frames = range(40, 46)
+    mismatched = (
+        CorrelationEngine(bank, tracks),  # the bank's window/dt, not the config's
+        CorrelationEngine(bank, tracks, window=6, dt=3),
+        CorrelationEngine(copy.copy(bank), tracks, window=6, dt=2),
+        CorrelationEngine(bank, TrackSet(list(tracks.iter_samples())), window=6, dt=2),
+    )
+    for engine in mismatched:
+        with pytest.raises(ValueError):
+            run_pipeline(bank, tracks, cfg, frames=frames, engine=engine)
+    engine = CorrelationEngine(bank, tracks, window=6, dt=2)
+    assert run_pipeline(bank, tracks, cfg, frames=frames, engine=engine) == run_pipeline(
+        bank, tracks, cfg, frames=frames
+    )
+
+
+_BOX = st.tuples(st.floats(1.0, 400.0), st.floats(1.0, 400.0))
+
+
+@st.composite
+def ragged_tracks(draw):
+    """Up to four people with gaps, one-frame tracks, zero motion and 4K-frame coordinates.
+
+    A person stands still, walks with the shared step, or jumps and resizes at
+    random; some start a few pixels from a shared spot at the trained box
+    size, so groups can form.
+    """
+    spot_x, spot_y = draw(st.floats(0.0, 3840.0)), draw(st.floats(0.0, 2160.0))
+    step_x, step_y = draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))
+    rows = []
+    for person in range(1, draw(st.integers(1, 4)) + 1):
+        frame = draw(st.integers(0, 8))
+        if draw(st.booleans()):
+            x, y = spot_x + draw(st.floats(-8.0, 8.0)), spot_y + draw(st.floats(-8.0, 8.0))
+        else:
+            x, y = draw(st.floats(0.0, 3840.0)), draw(st.floats(0.0, 2160.0))
+        w, h = draw(st.one_of(st.just((10.0, 24.0)), _BOX))
+        motion = draw(st.sampled_from(["still", "walk", "jump"]))
+        rows.append(MbbSample(frame, person, x, y, w, h))
+        # three in four frames present
+        for present in draw(st.lists(st.integers(0, 3).map(bool), max_size=16)):
+            frame += 1
+            if motion == "walk":
+                x, y = x + step_x, y + step_y
+            elif motion == "jump":
+                x, y = x + draw(st.floats(-60.0, 60.0)), y + draw(st.floats(-60.0, 60.0))
+                w, h = draw(_BOX)
+            if present:
+                rows.append(MbbSample(frame, person, x, y, w, h))
+    return TrackSet(rows)
+
+
+@settings(max_examples=30, deadline=None)
+@given(ragged_tracks())
+def test_pipeline_partitions_or_skips_every_frame_of_ragged_tracks(bank, drawn):
+    buf = io.StringIO()
+    write_tracks(drawn, buf)
+    tracks = parse_tracks(buf.getvalue())
+    dets = run_pipeline(bank, tracks)
+    lo, hi = tracks.frame_range
+    assert [d.frame for d in dets] == list(range(lo + 1, hi + 1))
+    for d in dets:
+        if d.partition is None:
+            assert d.skipped
+        else:
+            assert d.partition.persons == tracks.observable_persons(d.frame)
+            covered = sorted(m for g in d.partition.groups for m in g.members)
+            assert covered == list(d.partition.persons)
 
 
 def test_detections_round_trip(bank):

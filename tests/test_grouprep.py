@@ -29,16 +29,17 @@ def make_tracks(n_frames, positions):
 
 def test_singleton_group_all_kinds_coincide(bank):
     tracks = make_tracks(20, {4: lambda t: (t, 0.0)})
-    p = p_gr(bank, tracks, (4,), "single", 10)
-    v = v_gr(tracks, (4,))
-    sv = sv_gr(bank, tracks, (4,), "single", 10)
+    engine = CorrelationEngine(bank, tracks)
+    p = p_gr(engine, (4,), "single", 10)
+    v = v_gr((4,))
+    sv = sv_gr(engine, (4,), "single", 10, bank.tr)
     assert p.person == 4
     assert p.members == v.members == sv.members == (4,)
 
 
 def test_identical_tracks_tie_breaks_to_smaller_id(bank):
     tracks = make_tracks(30, {7: lambda t: (t, 1.0), 5: lambda t: (t, 1.0)})
-    p = p_gr(bank, tracks, (5, 7), "WalkTogether", 20)
+    p = p_gr(CorrelationEngine(bank, tracks), (5, 7), "WalkTogether", 20)
     assert p.person == 5
 
 
@@ -46,7 +47,7 @@ def test_scores_scale_invariance(bank):
     # argmax selection is invariant under a common additive log shift
     tracks, _ = generate(approach_with_outlier(seed=21))
     engine = CorrelationEngine(bank, tracks)
-    scores = member_log_scores(bank, tracks, (1, 2, 3), "InGroup", 100, engine)
+    scores = member_log_scores(engine, (1, 2, 3), "InGroup", 100)
     best = max(sorted(scores), key=lambda m: (scores[m], -m))
     shifted = {m: s + 123.0 for m, s in scores.items()}
     assert max(sorted(shifted), key=lambda m: (shifted[m], -m)) == best
@@ -58,8 +59,8 @@ def test_sv_three_equal_scores_keep_everyone(bank, monkeypatch):
 
     monkeypatch.setattr(gr, "member_log_scores", lambda *a, **k: {1: -5.0, 2: -5.0, 3: -5.0})
     tracks = make_tracks(10, {1: (0, 0), 2: (3, 0), 3: (0, 3)})
-    sv = gr.sv_gr(bank, tracks, (1, 2, 3), "InGroup", 5, tr=0.3)
-    v = gr.v_gr(tracks, (1, 2, 3))
+    sv = gr.sv_gr(CorrelationEngine(bank, tracks), (1, 2, 3), "InGroup", 5, tr=0.3)
+    v = gr.v_gr((1, 2, 3))
     assert sv.members == v.members == (1, 2, 3)
     assert not sv.fallback
 
@@ -72,14 +73,14 @@ def test_sv_four_equal_scores_fall_back_to_average(bank, monkeypatch):
         gr, "member_log_scores", lambda *a, **k: {1: -5.0, 2: -5.0, 3: -5.0, 4: -5.0}
     )
     tracks = make_tracks(10, {1: (0, 0), 2: (3, 0), 3: (0, 3), 4: (3, 3)})
-    sv = gr.sv_gr(bank, tracks, (1, 2, 3, 4), "InGroup", 5, tr=0.3)
+    sv = gr.sv_gr(CorrelationEngine(bank, tracks), (1, 2, 3, 4), "InGroup", 5, tr=0.3)
     assert sv.members == (1, 2, 3, 4)
     assert sv.fallback
 
 
 def test_sv_singleton_always_representative(bank):
     tracks = make_tracks(10, {6: (0.0, 0.0)})
-    sv = sv_gr(bank, tracks, (6,), "single", 5, tr=0.3)
+    sv = sv_gr(CorrelationEngine(bank, tracks), (6,), "single", 5, tr=0.3)
     assert sv.members == (6,)
     assert not sv.fallback
 
@@ -87,9 +88,9 @@ def test_sv_singleton_always_representative(bank):
 def test_empty_group_rejected(bank):
     tracks = make_tracks(5, {1: (0, 0)})
     with pytest.raises(ValueError):
-        p_gr(bank, tracks, (), "Fight", 2)
+        p_gr(CorrelationEngine(bank, tracks), (), "Fight", 2)
     with pytest.raises(ValueError):
-        v_gr(tracks, ())
+        v_gr(())
 
 
 def test_outlier_probe_p0_strictly_smallest(bank):
@@ -111,18 +112,19 @@ def test_outlier_probe_selection_discards_outlier(bank):
     tracks, _ = generate(outlier_probe(seed=11))
     engine = CorrelationEngine(bank, tracks)
     frames = range(20, 300, 20)
-    p_picks = [p_gr(bank, tracks, (1, 2, 3), "InGroup", t, engine).person for t in frames]
-    sv_sets = [sv_gr(bank, tracks, (1, 2, 3), "InGroup", t, engine=engine).members for t in frames]
+    p_picks = [p_gr(engine, (1, 2, 3), "InGroup", t).person for t in frames]
+    sv_sets = [sv_gr(engine, (1, 2, 3), "InGroup", t, bank.tr).members for t in frames]
     assert all(person != 3 for person in p_picks)
     assert all(3 not in members for members in sv_sets)
     # the full-group average keeps the outlier by definition
-    assert v_gr(tracks, (1, 2, 3)).members == (1, 2, 3)
+    assert v_gr((1, 2, 3)).members == (1, 2, 3)
 
 
 def test_make_representative_routes(bank):
     tracks = make_tracks(20, {1: (0, 0), 2: (3, 0)})
+    engine = CorrelationEngine(bank, tracks)
     for kind, cls_kind in (("p", "p"), ("v", "v"), ("sv", "sv")):
-        rep = make_representative(kind, bank, tracks, (1, 2), "InGroup", 10)
+        rep = make_representative(kind, engine, (1, 2), "InGroup", 10, bank.tr)
         assert rep.kind == cls_kind
     with pytest.raises(ValueError):
-        make_representative("x", bank, tracks, (1, 2), "InGroup", 10)
+        make_representative("x", engine, (1, 2), "InGroup", 10, bank.tr)
