@@ -45,51 +45,51 @@ class EntityTrack:
 
     For multi-member entities each frame holds the arithmetic mean over the
     members present at that frame; a frame is valid when at least one member
-    has a sample.
+    has a sample, and usable when it and the frame before are valid (index 0
+    never is).  ``step`` and ``size_change`` give the motion from index
+    ``i - 1`` to ``i``, computed only at the indices asked for.
     """
 
     def __init__(self, tracks: TrackSet, members: tuple[int, ...], lo: int, hi: int):
-        self.members = members
-        self.lo = lo
         n = hi - lo + 1
-        acc = {k: np.zeros(n) for k in ("x", "y", "w", "h")}
+        acc = np.zeros((4, n))
         count = np.zeros(n)
-        rng = tracks.frame_range
-        for m in members:
-            if rng is None or m not in tracks.persons:
-                continue
-            arr = tracks.person_arrays(m)
-            t0 = arr["t0"]
-            src_lo = max(lo, rng[0])
-            src_hi = min(hi, rng[1])
-            if src_lo > src_hi:
-                continue
-            sl = slice(src_lo - t0, src_hi - t0 + 1)
-            dst = slice(src_lo - lo, src_hi - lo + 1)
-            v = arr["valid"][sl]
-            for k in ("x", "y", "w", "h"):
-                acc[k][dst] += np.where(v, arr[k][sl], 0.0)
-            count[dst] += v
-        self.valid = count > 0
-        safe = np.maximum(count, 1.0)
-        self.x = acc["x"] / safe
-        self.y = acc["y"] / safe
-        self.w = acc["w"] / safe
-        self.h = acc["h"] / safe
+        t0, t1 = tracks.frame_range or (0, -1)
+        src_lo, src_hi = max(lo, t0), min(hi, t1)
+        sl = slice(src_lo - t0, src_hi - t0 + 1)
+        dst = slice(src_lo - lo, src_hi - lo + 1)
+        for m in members if src_lo <= src_hi else ():
+            if m in tracks.persons:
+                has, xywh = tracks.person_arrays(m)
+                acc[:, dst] += np.where(has[sl], xywh[:, sl], 0.0)
+                count[dst] += has[sl]
+        self.valid = valid = count > 0
+        self.usable = np.zeros(n, dtype=bool)
+        self.usable[1:] = valid[1:] & valid[:-1]
+        self.x, self.y, self.w, self.h = acc / np.maximum(count, 1.0)
 
-    def idx(self, frame: int) -> int:
-        return frame - self.lo
+    def step(self, i: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Displacement (dx, dy) and speed into frame indices ``i``."""
+        dx = self.x[i] - self.x[i - 1]
+        dy = self.y[i] - self.y[i - 1]
+        return dx, dy, np.hypot(dx, dy)
+
+    def size_change(self, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Relative change of box width and height into frame indices ``i``."""
+        j = i - 1
+        return np.abs(self.w[i] - self.w[j]) / self.w[i], np.abs(self.h[i] - self.h[j]) / self.h[i]
+
+
+def member_tracks(tracks: TrackSet, members, lo: int, hi: int) -> list[EntityTrack]:
+    """One single-person track over [lo, hi] per member of an entity."""
+    return [EntityTrack(tracks, (m,), lo, hi) for m in as_entity(members)]
 
 
 def _subject_features(sub: EntityTrack, par: EntityTrack, i: np.ndarray) -> np.ndarray:
-    """Feature rows of ``sub`` relative to ``par`` at frame indices ``i`` (i-1 valid)."""
-    j = i - 1
-    cow = np.abs(sub.w[i] - sub.w[j]) / sub.w[i]
-    coh = np.abs(sub.h[i] - sub.h[j]) / sub.h[i]
-    dxs, dys = sub.x[i] - sub.x[j], sub.y[i] - sub.y[j]
-    dxp, dyp = par.x[i] - par.x[j], par.y[i] - par.y[j]
-    speed_s = np.hypot(dxs, dys)
-    speed_p = np.hypot(dxp, dyp)
+    """Feature rows of ``sub`` relative to ``par`` at usable frame indices ``i``."""
+    cow, coh = sub.size_change(i)
+    dxs, dys, speed_s = sub.step(i)
+    dxp, dyp, speed_p = par.step(i)
     mid_x = (sub.x[i] + par.x[i]) / 2.0
     mid_y = (sub.y[i] + par.y[i]) / 2.0
     avg_dist = np.hypot(sub.x[i] - mid_x, sub.y[i] - mid_y)
@@ -109,7 +109,7 @@ def pair_observation(tracks: TrackSet, i, j, t: int) -> np.ndarray:
     ea, eb = as_entity(i), as_entity(j)
     ta = EntityTrack(tracks, ea, t - 1, t)
     tb = EntityTrack(tracks, eb, t - 1, t)
-    if not (ta.valid.all() and tb.valid.all()):
+    if not (ta.usable[1] and tb.usable[1]):
         raise ObservationUnavailable(f"missing sample for pair {ea}/{eb} at frames {t - 1}..{t}")
     return _subject_features(ta, tb, np.array([1]))[0]
 
@@ -125,28 +125,17 @@ def body_size_change(tracks: TrackSet, i: int, t: int) -> float:
     return abs(area_t - area_p) / area_t
 
 
-def _group_rows(tracks: TrackSet, members: tuple[int, ...], frames: np.ndarray) -> np.ndarray:
-    per = []
-    for m in members:
-        tm = EntityTrack(tracks, (m,), int(frames.min()) - 1, int(frames.max()))
-        idx = frames - tm.lo
-        if not (tm.valid[idx].all() and tm.valid[idx - 1].all()):
-            raise ObservationUnavailable(f"missing sample for member {m}")
-        j = idx - 1
-        cow = np.abs(tm.w[idx] - tm.w[j]) / tm.w[idx]
-        coh = np.abs(tm.h[idx] - tm.h[j]) / tm.h[idx]
-        speed = np.hypot(tm.x[idx] - tm.x[j], tm.y[idx] - tm.y[j])
-        per.append((tm.x[idx], tm.y[idx], cow, coh, speed))
-    xs = np.stack([p[0] for p in per])
-    ys = np.stack([p[1] for p in per])
-    cows = np.stack([p[2] for p in per])
-    cohs = np.stack([p[3] for p in per])
-    speeds = np.stack([p[4] for p in per])
+def _group_rows(members: list[EntityTrack], i: np.ndarray) -> np.ndarray:
+    """Group feature rows of the member tracks at usable frame indices ``i``."""
+    xs = np.stack([m.x[i] for m in members])
+    ys = np.stack([m.y[i] for m in members])
+    cow, coh = np.stack([m.size_change(i) for m in members]).mean(axis=0)
+    speeds = np.stack([m.step(i)[2] for m in members])
     cx, cy = xs.mean(axis=0), ys.mean(axis=0)
     avg_dist = np.hypot(xs - cx[None, :], ys - cy[None, :]).mean(axis=0)
     avg_speed = speeds.mean(axis=0)
     speed_var = ((speeds - avg_speed[None, :]) ** 2).mean(axis=0)
-    return np.stack([cows.mean(axis=0), cohs.mean(axis=0), avg_speed, avg_dist, speed_var], axis=-1)
+    return np.stack([cow, coh, avg_speed, avg_dist, speed_var], axis=-1)
 
 
 def group_observation(tracks: TrackSet, members, t: int) -> np.ndarray:
@@ -155,17 +144,10 @@ def group_observation(tracks: TrackSet, members, t: int) -> np.ndarray:
     The ``GROUP_DIM`` columns: average change of width, average change of
     height, average speed, average distance to the centroid and speed variance.
     """
-    return _group_rows(tracks, as_entity(members), np.array([t]))[0]
-
-
-def _usable_suffix(ok: np.ndarray) -> int:
-    """Length of the trailing run of True values."""
-    n = 0
-    for v in ok[::-1]:
-        if not v:
-            break
-        n += 1
-    return n
+    tms = member_tracks(tracks, members, t - 1, t)
+    if not all(tm.usable[1] for tm in tms):
+        raise ObservationUnavailable(f"missing sample for group {as_entity(members)} at frames {t - 1}..{t}")
+    return _group_rows(tms, np.array([1]))[0]
 
 
 def pair_feature_windows(
@@ -177,49 +159,28 @@ def pair_feature_windows(
     entities are observable, capped at ``window``; returns None when fewer
     than two observation frames exist.
     """
-    ea, eb = as_entity(a), as_entity(b)
-    lo = t - window
-    ta = EntityTrack(tracks, ea, lo, t)
-    tb = EntityTrack(tracks, eb, lo, t)
-    both = ta.valid & tb.valid
-    ok = both[1:] & both[:-1]  # frame usable when valid at f and f-1
-    n = _usable_suffix(ok)
-    if n < 2:
+    ta = EntityTrack(tracks, as_entity(a), t - window, t)
+    tb = EntityTrack(tracks, as_entity(b), t - window, t)
+    # index 0 is never usable, so the trailing usable run starts after the last unusable index
+    first = np.flatnonzero(~(ta.usable & tb.usable))[-1] + 1
+    if first > window - 1:  # fewer than two usable frames
         return None
-    idx = np.arange(window - n + 1, window + 1)
-    fa = _subject_features(ta, tb, idx)
-    fb = _subject_features(tb, ta, idx)
-    return fa, fb
+    idx = np.arange(first, window + 1)
+    return _subject_features(ta, tb, idx), _subject_features(tb, ta, idx)
 
 
 def group_feature_window(tracks: TrackSet, members, t: int, window: int) -> np.ndarray | None:
     """Group feature stream over the trailing usable window; None when empty."""
-    ms = as_entity(members)
-    lo = t - window
-    valids = []
-    for m in ms:
-        tm = EntityTrack(tracks, (m,), lo, t)
-        valids.append(tm.valid)
-    allv = np.logical_and.reduce(valids)
-    ok = allv[1:] & allv[:-1]
-    n = _usable_suffix(ok)
-    if n < 1:
+    tms = member_tracks(tracks, members, t - window, t)
+    first = np.flatnonzero(~np.logical_and.reduce([tm.usable for tm in tms]))[-1] + 1
+    if first > window:  # no usable frame
         return None
-    frames = np.arange(t - n + 1, t + 1)
-    return _group_rows(tracks, ms, frames)
+    return _group_rows(tms, np.arange(first, window + 1))
 
 
 def entity_average_speed(tracks: TrackSet, members, t: int, window: int) -> float:
     """Mean member speed over the trailing window; 0.0 when nothing is usable."""
-    ms = as_entity(members)
-    lo = t - window
-    speeds = []
-    for m in ms:
-        tm = EntityTrack(tracks, (m,), lo, t)
-        ok = tm.valid[1:] & tm.valid[:-1]
-        idx = np.nonzero(ok)[0] + 1
-        if idx.size:
-            speeds.append(np.hypot(tm.x[idx] - tm.x[idx - 1], tm.y[idx] - tm.y[idx - 1]))
-    if not speeds:
-        return 0.0
-    return float(np.concatenate(speeds).mean())
+    speeds = np.concatenate(
+        [tm.step(np.flatnonzero(tm.usable))[2] for tm in member_tracks(tracks, members, t - window, t)]
+    )
+    return float(speeds.mean()) if speeds.size else 0.0

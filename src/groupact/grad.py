@@ -340,7 +340,33 @@ def write_detections(dets: list[FrameDetection], fp) -> None:
         fp.write(json.dumps({"frame": d.frame, "groups": groups, "pairs": pairs}) + "\n")
 
 
+def _label(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"label {value!r} is not a string")
+    return value
+
+
+def _detection_record(obj) -> FrameDetection:
+    frame = int(obj["frame"])
+    if "skipped" in obj:
+        return FrameDetection(frame, None, skipped=obj["skipped"])
+    groups = []
+    for g in obj["groups"]:
+        members = tuple(sorted(int(m) for m in g["members"]))
+        seed = tuple(sorted(int(m) for m in g.get("seed", ())))
+        assigned = tuple(m for m in members if m not in seed)
+        groups.append(GroupAssignment(members, seed, assigned, _label(g["label"])))
+    persons = tuple(sorted(m for g in groups for m in g.members))
+    partition = Partition(frame, persons, tuple(groups))
+    pairs = tuple(PairLabel(int(p["a"]), int(p["b"]), _label(p["label"])) for p in obj.get("pairs", ()))
+    for p in pairs:
+        if not (0 <= p.a < len(groups) and 0 <= p.b < len(groups)):
+            raise ValueError(f"pair ({p.a}, {p.b}) names a group outside 0..{len(groups) - 1}")
+    return FrameDetection(frame, partition, tuple(g.label for g in groups), pairs)
+
+
 def read_detections(fp) -> list[FrameDetection]:
+    """Parse ``write_detections`` output; a malformed record raises ParseError."""
     out = []
     for lineno, raw in enumerate(fp, start=1):
         line = raw.strip()
@@ -350,20 +376,8 @@ def read_detections(fp) -> list[FrameDetection]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc}", line=lineno) from None
-        frame = int(obj["frame"])
-        if "skipped" in obj:
-            out.append(FrameDetection(frame, None, skipped=obj["skipped"]))
-            continue
-        groups = []
-        labels = []
-        for g in obj["groups"]:
-            members = tuple(sorted(int(m) for m in g["members"]))
-            seed = tuple(sorted(int(m) for m in g.get("seed", ())))
-            assigned = tuple(m for m in members if m not in seed)
-            groups.append(GroupAssignment(members, seed, assigned, g["label"]))
-            labels.append(g["label"])
-        persons = tuple(sorted(m for g in groups for m in g.members))
-        partition = Partition(frame, persons, tuple(groups))
-        pairs = tuple(PairLabel(int(p["a"]), int(p["b"]), p["label"]) for p in obj.get("pairs", ()))
-        out.append(FrameDetection(frame, partition, tuple(labels), pairs))
+        try:
+            out.append(_detection_record(obj))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"bad record structure: {exc}", line=lineno) from None
     return out

@@ -708,14 +708,14 @@ def train_hmm_model(
     return (model, history) if return_history else model
 
 
-def _usable_chunks(valid: np.ndarray, chunk: int, min_len: int = 4) -> list[np.ndarray]:
-    """Indices into ``valid`` of frames usable with their predecessor.
+def _usable_chunks(usable: np.ndarray, chunk: int, min_len: int = 4) -> list[np.ndarray]:
+    """Indices of the usable frames, split into runs at gaps and into pieces.
 
-    Runs of such frames are split at gaps, then into pieces of at most
-    ``chunk``; pieces shorter than ``min_len`` are dropped.
+    ``usable`` is an :class:`~groupact.features.EntityTrack` mask (index 0
+    is never usable).  Pieces hold at most ``chunk`` frames; pieces shorter
+    than ``min_len`` are dropped.
     """
-    ok = np.concatenate([[False], valid[1:] & valid[:-1], [False]])
-    edges = np.flatnonzero(ok[1:] != ok[:-1])
+    edges = np.flatnonzero(np.diff(usable, append=False))
     out = []
     for a, b in zip(edges[::2] + 1, edges[1::2] + 1):
         for c0 in range(a, b, chunk):
@@ -734,7 +734,7 @@ def _stream_chunks(
     tb = feats.EntityTrack(tracks, feats.as_entity(eb), lo - 1, end)
     return [
         (feats._subject_features(ta, tb, idx), feats._subject_features(tb, ta, idx))
-        for idx in _usable_chunks(ta.valid & tb.valid, chunk)
+        for idx in _usable_chunks(ta.usable & tb.usable, chunk)
     ]
 
 
@@ -742,12 +742,9 @@ def _group_chunks(
     tracks: TrackSet, members, start: int, end: int, chunk: int
 ) -> list[np.ndarray]:
     """Group-feature sequences over an interval, split at gaps and chunked."""
-    ms = feats.as_entity(members)
-    lo = max(start, 1)
-    allv = np.logical_and.reduce(
-        [feats.EntityTrack(tracks, (m,), lo - 1, end).valid for m in ms]
-    )
-    return [feats._group_rows(tracks, ms, lo - 1 + idx) for idx in _usable_chunks(allv, chunk)]
+    tms = feats.member_tracks(tracks, members, max(start, 1) - 1, end)
+    usable = np.logical_and.reduce([tm.usable for tm in tms])
+    return [feats._group_rows(tms, idx) for idx in _usable_chunks(usable, chunk)]
 
 
 def assemble_training_data(

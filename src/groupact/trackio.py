@@ -61,7 +61,7 @@ class TrackSet:
                 raise ParseError(f"non-positive box for person {s.person} at frame {s.frame}")
             by_person.setdefault(s.person, []).append(s)
         self._index: dict[int, dict[int, MbbSample]] = {}
-        self._arrays: dict[int, dict[str, np.ndarray]] = {}
+        self._arrays: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for person, rows in by_person.items():
             rows.sort(key=lambda s: s.frame)
             frames = {}
@@ -102,24 +102,21 @@ class TrackSet:
     def observable_persons(self, frame: int) -> tuple[int, ...]:
         return tuple(p for p in self._persons if self.observable(p, frame))
 
-    def person_arrays(self, person: int) -> dict[str, np.ndarray]:
-        """Dense per-frame arrays over the set frame range with a validity mask."""
+    def person_arrays(self, person: int) -> tuple[np.ndarray, np.ndarray]:
+        """Validity mask and (4, n) x/y/w/h rows over the set's frame range."""
         if person in self._arrays:
             return self._arrays[person]
         if self._frame_range is None or person not in self._index:
             raise KeyError(f"unknown person {person}")
         t0, t1 = self._frame_range
-        n = t1 - t0 + 1
-        out = {k: np.zeros(n) for k in ("x", "y", "w", "h")}
-        valid = np.zeros(n, dtype=bool)
-        for f, s in self._index[person].items():
-            i = f - t0
-            out["x"][i], out["y"][i], out["w"][i], out["h"][i] = s.x, s.y, s.w, s.h
-            valid[i] = True
-        out["valid"] = valid
-        out["t0"] = t0  # type: ignore[assignment]
-        self._arrays[person] = out
-        return out
+        rows = self._index[person]
+        at = np.fromiter(rows, dtype=int, count=len(rows)) - t0
+        valid = np.zeros(t1 - t0 + 1, dtype=bool)
+        valid[at] = True
+        xywh = np.zeros((4, valid.size))
+        xywh[:, at] = np.array([(s.x, s.y, s.w, s.h) for s in rows.values()], dtype=float).T
+        self._arrays[person] = (valid, xywh)
+        return valid, xywh
 
     def iter_samples(self) -> Iterator[MbbSample]:
         for person in self._persons:

@@ -6,6 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from groupact.seqmodel import TrainConfig, train_bank
+from groupact.trackio import load_model
 
 from scenarios import DT, WINDOW, merge_for_training, training_specs
 
@@ -28,3 +29,11 @@ def bank():
 def hmm_bank():
     """Same corpus trained with advance probabilities pinned at one."""
     return _train(fix_advance=1.0)
+
+
+@pytest.fixture(scope="session")
+def frozen_bank():
+    """The benchmark's committed bank, trained once on the tiled nine-scene corpus."""
+    with open(Path(__file__).resolve().parents[1] / "perfbench" / "data" / "bank.json",
+              encoding="utf-8") as fp:
+        return load_model(fp)

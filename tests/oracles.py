@@ -1,7 +1,8 @@
-"""Independent brute-force oracles for the sequence-model recursions.
+"""Independent brute-force oracles for the features and the sequence-model recursions.
 
-These deliberately avoid the library's lattice code: likelihoods are computed
-by exhaustive enumeration over monotone alignments and state paths, feasible
+These deliberately avoid the library's code paths: feature rows are scalar
+re-derivations from raw box samples, and likelihoods are computed by
+exhaustive enumeration over monotone alignments and state paths, feasible
 for the short sequences used in tests.
 """
 
@@ -27,6 +28,46 @@ def mixture_logpdf(x, weights, means, variances):
     ]
     hi = max(terms)
     return hi + math.log(sum(math.exp(t - hi) for t in terms))
+
+
+def _direction(cur, prev) -> float:
+    if cur.x == prev.x and cur.y == prev.y:
+        return 0.0
+    return math.atan2(cur.y - prev.y, cur.x - prev.x)
+
+
+def pair_feature_row(cur_i, prev_i, cur_j, prev_j) -> tuple[float, ...]:
+    """The six pair features of person i relative to person j at one frame.
+
+    Arguments are the ``MbbSample``s of i and j at the frame and the one before.
+    """
+    cow = abs(cur_i.w - prev_i.w) / cur_i.w
+    coh = abs(cur_i.h - prev_i.h) / cur_i.h
+    speed_i = math.hypot(cur_i.x - prev_i.x, cur_i.y - prev_i.y)
+    speed_j = math.hypot(cur_j.x - prev_j.x, cur_j.y - prev_j.y)
+    avg_dist = math.hypot(cur_i.x - (cur_i.x + cur_j.x) / 2, cur_i.y - (cur_i.y + cur_j.y) / 2)
+    ang = _direction(cur_i, prev_i) - _direction(cur_j, prev_j)
+    while ang <= -math.pi:
+        ang += 2 * math.pi
+    while ang > math.pi:
+        ang -= 2 * math.pi
+    return cow, coh, speed_i, avg_dist, (speed_i - speed_j) / 2, ang
+
+
+def group_feature_row(cur, prev) -> tuple[float, ...]:
+    """The five group features from parallel lists of member samples at t and t-1."""
+    n = len(cur)
+    speeds = [math.hypot(c.x - p.x, c.y - p.y) for c, p in zip(cur, prev)]
+    cx = sum(c.x for c in cur) / n
+    cy = sum(c.y for c in cur) / n
+    avg_speed = sum(speeds) / n
+    return (
+        sum(abs(c.w - p.w) / c.w for c, p in zip(cur, prev)) / n,
+        sum(abs(c.h - p.h) / c.h for c, p in zip(cur, prev)) / n,
+        avg_speed,
+        sum(math.hypot(c.x - cx, c.y - cy) for c in cur) / n,
+        sum((s - avg_speed) ** 2 for s in speeds) / n,
+    )
 
 
 def _branch_sequences(T: int, S: int, terminal_slack: int):

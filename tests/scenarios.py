@@ -7,8 +7,10 @@ shifted seeds so evaluation never sees its own noise draws.
 
 from __future__ import annotations
 
+from hypothesis import strategies as st
+
 from groupact.simgen import AgentSpec, EventSpec, ScenarioSpec
-from groupact.trackio import AnnotationSet, TrackSet
+from groupact.trackio import AnnotationSet, MbbSample, TrackSet
 
 DURATION = 300
 SPAN = (0, DURATION - 1)
@@ -349,3 +351,39 @@ def composite_spec(seed=0, duration=DURATION) -> ScenarioSpec:
         seed=seed, duration=duration, agents=tuple(merged_agents),
         events=tuple(merged_events), noise_sigma=0.03, box_sigma=0.004,
     )
+
+
+_BOX = st.tuples(st.floats(1.0, 400.0), st.floats(1.0, 400.0))
+
+
+@st.composite
+def ragged_tracks(draw):
+    """Up to four people with gaps, one-frame tracks, zero motion and 4K-frame coordinates.
+
+    A person stands still, walks with the shared step, or jumps and resizes at
+    random; some start a few pixels from a shared spot at the trained box
+    size, so groups can form.
+    """
+    spot_x, spot_y = draw(st.floats(0.0, 3840.0)), draw(st.floats(0.0, 2160.0))
+    step_x, step_y = draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))
+    rows = []
+    for person in range(1, draw(st.integers(1, 4)) + 1):
+        frame = draw(st.integers(0, 8))
+        if draw(st.booleans()):
+            x, y = spot_x + draw(st.floats(-8.0, 8.0)), spot_y + draw(st.floats(-8.0, 8.0))
+        else:
+            x, y = draw(st.floats(0.0, 3840.0)), draw(st.floats(0.0, 2160.0))
+        w, h = draw(st.one_of(st.just((10.0, 24.0)), _BOX))
+        motion = draw(st.sampled_from(["still", "walk", "jump"]))
+        rows.append(MbbSample(frame, person, x, y, w, h))
+        # three in four frames present
+        for present in draw(st.lists(st.integers(0, 3).map(bool), max_size=16)):
+            frame += 1
+            if motion == "walk":
+                x, y = x + step_x, y + step_y
+            elif motion == "jump":
+                x, y = x + draw(st.floats(-60.0, 60.0)), y + draw(st.floats(-60.0, 60.0))
+                w, h = draw(_BOX)
+            if present:
+                rows.append(MbbSample(frame, person, x, y, w, h))
+    return TrackSet(rows)

@@ -135,6 +135,30 @@ def test_evaluate_disjoint_ranges(workdir, tmp_path, capsys):
     assert "5000" in capsys.readouterr().err
 
 
+def _group(gid, members):
+    return {"id": gid, "members": members, "label": "InGroup", "seed": members}
+
+
+@pytest.mark.parametrize("record", [
+    {"groups": [], "pairs": []},  # no frame
+    [1, 2],  # not a record
+    {"frame": 5, "groups": [_group(0, [1, 2])], "pairs": [{"a": 0, "b": 3, "label": "Approach"}]},
+    {"frame": "x", "groups": [], "pairs": []},
+    {"frame": 5, "groups": [_group(0, [1, 2]), _group(1, [2, 3])], "pairs": []},
+    {"frame": 5, "groups": [{**_group(0, [1, 2]), "label": ["InGroup"]}], "pairs": []},
+], ids=["no-frame", "list", "pair-index", "frame-not-int", "shared-member", "label-not-str"])
+def test_malformed_detections_exit_data_error(tmp_path, capsys, record):
+    truth = tmp_path / "truth.jsonl"
+    truth.write_text(json.dumps({"kind": "sym", "label": "InGroup", "frames": [0, 10],
+                                 "members": [1, 2], "group_id": "g1"}) + "\n")
+    dets = tmp_path / "dets.jsonl"
+    good = {"frame": 4, "groups": [_group(0, [1, 2])], "pairs": []}
+    dets.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n")
+    assert run(["evaluate", "--detections", dets, "--truth", truth]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: line 2: ") and "Traceback" not in err
+
+
 def test_malformed_tracks_exit_data_error(workdir, tmp_path, capsys):
     p = tmp_path / "bad.csv"
     p.write_text("0,1,1,2,3,4\nnot a line\n")

@@ -8,15 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupact.features import (
+    GROUP_DIM,
+    PAIR_DIM,
     EntityTrack,
     ObservationUnavailable,
     body_size_change,
+    entity_average_speed,
+    group_feature_window,
     group_observation,
     pair_feature_windows,
     pair_observation,
     wrap_angle,
 )
+from groupact.seqmodel import _group_chunks, _stream_chunks
 from groupact.trackio import MbbSample, TrackSet
+
+from oracles import group_feature_row, pair_feature_row
+from scenarios import ragged_tracks
 
 
 def make_tracks(rows):
@@ -75,31 +83,13 @@ def test_pair_observation_missing_sample_raises():
         pair_observation(tracks, 1, 2, 1)
 
 
-def _oracle_pair(xi, yi, wi, hi, xip, yip, wip, hip, xj, yj, xjp, yjp):
-    """Scalar re-derivation of the six features, independent of the library path."""
-    cow = abs(wi - wip) / wi
-    coh = abs(hi - hip) / hi
-    speed_i = math.hypot(xi - xip, yi - yip)
-    speed_j = math.hypot(xj - xjp, yj - yjp)
-    avg_dist = math.hypot(xi - (xi + xj) / 2, yi - (yi + yj) / 2)
-    sd = (speed_i - speed_j) / 2
-    di = 0.0 if (xi == xip and yi == yip) else math.atan2(yi - yip, xi - xip)
-    dj = 0.0 if (xj == xjp and yj == yjp) else math.atan2(yj - yjp, xj - xjp)
-    ang = di - dj
-    while ang <= -math.pi:
-        ang += 2 * math.pi
-    while ang > math.pi:
-        ang -= 2 * math.pi
-    return cow, coh, speed_i, avg_dist, sd, ang
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(-100, 100), min_size=8, max_size=8), st.floats(-500, 500), st.floats(-500, 500))
 def test_pair_observation_matches_scalar_oracle_and_translates(vals, ox, oy):
     xi, yi, xj, yj, xip, yip, xjp, yjp = vals
     tracks = two_person_tracks([(xip, yip), (xi, yi)], [(xjp, yjp), (xj, yj)])
     obs = pair_observation(tracks, 1, 2, 1)
-    ref = _oracle_pair(xi, yi, 10.0, 20.0, xip, yip, 10.0, 20.0, xj, yj, xjp, yjp)
+    ref = pair_feature_row(*(tracks.sample(p, f) for p in (1, 2) for f in (1, 0)))
     for g, r in zip(obs, ref):
         assert g == pytest.approx(r, abs=1e-9)
     # translation invariance
@@ -213,3 +203,91 @@ def test_pair_feature_windows_suffix_and_minimum():
     assert fb.shape == (4, 6)
     assert pair_feature_windows(tracks, 1, 2, 5, window=8) is None  # only frame 5... too short
     assert pair_feature_windows(tracks, 1, 2, 6, window=8) is None  # single usable frame
+
+
+def _assert_row(got, ref):
+    """Row equality up to rounding; a sixth column is an angle, compared on the circle."""
+    assert got[:5] == pytest.approx(ref[:5], rel=1e-12, abs=1e-12)
+    if len(ref) == PAIR_DIM:
+        d = abs(got[5] - ref[5]) % (2 * math.pi)
+        assert min(d, 2 * math.pi - d) <= 1e-12
+
+
+def _oracle_chunks(tracks, members, start, end, chunk):
+    """Frames of each training chunk: runs of observable frames, split, short pieces dropped."""
+    out, run = [], []
+    for f in range(max(start, 1), end + 2):
+        if f <= end and all(tracks.observable(m, f) for m in members):
+            run.append(f)
+            continue
+        out += [run[k : k + chunk] for k in range(0, len(run), chunk) if len(run[k : k + chunk]) >= 4]
+        run = []
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(ragged_tracks(), st.integers(2, 8), st.integers(4, 7))
+def test_feature_paths_match_scalar_oracle_on_ragged_tracks(tracks, window, chunk):
+    """Every windowed and chunked row equals the scalar oracle at its frame."""
+    persons = tracks.persons
+    lo, hi = tracks.frame_range
+
+    def trailing(members, t):
+        n = 0
+        while n < window and all(tracks.observable(m, t - n) for m in members):
+            n += 1
+        return n
+
+    def pair_ref(a, b, f):
+        return pair_feature_row(*(tracks.sample(p, g) for p in (a, b) for g in (f, f - 1)))
+
+    def group_ref(members, f):
+        return group_feature_row([tracks.sample(m, f) for m in members],
+                                 [tracks.sample(m, f - 1) for m in members])
+
+    subsets = [tuple(p for k, p in enumerate(persons) if mask >> k & 1)
+               for mask in range(1, 2 ** len(persons))]
+    for t in range(lo, hi + 2):
+        for a in persons:
+            for b in persons:
+                if a == b:
+                    continue
+                win = pair_feature_windows(tracks, a, b, t, window)
+                n = trailing((a, b), t)
+                if n < 2:
+                    assert win is None
+                    continue
+                assert win[0].shape == win[1].shape == (n, PAIR_DIM)
+                for k, f in enumerate(range(t - n + 1, t + 1)):
+                    _assert_row(win[0][k], pair_ref(a, b, f))
+                    _assert_row(win[1][k], pair_ref(b, a, f))
+        for members in subsets:
+            rows = group_feature_window(tracks, members, t, window)
+            n = trailing(members, t)
+            if n < 1:
+                assert rows is None
+            else:
+                assert rows.shape == (n, GROUP_DIM)
+                for k, f in enumerate(range(t - n + 1, t + 1)):
+                    _assert_row(rows[k], group_ref(members, f))
+            steps = [pair_ref(m, m, f)[2] for m in members
+                     for f in range(t - window + 1, t + 1) if tracks.observable(m, f)]
+            want = sum(steps) / len(steps) if steps else 0.0
+            assert entity_average_speed(tracks, members, t, window) == pytest.approx(want, rel=1e-12)
+    for a in persons:
+        for b in persons:
+            if a != b:
+                frames = _oracle_chunks(tracks, (a, b), lo, hi, chunk)
+                got = _stream_chunks(tracks, a, b, lo, hi, chunk)
+                assert [len(fa) for fa, _ in got] == [len(fs) for fs in frames]
+                for (fa, fb), fs in zip(got, frames):
+                    for k, f in enumerate(fs):
+                        _assert_row(fa[k], pair_ref(a, b, f))
+                        _assert_row(fb[k], pair_ref(b, a, f))
+    for members in subsets:
+        frames = _oracle_chunks(tracks, members, lo, hi, chunk)
+        got = _group_chunks(tracks, members, lo, hi, chunk)
+        assert [len(g) for g in got] == [len(fs) for fs in frames]
+        for g, fs in zip(got, frames):
+            for k, f in enumerate(fs):
+                _assert_row(g[k], group_ref(members, f))

@@ -6,7 +6,6 @@ import io
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from groupact.clustering import GroupAssignment
 from groupact.grad import (
@@ -26,7 +25,7 @@ from groupact.seqmodel import CorrelationEngine, CorrelationProfile
 from groupact.simgen import generate
 from groupact.trackio import MbbSample, TrackSet, parse_tracks, write_tracks
 
-from scenarios import WARMUP, fig1_hierarchy, walk_together
+from scenarios import WARMUP, fig1_hierarchy, ragged_tracks, walk_together
 
 
 class StubEngine:
@@ -214,42 +213,6 @@ def test_run_pipeline_rejects_an_engine_built_for_another_run(bank):
     assert run_pipeline(bank, tracks, cfg, frames=frames, engine=engine) == run_pipeline(
         bank, tracks, cfg, frames=frames
     )
-
-
-_BOX = st.tuples(st.floats(1.0, 400.0), st.floats(1.0, 400.0))
-
-
-@st.composite
-def ragged_tracks(draw):
-    """Up to four people with gaps, one-frame tracks, zero motion and 4K-frame coordinates.
-
-    A person stands still, walks with the shared step, or jumps and resizes at
-    random; some start a few pixels from a shared spot at the trained box
-    size, so groups can form.
-    """
-    spot_x, spot_y = draw(st.floats(0.0, 3840.0)), draw(st.floats(0.0, 2160.0))
-    step_x, step_y = draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))
-    rows = []
-    for person in range(1, draw(st.integers(1, 4)) + 1):
-        frame = draw(st.integers(0, 8))
-        if draw(st.booleans()):
-            x, y = spot_x + draw(st.floats(-8.0, 8.0)), spot_y + draw(st.floats(-8.0, 8.0))
-        else:
-            x, y = draw(st.floats(0.0, 3840.0)), draw(st.floats(0.0, 2160.0))
-        w, h = draw(st.one_of(st.just((10.0, 24.0)), _BOX))
-        motion = draw(st.sampled_from(["still", "walk", "jump"]))
-        rows.append(MbbSample(frame, person, x, y, w, h))
-        # three in four frames present
-        for present in draw(st.lists(st.integers(0, 3).map(bool), max_size=16)):
-            frame += 1
-            if motion == "walk":
-                x, y = x + step_x, y + step_y
-            elif motion == "jump":
-                x, y = x + draw(st.floats(-60.0, 60.0)), y + draw(st.floats(-60.0, 60.0))
-                w, h = draw(_BOX)
-            if present:
-                rows.append(MbbSample(frame, person, x, y, w, h))
-    return TrackSet(rows)
 
 
 @settings(max_examples=30, deadline=None)

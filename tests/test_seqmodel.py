@@ -690,3 +690,36 @@ def test_directional_model_prefers_trained_order(bank):
     for p in (p1, p2):
         assert p is not None
         assert sum(p.values.values()) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_batched_density_matches_each_mixture_at_tiled_4k_coordinates(frozen_bank):
+    """Pair rows with |avg_dist| >= 8000 px: the batched density stays within 1e-10 relative."""
+    rng = np.random.default_rng(3)
+    window = frozen_bank.window
+    # two 3840x2160 scenes tiled (5, 4) frames apart: every cross pair is >= 16000 px apart
+    rows = []
+    for p in range(16):
+        off = (0.0, 0.0) if p < 8 else (5 * 3840.0, 4 * 2160.0)
+        x, y = off[0] + rng.uniform(0, 3840), off[1] + rng.uniform(0, 2160)
+        vx, vy = rng.normal(0.0, 2.0, size=2)
+        w, h = rng.uniform(20, 60), rng.uniform(60, 160)
+        for t in range(window + 1):
+            jw, jh = 1.0 + 0.02 * rng.standard_normal(2)
+            rows.append(MbbSample(t, p, x + t * vx, y + t * vy, w * jw, h * jh))
+    tracks = TrackSet(rows)
+    marg, joint = [], []
+    for a in range(8):
+        for b in range(8, 16):
+            for s, o in ((a, b), (b, a)):
+                fa, fb = pair_feature_windows(tracks, s, o, window, window)
+                marg.append(fb)
+                joint.append(np.concatenate([fa, fb], axis=1))
+    marg, joint = np.concatenate(marg), np.concatenate(joint)
+    assert marg.shape[0] == 128 * window and np.abs(marg[:, 3]).min() >= 8000.0
+    models = [frozen_bank.models[l] for l in frozen_bank.labels()]
+    for mixtures, x in (([m.marginal for m in models], marg), ([m.joint for m in models], joint)):
+        got = seqmodel._BatchGmm([list(row) for row in mixtures], x.shape[1]).log_density(x)
+        for a, row in enumerate(mixtures):
+            for k, g in enumerate(row):
+                ref = g.log_density(x)
+                assert np.all(np.abs(got[:, a, k] - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
