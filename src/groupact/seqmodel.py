@@ -268,6 +268,19 @@ def ahmm_forward(
     return lat, float(loglik)
 
 
+def _fold_logaddexp(x: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(x))) along a short ``axis`` as a left fold of ``np.logaddexp``.
+
+    One ufunc per term instead of the max/exp/sum/log of :func:`logsumexp`,
+    and all -inf terms give -inf without a warning.
+    """
+    terms = np.moveaxis(x, axis, 0)
+    acc = terms[0]
+    for term in terms[1:]:
+        acc = np.logaddexp(acc, term)
+    return acc
+
+
 def _band_forward(log_entry, log_trans, ae: np.ndarray, hm: np.ndarray):
     """Forward sweep over the hold-count band of the alignment lattice.
 
@@ -284,7 +297,7 @@ def _band_forward(log_entry, log_trans, ae: np.ndarray, hm: np.ndarray):
     tin[0, ..., 0, :] = log_entry
     for t in range(ae.shape[0]):
         if t:
-            tin[t] = logsumexp(la[t - 1][..., None] + log_trans[..., None, :, :], axis=-2)
+            tin[t] = _fold_logaddexp(la[t - 1][..., None] + log_trans[..., None, :, :], axis=-2)
         la[t] = tin[t] + ae[t]
         la[t, ..., 1:, :] = np.logaddexp(la[t, ..., 1:, :], tin[t, ..., :-1, :] + hm[t][..., None, :])
     return tin, la
@@ -309,7 +322,7 @@ def _band_posteriors(model: ActivityModel, ae: np.ndarray, hm: np.ndarray, stats
         beta[t] = ae[t] + lb[t]
         beta[t, :, :-1] = np.logaddexp(beta[t, :, :-1], hm[t, :, None] + lb[t, :, 1:])
         if t:
-            lb[t - 1] = logsumexp(log_trans + beta[t, :, :, None, :], axis=3)
+            lb[t - 1] = _fold_logaddexp(log_trans + beta[t, :, :, None, :], axis=3)
     total = logsumexp((la[T - 1] + log_exit).reshape(B, -1), axis=1)
     if not np.all(np.isfinite(total)):
         raise DataError("segment has zero likelihood under the current model")
@@ -891,7 +904,7 @@ class _BatchGmm:
         comp = -0.5 * quad
         comp = comp.reshape(x.shape[0], self.n_items, self.n_states, self.m_max)
         comp = comp + self.logw[None, :, :].reshape(1, self.n_items, self.n_states, self.m_max)
-        return logsumexp(comp, axis=3)
+        return _fold_logaddexp(comp, axis=3)
 
 
 class CorrelationEngine:
