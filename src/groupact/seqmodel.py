@@ -907,12 +907,50 @@ class _BatchGmm:
         return _fold_logaddexp(comp, axis=3)
 
 
+class _FrameRows:
+    """Emission rows of one frame ``u``, one row per ordered entity pair.
+
+    ``marg`` (rows, A, n) holds the marginal rows with the hold weight added,
+    ``joint`` (rows, A, D, n) the band-joint rows of cells ``(u, h)``, whose
+    source frame is ``u - h``, with the advance weight added.  Only the
+    leading ``cells[r]`` cells of row ``r`` hold values; the rest are -inf.
+    """
+
+    def __init__(self, A: int, D: int, n: int):
+        self.index: dict[tuple, int] = {}
+        self.marg = np.empty((0, A, n))
+        self.joint = np.empty((0, A, D, n))
+        self.cells = np.empty(0, dtype=np.intp)
+
+    def rows(self, keys: list[tuple]) -> np.ndarray:
+        """Row of each key, -1 where the key has none."""
+        get = self.index.get
+        return np.array([get(k, -1) for k in keys], dtype=np.intp)
+
+    def store(self, keys: list[tuple], marg, joint, cells) -> np.ndarray:
+        """Write the rows of ``keys``, appending new keys; returns their rows."""
+        index = self.index
+        rows = np.array([index.setdefault(k, len(index)) for k in keys], dtype=np.intp)
+        if len(index) > len(self.cells):
+            cap = max(len(index), 2 * len(self.cells))
+            self.marg, self.joint, self.cells = (
+                np.concatenate([a, np.empty((cap - len(a),) + a.shape[1:], a.dtype)])
+                for a in (self.marg, self.joint, self.cells)
+            )
+        self.marg[rows] = marg
+        self.joint[rows] = joint
+        self.cells[rows] = cells
+        return rows
+
+
 class CorrelationEngine:
     """Batched correlation evaluation for a fixed bank over one track set.
 
     Computes the same profiles as :func:`correlation` but stacks all
     activities (and many entity pairs) into single vectorised lattice sweeps,
-    which is what makes per-frame clustering affordable.
+    which is what makes per-frame clustering affordable.  Emission rows
+    depend only on the entity pair and the frame, so the engine keeps those
+    of the last ``window`` frames and a new frame computes only its own.
     """
 
     def __init__(self, bank: ActivityModelBank, tracks: TrackSet,
@@ -934,8 +972,12 @@ class CorrelationEngine:
         self._hold = np.stack([_log(1.0 - m.advance) for m in models])
         self._marg = _BatchGmm([list(m.marginal) for m in models], self.obs_dim)
         self._joint = _BatchGmm([list(m.joint) for m in models], 2 * self.obs_dim)
+        # band cells per step of a full window
+        self._D = min(self.dt, self.window - 1) + 1
         # profiles of one frame only: a lookup at another frame drops them
         self._cache: dict[tuple, CorrelationProfile | None] = {}
+        # emission rows of the frames [t - window + 1, t] of the last lookup
+        self._blocks: dict[int, _FrameRows] = {}
 
     def profile(self, subject, target, t: int) -> CorrelationProfile | None:
         ea, eb = feats.as_entity(subject), feats.as_entity(target)
@@ -950,66 +992,108 @@ class CorrelationEngine:
         """Profiles for many (subject, target) entity pairs at one frame."""
         if self._cache and next(iter(self._cache))[2] != t:
             self._cache.clear()
+        for u in [u for u in self._blocks if not t - self.window < u <= t]:
+            del self._blocks[u]
         out: dict[tuple, CorrelationProfile | None] = {}
-        todo = []
+        keys, windows = [], []
         for a, b in items:
-            key = (feats.as_entity(a), feats.as_entity(b), t)
-            if key in self._cache:
-                out[(key[0], key[1])] = self._cache[key]
-            else:
-                todo.append(key)
-        by_len: dict[int, list] = {}
-        windows: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-        for key in todo:
-            ea, eb, _ = key
+            ea, eb = feats.as_entity(a), feats.as_entity(b)
+            if (ea, eb, t) in self._cache:
+                out[(ea, eb)] = self._cache[(ea, eb, t)]
+                continue
             pw = feats.pair_feature_windows(self.tracks, ea, eb, t, self.window)
             if pw is None:
-                self._cache[key] = None
-                out[(ea, eb)] = None
+                self._cache[(ea, eb, t)] = out[(ea, eb)] = None
                 continue
-            windows[key] = pw
-            by_len.setdefault(pw[0].shape[0], []).append(key)
-        for n, keys in sorted(by_len.items()):
-            fa = np.stack([windows[k][0] for k in keys])
-            fb = np.stack([windows[k][1] for k in keys])
-            masses = self._window_masses(fa, fb)  # (I, A)
+            keys.append((ea, eb))
+            windows.append(pw)
+        if not keys:
+            return out
+        lengths = np.array([fa.shape[0] for fa, _ in windows])
+        rows = self._emission_rows(keys, windows, lengths, t)
+        for n in np.unique(lengths).tolist():
+            sel = np.flatnonzero(lengths == n)
+            masses = self._window_masses(rows[:, sel], n, t)  # (I, A)
             den = logsumexp(masses, axis=1)
             vals = np.exp(masses - den[:, None])
-            for i, key in enumerate(keys):
+            for i, j in enumerate(sel.tolist()):
                 values = {l: float(vals[i, a]) for a, l in enumerate(self.labels)}
-                prof = CorrelationProfile(key[0], key[1], t, values, _argmax_label(values))
-                self._cache[key] = prof
-                out[(key[0], key[1])] = prof
+                ea, eb = keys[j]
+                prof = CorrelationProfile(ea, eb, t, values, _argmax_label(values))
+                self._cache[(ea, eb, t)] = out[(ea, eb)] = prof
         return out
 
-    def _window_masses(self, fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
-        """Log lattice masses near the diagonal, shape (items, activities).
+    def _emission_rows(self, keys, windows, lengths: np.ndarray, t: int) -> np.ndarray:
+        """Row of every item in the block of each frame ``t - window + 1 + k``, shape (window, I).
 
-        The read-out keeps only final cells with ``s >= max(1, W - dt)``,
-        i.e. hold count ``h < D = min(dt, W-1) + 1``, so the sweep runs on
-        the band of :func:`_band_forward` and needs joint emissions only for
-        ``(fa[t-h], fb[t])``.
+        Computes the rows a block lacks, and those holding fewer cells than
+        the item's window reaches, one frame's rows per batched density call.
         """
-        I, W, d = fa.shape
-        A, n = len(self.labels), self.n_states
-        D = min(self.dt, W - 1) + 1
-        me = self._marg.log_density(fb.reshape(I * W, d)).reshape(I, W, A, n)
-        # band cell (t, h) advances on fa[t-h]; t-h < 0 means nothing to consume
-        src = np.arange(W)[:, None] - np.arange(D)[None, :]
+        W, D = self.window, self._D
+        starts = t + 1 - lengths
+        rows = np.empty((W, len(keys)), dtype=np.intp)
+        flat = None
+        for k, u in enumerate(range(t - W + 1, t + 1)):
+            block = self._blocks.get(u)
+            if block is None:
+                block = self._blocks[u] = _FrameRows(len(self.labels), D, self.n_states)
+            rows[k] = r = block.rows(keys)
+            need = np.minimum(D, u + 1 - starts)  # cells from u back to the window start
+            have = np.where(r >= 0, block.cells[r], 0) if len(block.cells) else 0
+            miss = np.flatnonzero(need > have)
+            if miss.size:
+                if flat is None:
+                    fa = np.concatenate([w[0] for w in windows])
+                    fb = np.concatenate([w[1] for w in windows])
+                    flat = fa, fb, np.cumsum(lengths) - lengths - starts
+                rows[k, miss] = block.store(
+                    [keys[i] for i in miss], *self._frame_emissions(*flat, miss, u, need[miss])
+                )
+        return rows
+
+    def _frame_emissions(self, fa, fb, base, items: np.ndarray, u: int, cells: np.ndarray):
+        """Marginal and band-joint rows at frame ``u`` of ``items``.
+
+        ``fa``/``fb`` hold every item's window back to back, frame ``v`` of
+        item ``i`` at ``base[i] + v``; joint cells ``h >= cells`` are -inf.
+        """
+        d = self.obs_dim
+        h = np.arange(self._D)
+        at = base[items] + u
+        live = h[None, :] < cells[:, None]
+        # advancing from cell (u, h) consumes fa[u-h]
+        src = np.where(live, at[:, None] - h[None, :], at[:, None])
         pairs = np.concatenate(
-            [
-                fa[:, np.maximum(src, 0)],
-                np.broadcast_to(fb[:, :, None, :], (I, W, D, d)),
-            ],
-            axis=3,
+            [fa[src], np.broadcast_to(fb[at][:, None, :], src.shape + (d,))], axis=2
         )
-        je = self._joint.log_density(pairs.reshape(I * W * D, 2 * d)).reshape(I, W, D, A, n)
-        je[:, src < 0] = -np.inf
+        je = self._joint.log_density(pairs.reshape(-1, 2 * d)).reshape(src.shape + self._eps.shape)
+        je[~live] = -np.inf
         je += self._eps
-        # time-major views: (W, I, A, D, n) advance and (W, I, A, n) hold weights
-        _, la = _band_forward(
-            self._ent, self._tr, je.transpose(1, 0, 3, 2, 4), (me + self._hold).swapaxes(0, 1)
-        )
+        me = self._marg.log_density(fb[at]) + self._hold
+        return me, je.swapaxes(1, 2), cells
+
+    def _window_masses(self, rows: np.ndarray, n: int, t: int) -> np.ndarray:
+        """Log lattice masses near the diagonal of I windows of ``n`` frames, shape (I, A).
+
+        ``rows`` (window, I) locates the items in the frame blocks.  The
+        read-out keeps only final cells with ``s >= max(1, n - dt)``, i.e.
+        hold count ``h < D = min(dt, n-1) + 1``, so the sweep runs on the
+        band of :func:`_band_forward`.
+        """
+        I = rows.shape[1]
+        A, ns = len(self.labels), self.n_states
+        D = min(self.dt, n - 1) + 1
+        # time-major: (n, I, A, D, n) advance and (n, I, A, n) hold weights
+        ae = np.empty((n, I, A, D, ns))
+        hm = np.empty((n, I, A, ns))
+        for k in range(n):
+            block = self._blocks[t - n + 1 + k]
+            r = rows[self.window - n + k]
+            hm[k] = block.marg[r]
+            ae[k] = block.joint[r, :, :D]
+            # a source frame before the window start leaves nothing to consume
+            ae[k, :, :, k + 1 :] = -np.inf
+        _, la = _band_forward(self._ent, self._tr, ae, hm)
         # descending h is ascending s, the scalar read-out's summation order
         return logsumexp(la[-1, :, :, ::-1, :].reshape(I, A, -1), axis=2)
 
