@@ -85,19 +85,30 @@ def member_tracks(tracks: TrackSet, members, lo: int, hi: int) -> list[EntityTra
     return [EntityTrack(tracks, (m,), lo, hi) for m in as_entity(members)]
 
 
-def _subject_features(sub: EntityTrack, par: EntityTrack, i: np.ndarray) -> np.ndarray:
-    """Feature rows of ``sub`` relative to ``par`` at usable frame indices ``i``."""
-    cow, coh = sub.size_change(i)
-    dxs, dys, speed_s = sub.step(i)
-    dxp, dyp, speed_p = par.step(i)
-    mid_x = (sub.x[i] + par.x[i]) / 2.0
-    mid_y = (sub.y[i] + par.y[i]) / 2.0
-    avg_dist = np.hypot(sub.x[i] - mid_x, sub.y[i] - mid_y)
-    speed_diff = (speed_s - speed_p) / 2.0
-    dir_s = np.where((dxs == 0) & (dys == 0), 0.0, np.arctan2(dys, dxs))
-    dir_p = np.where((dxp == 0) & (dyp == 0), 0.0, np.arctan2(dyp, dxp))
-    angle = wrap_angle(dir_s - dir_p)
-    return np.stack([cow, coh, speed_s, avg_dist, speed_diff, angle], axis=-1)
+def _motion(track: EntityTrack, i: np.ndarray):
+    """Position, size change, speed and motion direction of one entity at indices ``i``."""
+    cow, coh = track.size_change(i)
+    dx, dy, speed = track.step(i)
+    direction = np.where((dx == 0) & (dy == 0), 0.0, np.arctan2(dy, dx))
+    return track.x[i], track.y[i], cow, coh, speed, direction
+
+
+def _pair_rows(ta: EntityTrack, tb: EntityTrack, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Feature rows of ``ta`` relative to ``tb`` and of ``tb`` relative to ``ta`` at usable indices ``i``.
+
+    Each entity's terms, and the shared midpoint, are computed once for both directions.
+    """
+    a, b = _motion(ta, i), _motion(tb, i)
+    mid_x = (a[0] + b[0]) / 2.0
+    mid_y = (a[1] + b[1]) / 2.0
+
+    def rows(sub, par):
+        x, y, cow, coh, speed, direction = sub
+        avg_dist = np.hypot(x - mid_x, y - mid_y)
+        angle = wrap_angle(direction - par[5])
+        return np.stack([cow, coh, speed, avg_dist, (speed - par[4]) / 2.0, angle], axis=-1)
+
+    return rows(a, b), rows(b, a)
 
 
 def pair_observation(tracks: TrackSet, i, j, t: int) -> np.ndarray:
@@ -111,7 +122,7 @@ def pair_observation(tracks: TrackSet, i, j, t: int) -> np.ndarray:
     tb = EntityTrack(tracks, eb, t - 1, t)
     if not (ta.usable[1] and tb.usable[1]):
         raise ObservationUnavailable(f"missing sample for pair {ea}/{eb} at frames {t - 1}..{t}")
-    return _subject_features(ta, tb, np.array([1]))[0]
+    return _pair_rows(ta, tb, np.array([1]))[0][0]
 
 
 def body_size_change(tracks: TrackSet, i: int, t: int) -> float:
@@ -166,7 +177,7 @@ def pair_feature_windows(
     if first > window - 1:  # fewer than two usable frames
         return None
     idx = np.arange(first, window + 1)
-    return _subject_features(ta, tb, idx), _subject_features(tb, ta, idx)
+    return _pair_rows(ta, tb, idx)
 
 
 def group_feature_window(tracks: TrackSet, members, t: int, window: int) -> np.ndarray | None:

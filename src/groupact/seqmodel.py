@@ -745,10 +745,7 @@ def _stream_chunks(
     lo = max(start, 1)
     ta = feats.EntityTrack(tracks, feats.as_entity(ea), lo - 1, end)
     tb = feats.EntityTrack(tracks, feats.as_entity(eb), lo - 1, end)
-    return [
-        (feats._subject_features(ta, tb, idx), feats._subject_features(tb, ta, idx))
-        for idx in _usable_chunks(ta.usable & tb.usable, chunk)
-    ]
+    return [feats._pair_rows(ta, tb, idx) for idx in _usable_chunks(ta.usable & tb.usable, chunk)]
 
 
 def _group_chunks(
