@@ -340,16 +340,16 @@ def write_detections(dets: list[FrameDetection], fp) -> None:
         fp.write(json.dumps({"frame": d.frame, "groups": groups, "pairs": pairs}) + "\n")
 
 
-def _label(value) -> str:
+def _label(value, what: str = "label") -> str:
     if not isinstance(value, str):
-        raise TypeError(f"label {value!r} is not a string")
+        raise TypeError(f"{what} {value!r} is not a string")
     return value
 
 
 def _detection_record(obj) -> FrameDetection:
     frame = int(obj["frame"])
     if "skipped" in obj:
-        return FrameDetection(frame, None, skipped=obj["skipped"])
+        return FrameDetection(frame, None, skipped=_label(obj["skipped"], f"frame {frame}: skip reason"))
     groups = []
     for g in obj["groups"]:
         members = tuple(sorted(int(m) for m in g["members"]))

@@ -148,6 +148,14 @@ def partition_match(predicted: list[frozenset], truth: list[frozenset]) -> set[i
     return {p for p in pred_universe if by_person_pred[p] != by_person_truth[p]}
 
 
+def _check_labels(det, taxonomy) -> None:
+    """Reject a group or pair label outside the truth's taxonomy."""
+    for kind, labels in (("group", det.group_labels), ("pair", [p.label for p in det.pair_labels])):
+        for label in labels:
+            if label not in taxonomy:
+                raise DataError(f"frame {det.frame}: {kind} label {label!r} is not in the truth's taxonomy")
+
+
 def score(detections, annotations: AnnotationSet, frames=None) -> EvalReport:
     """Error rates of a detection stream against ground-truth annotations."""
     frame_filter = None if frames is None else set(frames)
@@ -164,6 +172,7 @@ def score(detections, annotations: AnnotationSet, frames=None) -> EvalReport:
     fp = {l: 0 for l in labels}
 
     for det in detections:
+        _check_labels(det, annotations.taxonomy)
         if frame_filter is not None and det.frame not in frame_filter:
             continue
         if det.partition is None:

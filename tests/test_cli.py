@@ -148,15 +148,32 @@ def _group(gid, members):
     {"frame": 5, "groups": [{**_group(0, [1, 2]), "label": ["InGroup"]}], "pairs": []},
 ], ids=["no-frame", "list", "pair-index", "frame-not-int", "shared-member", "label-not-str"])
 def test_malformed_detections_exit_data_error(tmp_path, capsys, record):
+    assert _evaluate_second_record(tmp_path, record) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: line 2: ") and "Traceback" not in err
+
+
+def _evaluate_second_record(tmp_path, record):
+    """Exit code of ``evaluate`` on a good record and then ``record``, against a one-group truth."""
     truth = tmp_path / "truth.jsonl"
     truth.write_text(json.dumps({"kind": "sym", "label": "InGroup", "frames": [0, 10],
                                  "members": [1, 2], "group_id": "g1"}) + "\n")
     dets = tmp_path / "dets.jsonl"
     good = {"frame": 4, "groups": [_group(0, [1, 2])], "pairs": []}
     dets.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n")
-    assert run(["evaluate", "--detections", dets, "--truth", truth]) == 2
+    return run(["evaluate", "--detections", dets, "--truth", truth])
+
+
+@pytest.mark.parametrize("record", [
+    {"frame": 5, "groups": [{**_group(0, [1, 2]), "label": "Bogus"}], "pairs": []},
+    {"frame": 5, "groups": [_group(0, [1]), {**_group(1, [2]), "label": "single"}],
+     "pairs": [{"a": 0, "b": 1, "label": "Bogus"}]},
+    {"frame": 5, "skipped": 3},
+], ids=["group-label", "pair-label", "skip-reason"])
+def test_labels_outside_the_truth_exit_data_error(tmp_path, capsys, record):
+    assert _evaluate_second_record(tmp_path, record) == 2
     err = capsys.readouterr().err
-    assert err.startswith("data error: line 2: ") and "Traceback" not in err
+    assert err.startswith("data error: ") and "frame 5" in err and "Traceback" not in err
 
 
 def test_malformed_tracks_exit_data_error(workdir, tmp_path, capsys):
