@@ -1087,9 +1087,9 @@ class CorrelationEngine:
             block = self._blocks[t - n + 1 + k]
             r = rows[self.window - n + k]
             hm[k] = block.marg[r]
+            # cells h > k, whose source frame precedes the window start, may
+            # hold a longer window's values: the sweep never enters them
             ae[k] = block.joint[r, :, :D]
-            # a source frame before the window start leaves nothing to consume
-            ae[k, :, :, k + 1 :] = -np.inf
         _, la = _band_forward(self._ent, self._tr, ae, hm)
         # descending h is ascending s, the scalar read-out's summation order
         return logsumexp(la[-1, :, :, ::-1, :].reshape(I, A, -1), axis=2)
