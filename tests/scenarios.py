@@ -357,12 +357,14 @@ _BOX = st.tuples(st.floats(1.0, 400.0), st.floats(1.0, 400.0))
 
 
 @st.composite
-def ragged_tracks(draw):
+def ragged_tracks(draw, min_frames=0, max_frames=16, present=st.integers(0, 3).map(bool)):
     """Up to four people with gaps, one-frame tracks, zero motion and 4K-frame coordinates.
 
     A person stands still, walks with the shared step, or jumps and resizes at
     random; some start a few pixels from a shared spot at the trained box
-    size, so groups can form.
+    size, so groups can form.  After its first sample a person lives
+    ``min_frames`` to ``max_frames`` more frames, each sampled when
+    ``present`` draws True (three in four by default).
     """
     spot_x, spot_y = draw(st.floats(0.0, 3840.0)), draw(st.floats(0.0, 2160.0))
     step_x, step_y = draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))
@@ -376,14 +378,13 @@ def ragged_tracks(draw):
         w, h = draw(st.one_of(st.just((10.0, 24.0)), _BOX))
         motion = draw(st.sampled_from(["still", "walk", "jump"]))
         rows.append(MbbSample(frame, person, x, y, w, h))
-        # three in four frames present
-        for present in draw(st.lists(st.integers(0, 3).map(bool), max_size=16)):
+        for sampled in draw(st.lists(present, min_size=min_frames, max_size=max_frames)):
             frame += 1
             if motion == "walk":
                 x, y = x + step_x, y + step_y
             elif motion == "jump":
                 x, y = x + draw(st.floats(-60.0, 60.0)), y + draw(st.floats(-60.0, 60.0))
                 w, h = draw(_BOX)
-            if present:
+            if sampled:
                 rows.append(MbbSample(frame, person, x, y, w, h))
     return TrackSet(rows)

@@ -2,6 +2,7 @@
 
 import copy
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from groupact.seqmodel import CorrelationEngine, CorrelationProfile
 from groupact.simgen import generate
 from groupact.trackio import MbbSample, TrackSet, parse_tracks, write_tracks
 
-from scenarios import WARMUP, fig1_hierarchy, ragged_tracks, walk_together
+from scenarios import EVAL_SCENARIOS, WARMUP, fig1_hierarchy, ragged_tracks, walk_together
 
 
 class StubEngine:
@@ -194,6 +195,22 @@ def test_engine_cache_holds_only_the_current_frame(bank):
     assert stepped == run_pipeline(bank, tracks, cfg, frames=frames)
     # a frame visited again is recomputed, to the same detections
     assert run_pipeline(bank, tracks, cfg, frames=[60], engine=engine) == stepped[:1]
+
+
+def test_engine_memory_stays_flat_over_a_long_run(frozen_bank):
+    """Frames 1-60 on one engine: the heap after frame 60 is within 1 MB of that after frame 30."""
+    tracks, _ = generate(EVAL_SCENARIOS["walk_together"](seed=200))
+    cfg = PipelineConfig.from_bank(frozen_bank)
+    engine = CorrelationEngine(frozen_bank, tracks, window=cfg.window, dt=cfg.dt)
+    current = {}
+    tracemalloc.start()
+    try:
+        for t in range(1, 61):
+            run_pipeline(frozen_bank, tracks, cfg, frames=[t], engine=engine)
+            current[t] = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert abs(current[60] - current[30]) <= 1 << 20
 
 
 def test_run_pipeline_rejects_an_engine_built_for_another_run(bank):

@@ -1,10 +1,13 @@
 """Sequence-model tests: exhaustive-enumeration oracles, degeneracies, training."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupact.features import pair_feature_windows
 from groupact.gmm import GaussianMixture
@@ -34,6 +37,7 @@ from oracles import (
     enumerate_hmm,
     enumerate_hmm_counts,
 )
+from scenarios import ragged_tracks
 
 
 def random_gmm(rng, d, k=None):
@@ -374,6 +378,97 @@ def test_engine_matches_reference_correlation():
                         assert prof.values[lbl] == pytest.approx(ref.values[lbl], abs=1e-9)
                     assert prof.label == ref.label
     assert shapes["short"] > 0 and shapes["none"] > 0
+
+
+def _wide_bank():
+    """Three random pair models broad enough that profiles stay far from one-hot
+    at 4K-frame coordinates, so a changed lattice cell shows in the values."""
+    rng = np.random.default_rng(77)
+
+    def widen(g):
+        return GaussianMixture(g.weights, g.means * 300.0, g.variances * 1e7)
+
+    models = {}
+    for label in "ABC":
+        m = random_model(rng, n=2, d=6, label=label)
+        models[label] = replace(m, marginal=tuple(map(widen, m.marginal)), joint=tuple(map(widen, m.joint)))
+    return tiny_bank(models)
+
+
+WIDE_BANK = _wide_bank()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ragged_tracks(min_frames=8, max_frames=24, present=st.integers(0, 15).map(bool)),
+    st.integers(2, 8),
+    st.data(),
+)
+def test_engine_reusing_rows_in_any_frame_order_matches_a_fresh_engine(tracks, window, data):
+    """One engine visits a drawn frame sequence: consecutive steps, repeats,
+    backward steps and jumps past the window.  Each frame's profiles equal a
+    fresh engine's, and no frame outside the window keeps emission rows."""
+    dt = data.draw(st.integers(0, window - 1), label="dt")
+    lo, hi = tracks.frame_range
+    t = data.draw(st.integers(lo + 1, max(lo + 1, hi)), label="first frame")
+    steps = data.draw(st.lists(
+        st.one_of(st.just(1), st.integers(-2, 0), st.integers(-2 * window, 2 * window)),
+        min_size=1, max_size=10,
+    ), label="steps")
+    persons = tracks.persons
+    items = [((a,), (b,)) for a in persons for b in persons if a != b]
+    if len(persons) >= 3:  # a two-member entity on both sides
+        pair = tuple(persons[1:3])
+        items += [((persons[0],), pair), (pair, (persons[0],))]
+    engine = CorrelationEngine(WIDE_BANK, tracks, window=window, dt=dt)
+    for step in [0] + steps:
+        t = min(max(t + step, lo + 1), hi)
+        got = engine.profiles(items, t)
+        assert all(t - window < u <= t for u in engine._blocks)
+        want = CorrelationEngine(WIDE_BANK, tracks, window=window, dt=dt).profiles(items, t)
+        assert got.keys() == want.keys()
+        for key, ref in want.items():
+            prof = got[key]
+            assert (prof is None) == (ref is None)
+            if ref is not None:
+                assert prof.label == ref.label
+                for label, v in ref.values.items():
+                    assert abs(prof.values[label] - v) <= 1e-12
+
+
+def test_band_kernel_keeps_dead_items_and_states_at_minus_inf():
+    """An item whose every emission is impossible and a state nothing enters
+    give -inf, never NaN, and raise no warning."""
+    rng = np.random.default_rng(8)
+    T, D = 5, 3
+    ae = rng.normal(size=(T, 3, D, 2))
+    hm = rng.normal(size=(T, 3, 2))
+    for t in range(D - 1):
+        ae[t, :, t + 1 :] = -np.inf  # nothing to consume before the first stream starts
+    ae[:, 1] = -np.inf
+    hm[:, 1] = -np.inf
+    # state 0 has no entry and no transition into it
+    model = replace(random_model(rng, n=2, d=1), entry=np.array([0.0, 1.0]),
+                    trans=np.array([[0.0, 0.7], [0.0, 0.8]]), exit=np.array([0.3, 0.2]))
+    log_entry, log_trans = seqmodel._log(model.entry), seqmodel._log(model.trans)
+    live = [0, 2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tin, la = seqmodel._band_forward(log_entry, log_trans, ae, hm)
+        _, la_one = seqmodel._band_forward(log_entry[1:], log_trans[1:, 1:], ae[..., 1:], hm[..., 1:])
+        stats = seqmodel._EmStats(2, TrainConfig())
+        total, adv, hold = seqmodel._band_posteriors(model, ae[:, live], hm[:, live], stats)
+        with pytest.raises(DataError, match="zero likelihood"):
+            seqmodel._band_posteriors(model, ae, hm, seqmodel._EmStats(2, TrainConfig()))
+    assert not np.isnan(tin).any() and not np.isnan(la).any()
+    assert np.all(la[:, 1] == -np.inf) and np.all(la[..., 0] == -np.inf)
+    # the dead state adds exactly nothing to the live one
+    np.testing.assert_array_equal(la[..., 1:], la_one)
+    assert np.all(np.isfinite(total))
+    assert not np.isnan(adv).any() and not np.isnan(hold).any()
+    assert np.all(adv[..., 0] == 0.0) and np.all(hold[..., 0] == 0.0)
+    for counts in (stats.entry, stats.trans, stats.exit, stats.adv, stats.hold):
+        assert np.all(np.isfinite(counts))
 
 
 # --- training -------------------------------------------------------------
