@@ -915,21 +915,25 @@ class _FrameRows:
 
     def __init__(self, A: int, D: int, n: int):
         self.index: dict[tuple, int] = {}
-        self.marg = np.empty((0, A, n))
-        self.joint = np.empty((0, A, D, n))
-        self.cells = np.empty(0, dtype=np.intp)
+        # storage grows by a quarter at a time, since after a frame's first
+        # call the rows of a few new entities at most arrive per call;
+        # slots past len(index) are unused
+        self.marg = np.empty((1, A, n))
+        self.joint = np.empty((1, A, D, n))
+        self.cells = np.empty(1, dtype=np.intp)
 
-    def rows(self, keys: list[tuple]) -> np.ndarray:
-        """Row of each key, -1 where the key has none."""
+    def lookup(self, keys: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
+        """Row and filled cell count of each key; row -1 and 0 cells where it has none."""
         get = self.index.get
-        return np.array([get(k, -1) for k in keys], dtype=np.intp)
+        rows = np.array([get(k, -1) for k in keys], dtype=np.intp)
+        return rows, np.where(rows >= 0, self.cells[rows], 0)
 
     def store(self, keys: list[tuple], marg, joint, cells) -> np.ndarray:
         """Write the rows of ``keys``, appending new keys; returns their rows."""
         index = self.index
         rows = np.array([index.setdefault(k, len(index)) for k in keys], dtype=np.intp)
         if len(index) > len(self.cells):
-            cap = max(len(index), 2 * len(self.cells))
+            cap = max(len(index), len(self.cells) * 5 // 4)
             self.marg, self.joint, self.cells = (
                 np.concatenate([a, np.empty((cap - len(a),) + a.shape[1:], a.dtype)])
                 for a in (self.marg, self.joint, self.cells)
@@ -1008,9 +1012,9 @@ class CorrelationEngine:
             return out
         lengths = np.array([fa.shape[0] for fa, _ in windows])
         rows = self._emission_rows(keys, windows, lengths, t)
-        for n in np.unique(lengths).tolist():
-            sel = np.flatnonzero(lengths == n)
-            masses = self._window_masses(rows[:, sel], n, t)  # (I, A)
+        for T in np.unique(lengths).tolist():
+            sel = np.flatnonzero(lengths == T)
+            masses = self._window_masses(rows[:, sel], T, t)  # (I, A)
             den = logsumexp(masses, axis=1)
             vals = np.exp(masses - den[:, None])
             for i, j in enumerate(sel.tolist()):
@@ -1034,18 +1038,16 @@ class CorrelationEngine:
             block = self._blocks.get(u)
             if block is None:
                 block = self._blocks[u] = _FrameRows(len(self.labels), D, self.n_states)
-            rows[k] = r = block.rows(keys)
+            rows[k], have = block.lookup(keys)
             need = np.minimum(D, u + 1 - starts)  # cells from u back to the window start
-            have = np.where(r >= 0, block.cells[r], 0) if len(block.cells) else 0
             miss = np.flatnonzero(need > have)
             if miss.size:
                 if flat is None:
                     fa = np.concatenate([w[0] for w in windows])
                     fb = np.concatenate([w[1] for w in windows])
                     flat = fa, fb, np.cumsum(lengths) - lengths - starts
-                rows[k, miss] = block.store(
-                    [keys[i] for i in miss], *self._frame_emissions(*flat, miss, u, need[miss])
-                )
+                me, je = self._frame_emissions(*flat, miss, u, need[miss])
+                rows[k, miss] = block.store([keys[i] for i in miss], me, je, need[miss])
         return rows
 
     def _frame_emissions(self, fa, fb, base, items: np.ndarray, u: int, cells: np.ndarray):
@@ -1067,25 +1069,25 @@ class CorrelationEngine:
         je[~live] = -np.inf
         je += self._eps
         me = self._marg.log_density(fb[at]) + self._hold
-        return me, je.swapaxes(1, 2), cells
+        return me, je.swapaxes(1, 2)
 
-    def _window_masses(self, rows: np.ndarray, n: int, t: int) -> np.ndarray:
-        """Log lattice masses near the diagonal of I windows of ``n`` frames, shape (I, A).
+    def _window_masses(self, rows: np.ndarray, T: int, t: int) -> np.ndarray:
+        """Log lattice masses near the diagonal of I windows of ``T`` frames, shape (I, A).
 
         ``rows`` (window, I) locates the items in the frame blocks.  The
-        read-out keeps only final cells with ``s >= max(1, n - dt)``, i.e.
-        hold count ``h < D = min(dt, n-1) + 1``, so the sweep runs on the
+        read-out keeps only final cells with ``s >= max(1, T - dt)``, i.e.
+        hold count ``h < D = min(dt, T-1) + 1``, so the sweep runs on the
         band of :func:`_band_forward`.
         """
         I = rows.shape[1]
-        A, ns = len(self.labels), self.n_states
-        D = min(self.dt, n - 1) + 1
-        # time-major: (n, I, A, D, n) advance and (n, I, A, n) hold weights
-        ae = np.empty((n, I, A, D, ns))
-        hm = np.empty((n, I, A, ns))
-        for k in range(n):
-            block = self._blocks[t - n + 1 + k]
-            r = rows[self.window - n + k]
+        A, n = len(self.labels), self.n_states
+        D = min(self.dt, T - 1) + 1
+        # time-major: (T, I, A, D, n) advance and (T, I, A, n) hold weights
+        ae = np.empty((T, I, A, D, n))
+        hm = np.empty((T, I, A, n))
+        for k in range(T):
+            block = self._blocks[t - T + 1 + k]
+            r = rows[self.window - T + k]
             hm[k] = block.marg[r]
             # cells h > k, whose source frame precedes the window start, may
             # hold a longer window's values: the sweep never enters them
