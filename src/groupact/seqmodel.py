@@ -289,8 +289,10 @@ def _band_forward(log_entry, log_trans, ae: np.ndarray, hm: np.ndarray):
     step.  ``ae`` (T, ..., D, n) is the log weight of advancing from cell
     ``h`` at step ``t`` (-inf where nothing is left to consume), ``hm``
     (T, ..., n) that of holding; ``log_entry`` and ``log_trans`` broadcast
-    over the batch axes.  Returns the log mass entering and leaving each
-    step, shaped like ``ae``.  With ``D = 1`` this is the plain HMM forward.
+    over the batch axes.  Cells ``h > t`` are never entered, so their
+    ``ae`` values never reach the mass.  Returns the log mass entering and
+    leaving each step, shaped like ``ae``.  With ``D = 1`` this is the
+    plain HMM forward.
     """
     tin = np.full(ae.shape, -np.inf)
     la = np.full(ae.shape, -np.inf)
@@ -1090,7 +1092,7 @@ class CorrelationEngine:
             r = rows[self.window - T + k]
             hm[k] = block.marg[r]
             # cells h > k, whose source frame precedes the window start, may
-            # hold a longer window's values: the sweep never enters them
+            # hold a longer window's values; the sweep never enters them
             ae[k] = block.joint[r, :, :D]
         _, la = _band_forward(self._ent, self._tr, ae, hm)
         # descending h is ascending s, the scalar read-out's summation order
