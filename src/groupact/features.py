@@ -104,9 +104,10 @@ def _pair_rows(ta: EntityTrack, tb: EntityTrack, i: np.ndarray) -> tuple[np.ndar
 
     def rows(sub, par):
         x, y, cow, coh, speed, direction = sub
+        *_, par_speed, par_direction = par
         avg_dist = np.hypot(x - mid_x, y - mid_y)
-        angle = wrap_angle(direction - par[5])
-        return np.stack([cow, coh, speed, avg_dist, (speed - par[4]) / 2.0, angle], axis=-1)
+        angle = wrap_angle(direction - par_direction)
+        return np.stack([cow, coh, speed, avg_dist, (speed - par_speed) / 2.0, angle], axis=-1)
 
     return rows(a, b), rows(b, a)
 
