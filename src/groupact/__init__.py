@@ -34,11 +34,9 @@ from .seqmodel import (
     ActivityModel,
     ActivityModelBank,
     CorrelationEngine,
-    CorrelationProfile,
     DataError,
     TrainConfig,
     ahmm_forward,
-    asymmetry_check,
     correlation,
     hmm_group_likelihood,
     train_activity_model,

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from . import features as feats
-from .seqmodel import CorrelationEngine, CorrelationProfile
-from .taxonomy import SINGLE, Taxonomy
+from .seqmodel import CorrelationEngine
+from .taxonomy import SINGLE
 
 
 @dataclass(frozen=True)
@@ -71,12 +73,8 @@ class Partition:
         return [frozenset(g.members) for g in self.groups]
 
 
-ProfileMap = dict[tuple[tuple[int, ...], tuple[int, ...]], CorrelationProfile | None]
-
-
-def _pair_label(profiles: ProfileMap, a: int, b: int) -> str | None:
-    p = profiles.get(((a,), (b,)))
-    return None if p is None else p.label
+# (subject, target) -> profile row in ``engine.labels`` order, as from ``engine.profiles``
+ProfileMap = dict[tuple[tuple[int, ...], tuple[int, ...]], np.ndarray | None]
 
 
 def detect_seeds(
@@ -84,7 +82,8 @@ def detect_seeds(
 ) -> list[ClusterSeed]:
     """Active-person seeds plus mutually high-correlation pair seeds at frame t.
 
-    ``profiles`` holds the person-pair profiles of frame ``t``.
+    ``profiles`` holds the person-pair profiles of frame ``t``.  A profile's
+    label is its largest column; ties go to the smallest label.
     """
     tracks = engine.tracks
     tax = engine.bank.taxonomy
@@ -100,17 +99,17 @@ def detect_seeds(
             pba = profiles.get(((b,), (a,)))
             if pab is None or pba is None:
                 continue
-            if pab.label != pba.label or not tax.is_grouping(pab.label):
+            col = pab.argmax()
+            if col != pba.argmax() or not tax.is_grouping(engine.labels[col]):
                 continue
-            lbl = pab.label
-            if pab.values[lbl] > to and pba.values[lbl] > to:
-                strength = min(pab.values[lbl], pba.values[lbl])
-                seeds.append(ClusterSeed((a, b), "pair", lbl, (), strength))
+            if pab[col] > to and pba[col] > to:
+                strength = float(min(pab[col], pba[col]))
+                seeds.append(ClusterSeed((a, b), "pair", engine.labels[col], (), strength))
     return seeds
 
 
 def _cross_label_agreement(
-    members_a, label_a, members_b, label_b, profiles: ProfileMap, tax
+    members_a, label_a, members_b, label_b, engine: CorrelationEngine, profiles: ProfileMap
 ) -> str | None:
     """The single grouping label all cross pairs agree on, or None."""
     if label_a is not None and label_b is not None and label_a != label_b:
@@ -121,22 +120,23 @@ def _cross_label_agreement(
             if x == y:
                 continue
             for i, j in ((x, y), (y, x)):
-                lbl = _pair_label(profiles, i, j)
-                if lbl is None:
+                p = profiles.get(((i,), (j,)))
+                if p is None:
                     return None
+                lbl = engine.labels[p.argmax()]
                 if candidate is None:
                     candidate = lbl
                 if lbl != candidate:
                     return None
-    if candidate is None or not tax.is_grouping(candidate):
+    if candidate is None or not engine.bank.taxonomy.is_grouping(candidate):
         return None
     return candidate
 
 
 def merge_seeds(
     seeds: list[ClusterSeed],
+    engine: CorrelationEngine,
     profiles: ProfileMap,
-    taxonomy: Taxonomy,
 ) -> list[ClusterSeed]:
     """Merge seeds whose cross labels all agree on one grouping activity.
 
@@ -153,9 +153,7 @@ def merge_seeds(
         for i in range(len(work)):
             for j in range(i + 1, len(work)):
                 a, b = work[i], work[j]
-                lbl = _cross_label_agreement(
-                    a.members, a.label, b.members, b.label, profiles, taxonomy
-                )
+                lbl = _cross_label_agreement(a.members, a.label, b.members, b.label, engine, profiles)
                 if lbl is None:
                     continue
                 work[i] = ClusterSeed(
@@ -216,12 +214,9 @@ def assign_remaining(engine: CorrelationEngine, t: int, seeds: list[ClusterSeed]
             prof = profs.get(((p,), s.members))
             if prof is None:
                 continue
-            lbl = prof.label
-            if not tax.is_grouping(lbl):
-                continue
-            val = prof.values[lbl]
-            if val > best_val:
-                best_val, best_idx = val, idx
+            col = prof.argmax()
+            if tax.is_grouping(engine.labels[col]) and prof[col] > best_val:
+                best_val, best_idx = prof[col], idx
         if best_idx is not None:
             joined[best_idx].append(p)
 

@@ -31,7 +31,6 @@ from .seqmodel import (
     ActivityModelBank,
     CorrelationEngine,
     DataError,
-    _argmax_label,
     check_thresholds,
     check_window,
 )
@@ -101,14 +100,27 @@ class GroupContext:
     speed: float
 
 
-def _pair_sum(engine: CorrelationEngine, subjects, targets, label: str, t: int) -> float:
-    total = 0.0
-    for j in subjects:
-        for i in targets:
-            p = engine.profile((j,), (i,), t)
-            if p is not None:
-                total += p.values.get(label, 0.0)
-    return total
+def _argmax_label(scores: dict[str, float]) -> str | None:
+    """The label with the largest score, ties to the smallest; None if none beats -inf."""
+    best = None
+    best_v = -np.inf
+    for label in sorted(scores):
+        if scores[label] > best_v:
+            best, best_v = label, scores[label]
+    return best
+
+
+def _cross_profiles(engine: CorrelationEngine, subjects, targets, t: int) -> list[np.ndarray]:
+    """Profile rows of each target person w.r.t. each subject person, subjects
+    outermost; pairs without a window are left out."""
+    items = [((j,), (i,)) for j in subjects for i in targets]
+    profs = engine.profiles(items, t)
+    return [profs[key] for key in items if profs[key] is not None]
+
+
+def _pair_sums(engine: CorrelationEngine, subjects, targets, t: int) -> np.ndarray:
+    """Summed profile rows of every (subject, target) person pair, in ``engine.labels`` order."""
+    return sum(_cross_profiles(engine, subjects, targets, t), np.zeros(len(engine.labels)))
 
 
 def recognize_symmetric(
@@ -127,7 +139,8 @@ def recognize_symmetric(
     if variant == 1 and group.label is not None:
         return group.label
     candidates = engine.bank.taxonomy.grouping_labels()
-    prior = {label: _pair_sum(engine, members, members, label, t) for label in candidates}
+    sums = _pair_sums(engine, members, members, t)  # each member's self-profile included
+    prior = {label: float(sums[engine.column[label]]) for label in candidates}
     scores = prior
     if variant == 2:
         scores = {}
@@ -145,20 +158,13 @@ def _relation_scores(
     engine: CorrelationEngine, slow: GroupContext, fast: GroupContext, t: int
 ) -> dict[str, float]:
     """Log score per candidate: representative correlation times cross-pair prior."""
-    bank = engine.bank
-    candidates = bank.taxonomy.intergroup_candidates()
     gr_prof = engine.profile(fast.rep.members, slow.rep.members, t)
-    scores = {}
-    for label in candidates:
-        if label not in bank.models:
-            continue
-        prior = _pair_sum(engine, fast.members, slow.members, label, t)
-        if gr_prof is None:
-            scores[label] = prior
-        else:
-            with np.errstate(divide="ignore"):
-                scores[label] = float(np.log(gr_prof.values[label])) + prior
-    return scores
+    scores = _pair_sums(engine, fast.members, slow.members, t)
+    if gr_prof is not None:
+        with np.errstate(divide="ignore"):
+            scores = np.log(gr_prof) + scores
+    return {label: float(scores[engine.column[label]])
+            for label in engine.bank.taxonomy.intergroup_candidates()}
 
 
 def _order_groups(a: GroupContext, b: GroupContext) -> tuple[GroupContext, GroupContext]:
@@ -189,26 +195,14 @@ def majority_vote_intergroup(
 ) -> PairLabel:
     """Mode over cross-pair labels; ties go to the larger summed correlation."""
     slow, fast = _order_groups(a, b)
-    bank = engine.bank
-    candidates = [l for l in bank.taxonomy.intergroup_candidates() if l in bank.models]
-    votes: list[str] = []
-    sums: dict[str, float] = {l: 0.0 for l in candidates}
-    for j in fast.members:
-        for i in slow.members:
-            prof = engine.profile((j,), (i,), t)
-            if prof is None:
-                continue
-            best = None
-            best_v = -np.inf
-            for label in candidates:
-                v = prof.values[label]
-                sums[label] += v
-                if v > best_v:
-                    best, best_v = label, v
-            votes.append(best)
-    if not votes:
+    candidates = engine.bank.taxonomy.intergroup_candidates()
+    cols = [engine.column[label] for label in candidates]
+    rows = _cross_profiles(engine, fast.members, slow.members, t)
+    if not rows:
         raise DataError(f"no evaluable cross pair between groups at frame {t}")
-    return PairLabel(slow.index, fast.index, _mode(votes, lambda l: sums[l]))
+    votes = [candidates[row[cols].argmax()] for row in rows]
+    sums = sum(rows, np.zeros(len(engine.labels)))
+    return PairLabel(slow.index, fast.index, _mode(votes, lambda l: sums[engine.column[l]]))
 
 
 def run_pipeline(
@@ -260,7 +254,7 @@ def _detect_frame(engine: CorrelationEngine, t: int, config: PipelineConfig) -> 
         return FrameDetection(t, Partition(t, (), ()))
     profiles = engine.profiles([((a,), (b,)) for a in present for b in present if a != b], t)
     seeds = detect_seeds(engine, profiles, t, config.tc, config.to)
-    seeds = merge_seeds(seeds, profiles, engine.bank.taxonomy)
+    seeds = merge_seeds(seeds, engine, profiles)
     partition = assign_remaining(engine, t, seeds)
 
     contexts = []

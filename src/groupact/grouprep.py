@@ -58,6 +58,7 @@ def member_log_scores(
     profs = engine.profiles(
         [((j,), (i,)) for i in members for j in members if j != i], t
     )
+    col = engine.column[label]
     scores = {}
     for i in members:
         rest = tuple(m for m in members if m != i)
@@ -65,7 +66,7 @@ def member_log_scores(
         for j in rest:
             p = profs.get(((j,), (i,)))
             if p is not None:
-                co_sum += p.values.get(label, 0.0)
+                co_sum += p[col]
         scores[i] = _frame_density(engine, i, rest, label, t) + co_sum
     return scores
 

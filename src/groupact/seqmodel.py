@@ -173,27 +173,6 @@ class ActivityModelBank:
         return sorted(self.models)
 
 
-@dataclass(frozen=True)
-class CorrelationProfile:
-    """Per-activity correlation mass of a target entity w.r.t. a subject."""
-
-    subject: tuple[int, ...]
-    target: tuple[int, ...]
-    frame: int
-    values: dict[str, float]
-    label: str
-
-
-def _argmax_label(values: dict[str, float]) -> str | None:
-    """The label with the largest value, ties to the smallest; None if none beats -inf."""
-    best = None
-    best_v = -np.inf
-    for label in sorted(values):
-        if values[label] > best_v:
-            best, best_v = label, values[label]
-    return best
-
-
 def _emission_tables(model: ActivityModel, fi: np.ndarray, fj: np.ndarray):
     """(T, n) marginal and (S, T, n) joint log-emission tables."""
     T = fj.shape[0]
@@ -309,9 +288,9 @@ def _band_posteriors(model: ActivityModel, ae: np.ndarray, hm: np.ndarray, stats
     """Forward-backward over the band of B sequences of one shape.
 
     ``ae`` (T, B, D, n) and ``hm`` (T, B, n) are as in :func:`_band_forward`.
-    Adds the expected chain, advance and hold counts to ``stats`` and returns
-    the log-likelihoods (B,), the posteriors (T, B, D, n) of advancing from
-    each cell and those (T, B, n) of holding at each step.
+    Adds the expected chain counts to ``stats`` and returns the
+    log-likelihoods (B,), the posteriors (T, B, D, n) of advancing from each
+    cell and those (T, B, n) of holding at each step.
     """
     log_trans, log_exit = _log(model.trans), _log(model.exit)
     tin, la = _band_forward(_log(model.entry), log_trans, ae, hm)
@@ -335,8 +314,6 @@ def _band_posteriors(model: ActivityModel, ae: np.ndarray, hm: np.ndarray, stats
     stats.trans += np.exp(xi - tot[..., None]).sum(axis=(0, 1, 2))
     adv = np.exp(tin + ae + lb - tot)
     hold = np.exp(tin[:, :, :-1] + hm[:, :, None] + lb[:, :, 1:] - tot).sum(axis=2)
-    stats.adv += adv.sum(axis=(0, 1, 2))
-    stats.hold += hold.sum(axis=(0, 1))
     return total, adv, hold
 
 
@@ -388,12 +365,13 @@ def correlation(
     t: int,
     window: int | None = None,
     dt: int | None = None,
-) -> CorrelationProfile | None:
+) -> np.ndarray | None:
     """Correlation profile of ``target`` w.r.t. ``subject`` at frame ``t``.
 
-    The subject's stream feeds the advance branch (first stream).  Returns
-    None when no usable observation window of length >= 2 ends at ``t``.
-    Profile values sum to one across the bank's activities.
+    The profile is one value per activity in ``bank.labels()`` order, and
+    the values sum to one.  The subject's stream feeds the advance branch
+    (first stream).  Returns None when no usable observation window of
+    length >= 2 ends at ``t``.
     """
     window = window if window is not None else bank.window
     dt = dt if dt is not None else bank.dt
@@ -402,17 +380,8 @@ def correlation(
     if pairw is None:
         return None
     fa, fb = pairw
-    masses = {label: window_log_mass(bank.models[label], fa, fb, dt) for label in bank.models}
-    den = logsumexp(np.array(list(masses.values())))
-    values = {label: float(np.exp(m - den)) for label, m in masses.items()}
-    return CorrelationProfile(ea, eb, t, values, _argmax_label(values))
-
-
-def asymmetry_check(
-    bank: ActivityModelBank, tracks: TrackSet, i, j, t: int
-) -> tuple[CorrelationProfile | None, CorrelationProfile | None]:
-    """Correlation profiles in both argument orders."""
-    return correlation(bank, tracks, i, j, t), correlation(bank, tracks, j, i, t)
+    masses = np.array([window_log_mass(bank.models[label], fa, fb, dt) for label in bank.labels()])
+    return np.exp(masses - logsumexp(masses))
 
 
 @dataclass
@@ -593,8 +562,6 @@ class _EmStats:
         self.entry = np.zeros(n)
         self.trans = np.zeros((n, n))
         self.exit = np.zeros(n)
-        self.adv = np.zeros(n)
-        self.hold = np.zeros(n)
         self.joint_x: list[np.ndarray] = []
         self.joint_w: list[np.ndarray] = []  # (P, n) weights per state
         self.marg_x: list[np.ndarray] = []
@@ -613,24 +580,27 @@ class _EmStats:
             if rows[k] > 1e-10:
                 trans[k] = self.trans[k] / rows[k]
                 exit_[k] = self.exit[k] / rows[k]
+        jw = np.concatenate(self.joint_w or [np.zeros((0, n))])
+        mw = np.concatenate(self.marg_w or [np.zeros((0, n))])
         advance = model.advance
         if advance is not None and cfg.fix_advance is None:
-            tot = self.adv + self.hold
+            # cells outside the band carry no advance posterior, so the weight
+            # columns sum to the expected advance and hold counts
+            adv = jw.sum(axis=0)
+            tot = adv + mw.sum(axis=0)
             advance = advance.copy()
             mask = tot > 1e-10
-            advance[mask] = self.adv[mask] / tot[mask]
+            advance[mask] = adv[mask] / tot[mask]
             advance = np.clip(advance, cfg.eps_min, 1.0 - cfg.eps_min)
         joint = model.joint
         if self.joint_x:
             jx = np.concatenate(self.joint_x, axis=0)
-            jw = np.concatenate(self.joint_w, axis=0)
             joint = tuple(
                 _fit_weighted_mixture(model.joint[k], jx, jw[:, k], self.joint_floor) for k in range(n)
             )
         marginal = model.marginal
         if self.marg_x:
             mx = np.concatenate(self.marg_x, axis=0)
-            mw = np.concatenate(self.marg_w, axis=0)
             marginal = tuple(
                 _fit_weighted_mixture(model.marginal[k], mx, mw[:, k], self.marg_floor) for k in range(n)
             )
@@ -911,8 +881,8 @@ class _FrameRows:
 
     ``marg`` (rows, A, n) holds the marginal rows with the hold weight added,
     ``joint`` (rows, A, D, n) the band-joint rows of cells ``(u, h)``, whose
-    source frame is ``u - h``, with the advance weight added.  Only the
-    leading ``cells[r]`` cells of row ``r`` hold values; the rest are -inf.
+    source frame is ``u - h``, with the advance weight added.  Cells whose
+    source frame precedes the window that computed the row are -inf.
     """
 
     def __init__(self, A: int, D: int, n: int):
@@ -922,27 +892,24 @@ class _FrameRows:
         # slots past len(index) are unused
         self.marg = np.empty((1, A, n))
         self.joint = np.empty((1, A, D, n))
-        self.cells = np.empty(1, dtype=np.intp)
 
-    def lookup(self, keys: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
-        """Row and filled cell count of each key; row -1 and 0 cells where it has none."""
+    def lookup(self, keys: list[tuple]) -> np.ndarray:
+        """Row of each key, -1 where it has none."""
         get = self.index.get
-        rows = np.array([get(k, -1) for k in keys], dtype=np.intp)
-        return rows, np.where(rows >= 0, self.cells[rows], 0)
+        return np.array([get(k, -1) for k in keys], dtype=np.intp)
 
-    def store(self, keys: list[tuple], marg, joint, cells) -> np.ndarray:
+    def store(self, keys: list[tuple], marg, joint) -> np.ndarray:
         """Write the rows of ``keys``, appending new keys; returns their rows."""
         index = self.index
         rows = np.array([index.setdefault(k, len(index)) for k in keys], dtype=np.intp)
-        if len(index) > len(self.cells):
-            cap = max(len(index), len(self.cells) * 5 // 4)
-            self.marg, self.joint, self.cells = (
-                np.concatenate([a, np.empty((cap - len(a),) + a.shape[1:], a.dtype)])
-                for a in (self.marg, self.joint, self.cells)
+        if len(index) > len(self.marg):
+            cap = max(len(index), len(self.marg) * 5 // 4)
+            self.marg, self.joint = (
+                np.concatenate([a, np.empty((cap - len(a),) + a.shape[1:])])
+                for a in (self.marg, self.joint)
             )
         self.marg[rows] = marg
         self.joint[rows] = joint
-        self.cells[rows] = cells
         return rows
 
 
@@ -951,9 +918,11 @@ class CorrelationEngine:
 
     Computes the same profiles as :func:`correlation` but stacks all
     activities (and many entity pairs) into single vectorised lattice sweeps,
-    which is what makes per-frame clustering affordable.  Emission rows
-    depend only on the entity pair and the frame, so the engine keeps those
-    of the last ``window`` frames and a new frame computes only its own.
+    which is what makes per-frame clustering affordable.  A profile is a row
+    of values in ``labels`` order; ``column`` maps a label to its index.
+    Emission rows depend only on the entity pair and the frame, so the
+    engine keeps those of the last ``window`` frames and a new frame
+    computes only its own.
     """
 
     def __init__(self, bank: ActivityModelBank, tracks: TrackSet,
@@ -964,6 +933,7 @@ class CorrelationEngine:
         self.dt = dt if dt is not None else bank.dt
         check_window(self.window, self.dt)
         self.labels = bank.labels()
+        self.column = {label: a for a, label in enumerate(self.labels)}
         models = [bank.models[l] for l in self.labels]
         self.n_states = models[0].n_states
         if any(m.n_states != self.n_states for m in models):
@@ -977,38 +947,44 @@ class CorrelationEngine:
         self._joint = _BatchGmm([list(m.joint) for m in models], 2 * self.obs_dim)
         # band cells per step of a full window
         self._D = min(self.dt, self.window - 1) + 1
-        # profiles of one frame only: a lookup at another frame drops them
-        self._cache: dict[tuple, CorrelationProfile | None] = {}
-        # emission rows of the frames [t - window + 1, t] of the last lookup
+        # profiles of frame _t only: a lookup at another frame drops them
+        self._t: int | None = None
+        self._cache: dict[tuple, np.ndarray | None] = {}
+        # emission rows of the frames [_t - window + 1, _t]
         self._blocks: dict[int, _FrameRows] = {}
 
-    def profile(self, subject, target, t: int) -> CorrelationProfile | None:
-        ea, eb = feats.as_entity(subject), feats.as_entity(target)
-        key = (ea, eb, t)
-        if key not in self._cache:
-            self.profiles([(ea, eb)], t)
+    def profile(self, subject, target, t: int) -> np.ndarray | None:
+        key = (feats.as_entity(subject), feats.as_entity(target))
+        if t != self._t or key not in self._cache:
+            self.profiles([key], t)
         return self._cache[key]
 
-    def profiles(
-        self, items: list[tuple], t: int
-    ) -> dict[tuple, CorrelationProfile | None]:
-        """Profiles for many (subject, target) entity pairs at one frame."""
-        if self._cache and next(iter(self._cache))[2] != t:
+    def profiles(self, items: list[tuple], t: int) -> dict[tuple, np.ndarray | None]:
+        """Profiles for many (subject, target) entity pairs at one frame.
+
+        Each is a read-only row of values in ``labels`` order, or None when
+        no usable window of length >= 2 ends at ``t``.
+        """
+        if t != self._t:
             self._cache.clear()
+            if self._t is not None and t < self._t:
+                # an earlier window may start earlier and need more joint cells
+                self._blocks.clear()
+            self._t = t
         for u in [u for u in self._blocks if not t - self.window < u <= t]:
             del self._blocks[u]
-        out: dict[tuple, CorrelationProfile | None] = {}
+        out: dict[tuple, np.ndarray | None] = {}
         keys, windows = [], []
         for a, b in items:
-            ea, eb = feats.as_entity(a), feats.as_entity(b)
-            if (ea, eb, t) in self._cache:
-                out[(ea, eb)] = self._cache[(ea, eb, t)]
+            key = (feats.as_entity(a), feats.as_entity(b))
+            if key in self._cache:
+                out[key] = self._cache[key]
                 continue
-            pw = feats.pair_feature_windows(self.tracks, ea, eb, t, self.window)
+            pw = feats.pair_feature_windows(self.tracks, *key, t, self.window)
             if pw is None:
-                self._cache[(ea, eb, t)] = out[(ea, eb)] = None
+                self._cache[key] = out[key] = None
                 continue
-            keys.append((ea, eb))
+            keys.append(key)
             windows.append(pw)
         if not keys:
             return out
@@ -1017,20 +993,19 @@ class CorrelationEngine:
         for T in np.unique(lengths).tolist():
             sel = np.flatnonzero(lengths == T)
             masses = self._window_masses(rows[:, sel], T, t)  # (I, A)
-            den = logsumexp(masses, axis=1)
-            vals = np.exp(masses - den[:, None])
-            for i, j in enumerate(sel.tolist()):
-                values = {l: float(vals[i, a]) for a, l in enumerate(self.labels)}
-                ea, eb = keys[j]
-                prof = CorrelationProfile(ea, eb, t, values, _argmax_label(values))
-                self._cache[(ea, eb, t)] = out[(ea, eb)] = prof
+            vals = np.exp(masses - logsumexp(masses, axis=1)[:, None])
+            vals.flags.writeable = False
+            for j, row in zip(sel.tolist(), vals):
+                self._cache[keys[j]] = out[keys[j]] = row
         return out
 
     def _emission_rows(self, keys, windows, lengths: np.ndarray, t: int) -> np.ndarray:
         """Row of every item in the block of each frame ``t - window + 1 + k``, shape (window, I).
 
-        Computes the rows a block lacks, and those holding fewer cells than
-        the item's window reaches, one frame's rows per batched density call.
+        Computes the rows that a block lacks for frames inside the item's
+        window, one frame's rows per batched density call.  Frames ascend
+        between block clears, so a window never starts before that of a
+        stored row and the row has every cell the window reaches.
         """
         W, D = self.window, self._D
         starts = t + 1 - lengths
@@ -1040,16 +1015,17 @@ class CorrelationEngine:
             block = self._blocks.get(u)
             if block is None:
                 block = self._blocks[u] = _FrameRows(len(self.labels), D, self.n_states)
-            rows[k], have = block.lookup(keys)
-            need = np.minimum(D, u + 1 - starts)  # cells from u back to the window start
-            miss = np.flatnonzero(need > have)
+            rows[k] = block.lookup(keys)
+            miss = np.flatnonzero((rows[k] < 0) & (u >= starts))
             if miss.size:
                 if flat is None:
                     fa = np.concatenate([w[0] for w in windows])
                     fb = np.concatenate([w[1] for w in windows])
                     flat = fa, fb, np.cumsum(lengths) - lengths - starts
-                me, je = self._frame_emissions(*flat, miss, u, need[miss])
-                rows[k, miss] = block.store([keys[i] for i in miss], me, je, need[miss])
+                # cells from u back to the window start
+                cells = np.minimum(D, u + 1 - starts[miss])
+                me, je = self._frame_emissions(*flat, miss, u, cells)
+                rows[k, miss] = block.store([keys[i] for i in miss], me, je)
         return rows
 
     def _frame_emissions(self, fa, fb, base, items: np.ndarray, u: int, cells: np.ndarray):

@@ -117,7 +117,7 @@ def test_criterion_03_correlation_normalization(bank):
         for profile in engine._cache.values():
             if profile is None:
                 continue
-            total = sum(profile.values.values())
+            total = profile.sum()
             worst = max(worst, abs(total - 1.0))
             assert abs(total - 1.0) <= 1e-9
             checked += 1
@@ -211,7 +211,7 @@ def test_criterion_07_grad_versus_majority_vote(bank):
             [((j,), (i,)) for i in (1, 2, 3) for j in (1, 2, 3) if i != j], t
         )
         p0 = {
-            i: sum(profs[((j,), (i,))].values["InGroup"] for j in (1, 2, 3) if j != i)
+            i: sum(profs[((j,), (i,))][engine.column["InGroup"]] for j in (1, 2, 3) if j != i)
             for i in (1, 2, 3)
         }
         p0_bad += not (p0[3] < p0[1] and p0[3] < p0[2])

@@ -1,5 +1,8 @@
 """Clustering tests: seed conditions, merging rules, assignment, partition laws."""
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
 from groupact.clustering import (
@@ -10,7 +13,7 @@ from groupact.clustering import (
     detect_seeds,
     merge_seeds,
 )
-from groupact.seqmodel import CorrelationEngine, CorrelationProfile
+from groupact.seqmodel import CorrelationEngine
 from groupact.taxonomy import default_taxonomy
 from groupact.trackio import MbbSample, TrackSet
 
@@ -18,15 +21,19 @@ from scenarios import WARMUP, fight, walk_together
 from groupact.simgen import generate
 
 
-def profile_map(labels: dict[tuple, str], value: float = 0.99, frame: int = 10):
+# what merge_seeds reads of an engine: the profile columns and the taxonomy
+ENGINE = SimpleNamespace(
+    labels=default_taxonomy().modelable_labels(), bank=SimpleNamespace(taxonomy=default_taxonomy())
+)
+
+
+def profile_map(labels: dict[tuple, str], value: float = 0.99):
     """Hand-built correlation profiles: labels[(i, j)] -> winning label."""
-    out = {}
-    all_labels = sorted(default_taxonomy().modelable_labels())
-    for (i, j), lbl in labels.items():
-        rest = (1.0 - value) / (len(all_labels) - 1)
-        values = {l: (value if l == lbl else rest) for l in all_labels}
-        out[((i,), (j,))] = CorrelationProfile((i,), (j,), frame, values, lbl)
-    return out
+    rest = (1.0 - value) / (len(ENGINE.labels) - 1)
+    return {
+        ((i,), (j,)): np.array([value if l == lbl else rest for l in ENGINE.labels])
+        for (i, j), lbl in labels.items()
+    }
 
 
 def test_merge_two_pair_seeds_all_agree():
@@ -35,7 +42,7 @@ def test_merge_two_pair_seeds_all_agree():
         ClusterSeed((3, 4), "pair", "Fight", (), 0.99),
     ]
     labels = {(i, j): "Fight" for i in (1, 2, 3, 4) for j in (1, 2, 3, 4) if i != j}
-    merged = merge_seeds(seeds, profile_map(labels), default_taxonomy())
+    merged = merge_seeds(seeds, ENGINE, profile_map(labels))
     assert len(merged) == 1
     assert merged[0].members == (1, 2, 3, 4)
     assert merged[0].label == "Fight"
@@ -49,7 +56,7 @@ def test_no_merge_on_label_mismatch():
     ]
     labels = {(i, j): "WalkTogether" for i in (1, 2) for j in (1, 2) if i != j}
     labels.update({(1, 3): "Ignore", (3, 1): "Ignore", (2, 3): "Ignore", (3, 2): "Ignore"})
-    merged = merge_seeds(seeds, profile_map(labels), default_taxonomy())
+    merged = merge_seeds(seeds, ENGINE, profile_map(labels))
     assert sorted(s.members for s in merged) == [(1, 2), (3,)]
 
 
@@ -60,7 +67,7 @@ def test_active_seed_merges_into_pair_on_agreement():
         ClusterSeed((3,), "active", None, (3,), 0.4),
     ]
     labels = {(i, j): "Fight" for i in (1, 2, 3) for j in (1, 2, 3) if i != j}
-    merged = merge_seeds(seeds, profile_map(labels), default_taxonomy())
+    merged = merge_seeds(seeds, ENGINE, profile_map(labels))
     assert len(merged) == 1
     assert merged[0].members == (1, 2, 3)
     assert merged[0].active_members == (3,)
@@ -74,7 +81,7 @@ def test_chain_disagreement_blocks_triple_merge():
     ]
     labels = {(i, j): "Fight" for i in (1, 2, 3) for j in (1, 2, 3) if i != j}
     labels[(1, 3)] = "Ignore"
-    merged = merge_seeds(seeds, profile_map(labels), default_taxonomy())
+    merged = merge_seeds(seeds, ENGINE, profile_map(labels))
     # all-pairs agreement fails; the stronger pair keeps the shared member
     assert merged[0].members == (1, 2)
     assert all(3 not in s.members or len(s.members) == 1 for s in merged)
@@ -90,7 +97,7 @@ def test_overlap_resolution_keeps_active_remnant():
     ]
     labels = {(i, j): "Ignore" for i in (1, 2, 3) for j in (1, 2, 3) if i != j}
     labels.update({(1, 2): "Fight", (2, 1): "Fight", (2, 3): "WalkTogether", (3, 2): "WalkTogether"})
-    merged = merge_seeds(seeds, profile_map(labels), default_taxonomy())
+    merged = merge_seeds(seeds, ENGINE, profile_map(labels))
     members = sorted(s.members for s in merged)
     assert (1, 2) in members
     assert (3,) in members  # active remnant survives

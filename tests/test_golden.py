@@ -20,6 +20,7 @@ SEED = 200  # scenario i of the sorted names runs at SEED + i
 
 CONFIGS = {
     "default": {},
+    "variant2": dict(variant=2),
     "variant2-p-mv-smooth": dict(variant=2, gr="p", baseline="mv", smoothing=True),
     "gr-v": dict(gr="v"),
 }
@@ -35,6 +36,11 @@ _DEFAULT = {
 
 GOLDEN = {
     "default": _DEFAULT,
+    # the GR relation scores and the variant-2 prior; only split's labels differ
+    "variant2": {
+        **_DEFAULT,
+        "split": "448c8dacc0f863dbd759d1930fa513450a33eeee693c64043e557d01db549518",
+    },
     "variant2-p-mv-smooth": {
         "approach": "420b3ee90e080297bf784270838be1e24d58b8fd24e878064f4d0a2f062f1a7a",
         "chase": "a67cb845b85c72a574913a137c17067f9e440fa42d9673585cae0e493edc6c6c",

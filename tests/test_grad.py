@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from groupact.clustering import GroupAssignment
+from groupact.features import as_entity
 from groupact.grad import (
     FrameDetection,
     GroupContext,
@@ -22,7 +23,7 @@ from groupact.grad import (
     write_detections,
 )
 from groupact.grouprep import GroupRepresentative
-from groupact.seqmodel import CorrelationEngine, CorrelationProfile
+from groupact.seqmodel import CorrelationEngine
 from groupact.simgen import generate
 from groupact.trackio import MbbSample, TrackSet, parse_tracks, write_tracks
 
@@ -34,17 +35,21 @@ class StubEngine:
 
     def __init__(self, bank, table):
         self.bank = bank
+        self.labels = bank.labels()
+        self.column = {l: a for a, l in enumerate(self.labels)}
         self.table = table  # (subject, target) -> {label: value}
 
-    def profile(self, subject, target, t):
-        from groupact.features import as_entity
+    def profiles(self, items, t):
+        out = {}
+        for a, b in items:
+            key = (as_entity(a), as_entity(b))
+            values = self.table.get(key)
+            out[key] = None if values is None else np.array([values[l] for l in self.labels])
+        return out
 
+    def profile(self, subject, target, t):
         key = (as_entity(subject), as_entity(target))
-        if key not in self.table:
-            return None
-        values = self.table[key]
-        label = max(sorted(values), key=lambda l: values[l])
-        return CorrelationProfile(key[0], key[1], t, values, label)
+        return self.profiles([key], t)[key]
 
 
 def ctx(index, members, label, rep_members, speed):
@@ -191,7 +196,7 @@ def test_engine_cache_holds_only_the_current_frame(bank):
     stepped = []
     for t in frames:
         stepped += run_pipeline(bank, tracks, cfg, frames=[t], engine=engine)
-        assert engine._cache and {key[2] for key in engine._cache} == {t}
+        assert engine._cache and engine._t == t
     assert stepped == run_pipeline(bank, tracks, cfg, frames=frames)
     # a frame visited again is recomputed, to the same detections
     assert run_pipeline(bank, tracks, cfg, frames=[60], engine=engine) == stepped[:1]

@@ -102,7 +102,7 @@ def test_outlier_probe_p0_strictly_smallest(bank):
             [((j,), (i,)) for i in (1, 2, 3) for j in (1, 2, 3) if i != j], t
         )
         p0 = {
-            i: sum(profs[((j,), (i,))].values["InGroup"] for j in (1, 2, 3) if j != i)
+            i: sum(profs[((j,), (i,))][engine.column["InGroup"]] for j in (1, 2, 3) if j != i)
             for i in (1, 2, 3)
         }
         assert p0[3] < p0[1] and p0[3] < p0[2], f"frame {t}: {p0}"

@@ -19,7 +19,6 @@ from groupact.seqmodel import (
     DataError,
     TrainConfig,
     ahmm_forward,
-    asymmetry_check,
     correlation,
     hmm_group_likelihood,
     pair_hmm_loglik,
@@ -248,8 +247,8 @@ def test_correlation_single_activity_is_one():
     tracks = walking_pair_tracks()
     prof = correlation(bank, tracks, 1, 2, 20)
     assert prof is not None
-    assert prof.values["Solo"] == pytest.approx(1.0)
-    assert prof.label == "Solo"
+    assert bank.labels() == ["Solo"]
+    assert prof[0] == pytest.approx(1.0)
 
 
 def test_correlation_normalizes_and_ties_break_lexicographically():
@@ -262,9 +261,10 @@ def test_correlation_normalizes_and_ties_break_lexicographically():
     bank = tiny_bank({"B": model, "A": clone})
     tracks = walking_pair_tracks()
     prof = correlation(bank, tracks, 1, 2, 20)
-    assert sum(prof.values.values()) == pytest.approx(1.0, abs=1e-9)
-    assert prof.values["A"] == pytest.approx(0.5, abs=1e-9)
-    assert prof.label == "A"  # lexicographic tie-break
+    assert bank.labels() == ["A", "B"]  # the profile's column order
+    assert prof.sum() == pytest.approx(1.0, abs=1e-9)
+    assert prof[0] == pytest.approx(0.5, abs=1e-9)
+    assert prof.argmax() == 0  # lexicographic tie-break
 
 
 def test_correlation_unavailable_window():
@@ -287,11 +287,10 @@ def test_asymmetry_check_identical_tracks_equal_profiles():
         rows.append((t, 1, 3.0 * t, 1.0, 10.0, 20.0))
         rows.append((t, 2, 3.0 * t, 1.0, 10.0, 20.0))
     tracks = TrackSet([MbbSample(*r) for r in rows])
-    pij, pji = asymmetry_check(bank, tracks, 1, 2, 15)
-    for lbl in models:
-        assert pij.values[lbl] == pytest.approx(pji.values[lbl], rel=1e-9)
-    assert sum(pij.values.values()) == pytest.approx(1.0, abs=1e-9)
-    assert sum(pji.values.values()) == pytest.approx(1.0, abs=1e-9)
+    pij, pji = correlation(bank, tracks, 1, 2, 15), correlation(bank, tracks, 2, 1, 15)
+    assert pij == pytest.approx(pji, rel=1e-9)
+    assert pij.sum() == pytest.approx(1.0, abs=1e-9)
+    assert pji.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_label_argmax_scale_invariance():
@@ -310,7 +309,7 @@ def test_label_argmax_scale_invariance():
         for l in models
     }
     shifted = {l: m + 123.456 for l, m in masses.items()}
-    assert max(sorted(shifted), key=lambda l: shifted[l]) == prof.label
+    assert max(sorted(shifted), key=lambda l: shifted[l]) == bank.labels()[prof.argmax()]
 
 
 def _windows(bank, tracks, a, b, t):
@@ -344,14 +343,12 @@ def test_engine_matches_reference_correlation():
                 got = engine.profile(a, b, t)
                 assert (ref is None) == (got is None)
                 if ref is not None:
-                    for lbl in models:
-                        assert got.values[lbl] == pytest.approx(ref.values[lbl], abs=1e-9)
-                    assert got.label == ref.label
+                    assert got == pytest.approx(ref, abs=1e-9)
+                    assert got.argmax() == ref.argmax()
     # entity (set-valued) arguments agree too
     ref = correlation(bank, tracks, 1, (2, 3), 12)
     got = engine.profile(1, (2, 3), 12)
-    for lbl in models:
-        assert got.values[lbl] == pytest.approx(ref.values[lbl], abs=1e-9)
+    assert got == pytest.approx(ref, abs=1e-9)
 
     # the engine's banded lattice against the full scalar lattice, for every
     # window/dt pair, with dropped samples leaving short and missing windows
@@ -374,9 +371,8 @@ def test_engine_matches_reference_correlation():
                         continue
                     n = len(pair_feature_windows(gappy, a, b, t, window)[0])
                     shapes["short"] += n <= dt
-                    for lbl in models:
-                        assert prof.values[lbl] == pytest.approx(ref.values[lbl], abs=1e-9)
-                    assert prof.label == ref.label
+                    assert prof == pytest.approx(ref, abs=1e-9)
+                    assert prof.argmax() == ref.argmax()
     assert shapes["short"] > 0 and shapes["none"] > 0
 
 
@@ -431,9 +427,8 @@ def test_engine_reusing_rows_in_any_frame_order_matches_a_fresh_engine(tracks, w
             prof = got[key]
             assert (prof is None) == (ref is None)
             if ref is not None:
-                assert prof.label == ref.label
-                for label, v in ref.values.items():
-                    assert abs(prof.values[label] - v) <= 1e-12
+                assert prof.argmax() == ref.argmax()
+                assert np.all(np.abs(prof - ref) <= 1e-12)
 
 
 def test_band_kernel_keeps_dead_items_and_states_at_minus_inf():
@@ -467,7 +462,7 @@ def test_band_kernel_keeps_dead_items_and_states_at_minus_inf():
     assert np.all(np.isfinite(total))
     assert not np.isnan(adv).any() and not np.isnan(hold).any()
     assert np.all(adv[..., 0] == 0.0) and np.all(hold[..., 0] == 0.0)
-    for counts in (stats.entry, stats.trans, stats.exit, stats.adv, stats.hold):
+    for counts in (stats.entry, stats.trans, stats.exit, adv.sum(axis=(0, 1, 2)), hold.sum(axis=(0, 1))):
         assert np.all(np.isfinite(counts))
 
 
@@ -633,7 +628,8 @@ def test_em_counts_match_enumeration(monkeypatch, slack, fix_advance):
         assert ll == pytest.approx(want_ll, rel=1e-9)
         got = {
             "entry": stats.entry, "exit": stats.exit, "trans": stats.trans,
-            "adv": stats.adv, "hold": stats.hold,
+            "adv": np.concatenate(stats.joint_w).sum(axis=0),
+            "hold": np.concatenate(stats.marg_w).sum(axis=0),
             "joint": np.concatenate(stats.joint_w).T @ _with_ones(stats.joint_x),
             "marg": np.concatenate(stats.marg_w).T @ _with_ones(stats.marg_x),
         }
@@ -781,10 +777,9 @@ def test_directional_model_prefers_trained_order(bank):
         assert m_fwd > m_rev, f"frame {t}: {m_fwd} <= {m_rev}"
     # both orders of a follow scenario still yield valid distributions
     tracks2, _ = generate(chase(seed=6))
-    p1, p2 = asymmetry_check(bank, tracks2, 5, 1, 150)
-    for p in (p1, p2):
+    for p in (correlation(bank, tracks2, 5, 1, 150), correlation(bank, tracks2, 1, 5, 150)):
         assert p is not None
-        assert sum(p.values.values()) == pytest.approx(1.0, abs=1e-9)
+        assert p.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_batched_density_matches_each_mixture_at_tiled_4k_coordinates(frozen_bank):
