@@ -81,10 +81,12 @@ def _parse_frames(text: str | None):
     if text is None:
         return None
     try:
-        a, b = text.split(":")
-        return range(int(a), int(b) + 1)
+        a, b = (int(v) for v in text.split(":"))
     except ValueError:
         raise CliError(EXIT_USAGE, f"bad frame range {text!r} (want start:end)") from None
+    if a > b:
+        raise CliError(EXIT_USAGE, f"bad frame range {text!r} (start after end)")
+    return range(a, b + 1)
 
 
 def build_parser() -> _Parser:
@@ -153,14 +155,17 @@ def cmd_simulate(args) -> int:
 
 def cmd_train(args) -> int:
     _check_flags("train", args.window, args.dt, tc=args.tc, to=args.to, tr=args.tr)
+    try:
+        config = TrainConfig(
+            seed=args.seed,
+            max_iters=args.max_iters,
+            max_segments=args.max_segments,
+            fix_advance=1.0 if args.hmm_metric else None,
+        )
+    except ValueError as exc:
+        raise CliError(EXIT_USAGE, f"groupact train: error: {exc}") from None
     tracks = parse_tracks(_read_text(args.tracks), strict=not args.lenient)
     annotations = parse_annotations(_read_text(args.annotations))
-    config = TrainConfig(
-        seed=args.seed,
-        max_iters=args.max_iters,
-        max_segments=args.max_segments,
-        fix_advance=1.0 if args.hmm_metric else None,
-    )
     bank = train_bank(
         tracks, annotations, config,
         window=args.window, dt=args.dt, tc=args.tc, to=args.to, tr=args.tr,
@@ -177,6 +182,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    frames = _parse_frames(args.frames)
     with open(args.model, "r", encoding="utf-8") as fp:
         bank = load_model(fp)
     _check_flags(
@@ -193,7 +199,7 @@ def cmd_detect(args) -> int:
         window=args.window, dt=args.dt,
         smoothing=True if args.smooth else None,
     )
-    dets = grad.run_pipeline(bank, tracks, config, frames=_parse_frames(args.frames))
+    dets = grad.run_pipeline(bank, tracks, config, frames=frames)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     _atomic_write(out, lambda fp: grad.write_detections(dets, fp))
@@ -203,6 +209,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    frames = _parse_frames(args.frames)
     with open(args.detections, "r", encoding="utf-8") as fp:
         dets = grad.read_detections(fp)
     annotations = parse_annotations(_read_text(args.truth))
@@ -216,7 +223,7 @@ def cmd_evaluate(args) -> int:
                 f"detections cover frames {lo}..{hi} but truth covers "
                 f"{truth_range[0]}..{truth_range[1]}",
             )
-    report = metrics.score(dets, annotations, frames=_parse_frames(args.frames))
+    report = metrics.score(dets, annotations, frames=frames)
     print(report.format_text())
     if args.csv:
         _atomic_write(Path(args.csv), lambda fp: fp.write("\n".join(report.csv_rows()) + "\n"))

@@ -63,12 +63,6 @@ class Partition:
         if seen != set(self.persons):
             raise ValueError(f"partition does not cover the frame-{self.frame} universe")
 
-    def group_of(self, person: int) -> int:
-        for i, g in enumerate(self.groups):
-            if person in g.members:
-                return i
-        raise KeyError(person)
-
     def member_sets(self) -> list[frozenset[int]]:
         return [frozenset(g.members) for g in self.groups]
 

@@ -63,7 +63,7 @@ class EntityTrack:
                 has, xywh = tracks.person_arrays(m)
                 acc[:, dst] += np.where(has[sl], xywh[:, sl], 0.0)
                 count[dst] += has[sl]
-        self.valid = valid = count > 0
+        valid = count > 0
         self.usable = np.zeros(n, dtype=bool)
         self.usable[1:] = valid[1:] & valid[:-1]
         self.x, self.y, self.w, self.h = acc / np.maximum(count, 1.0)
@@ -150,18 +150,6 @@ def _group_rows(members: list[EntityTrack], i: np.ndarray) -> np.ndarray:
     return np.stack([cow, coh, avg_speed, avg_dist, speed_var], axis=-1)
 
 
-def group_observation(tracks: TrackSet, members, t: int) -> np.ndarray:
-    """Aggregate features of a member set at frame ``t`` (all members required).
-
-    The ``GROUP_DIM`` columns: average change of width, average change of
-    height, average speed, average distance to the centroid and speed variance.
-    """
-    tms = member_tracks(tracks, members, t - 1, t)
-    if not all(tm.usable[1] for tm in tms):
-        raise ObservationUnavailable(f"missing sample for group {as_entity(members)} at frames {t - 1}..{t}")
-    return _group_rows(tms, np.array([1]))[0]
-
-
 def pair_feature_windows(
     tracks: TrackSet, a, b, t: int, window: int
 ) -> tuple[np.ndarray, np.ndarray] | None:
@@ -182,7 +170,11 @@ def pair_feature_windows(
 
 
 def group_feature_window(tracks: TrackSet, members, t: int, window: int) -> np.ndarray | None:
-    """Group feature stream over the trailing usable window; None when empty."""
+    """Group feature stream over the trailing usable window; None when empty.
+
+    The ``GROUP_DIM`` columns: average change of width, average change of
+    height, average speed, average distance to the centroid and speed variance.
+    """
     tms = member_tracks(tracks, members, t - window, t)
     first = np.flatnonzero(~np.logical_and.reduce([tm.usable for tm in tms]))[-1] + 1
     if first > window:  # no usable frame

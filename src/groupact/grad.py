@@ -91,11 +91,10 @@ class FrameDetection:
 
 @dataclass(frozen=True)
 class GroupContext:
-    """A clustered group plus its label and representative."""
+    """A clustered group plus its representative."""
 
     index: int
     members: tuple[int, ...]
-    label: str
     rep: GroupRepresentative
     speed: float
 
@@ -210,15 +209,13 @@ def run_pipeline(
     tracks: TrackSet,
     config: PipelineConfig | None = None,
     frames=None,
-    strict: bool = False,
     engine: CorrelationEngine | None = None,
 ) -> list[FrameDetection]:
     """Cluster, label, and relate groups for every frame in range.
 
     Frames whose computation fails are reported as skipped records with a
-    reason instead of aborting, unless ``strict`` is set.  A given ``engine``
-    must be built from ``bank`` and ``tracks`` at the config's window and dt,
-    else ValueError.
+    reason instead of aborting.  A given ``engine`` must be built from
+    ``bank`` and ``tracks`` at the config's window and dt, else ValueError.
     """
     config = config or PipelineConfig.from_bank(bank)
     if engine is None:
@@ -240,8 +237,6 @@ def run_pipeline(
         try:
             out.append(_detect_frame(engine, t, config))
         except (feats.ObservationUnavailable, DataError) as exc:
-            if strict:
-                raise
             out.append(FrameDetection(t, None, skipped=str(exc)))
     if config.smoothing:
         out = _smooth_labels(out)
@@ -264,7 +259,7 @@ def _detect_frame(engine: CorrelationEngine, t: int, config: PipelineConfig) -> 
         labels.append(label)
         rep = make_representative(config.gr, engine, grp.members, label, t, config.tr)
         speed = feats.entity_average_speed(engine.tracks, grp.members, t, config.window)
-        contexts.append(GroupContext(idx, grp.members, label, rep, speed))
+        contexts.append(GroupContext(idx, grp.members, rep, speed))
 
     pair_labels = []
     for i in range(len(contexts)):
@@ -354,14 +349,16 @@ def _detection_record(obj) -> FrameDetection:
     partition = Partition(frame, persons, tuple(groups))
     pairs = tuple(PairLabel(int(p["a"]), int(p["b"]), _label(p["label"])) for p in obj.get("pairs", ()))
     for p in pairs:
-        if not (0 <= p.a < len(groups) and 0 <= p.b < len(groups)):
-            raise ValueError(f"pair ({p.a}, {p.b}) names a group outside 0..{len(groups) - 1}")
+        if not (0 <= p.a < len(groups) and 0 <= p.b < len(groups)) or p.a == p.b:
+            raise ValueError(f"pair ({p.a}, {p.b}) must name two groups in 0..{len(groups) - 1}")
     return FrameDetection(frame, partition, tuple(g.label for g in groups), pairs)
 
 
 def read_detections(fp) -> list[FrameDetection]:
-    """Parse ``write_detections`` output; a malformed record raises ParseError."""
+    """Parse ``write_detections`` output; a malformed record or a repeated
+    frame raises ParseError."""
     out = []
+    seen: set[int] = set()
     for lineno, raw in enumerate(fp, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -371,7 +368,11 @@ def read_detections(fp) -> list[FrameDetection]:
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc}", line=lineno) from None
         try:
-            out.append(_detection_record(obj))
+            det = _detection_record(obj)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad record structure: {exc}", line=lineno) from None
+        if det.frame in seen:
+            raise ParseError(f"frame {det.frame} appears twice", line=lineno)
+        seen.add(det.frame)
+        out.append(det)
     return out

@@ -32,7 +32,6 @@ class GroupRepresentative:
     """
 
     kind: str
-    group: tuple[int, ...]
     members: tuple[int, ...]
     person: int | None = None
     fallback: bool = False
@@ -74,21 +73,17 @@ def member_log_scores(
 def p_gr(engine: CorrelationEngine, group, label: str, t: int) -> GroupRepresentative:
     """The highest-scoring actual member; ties go to the smallest person id."""
     members = feats.as_entity(group)
-    if not members:
-        raise ValueError("empty group")
     if len(members) == 1:
-        return GroupRepresentative(P_KIND, members, members, person=members[0])
+        return GroupRepresentative(P_KIND, members, person=members[0])
     scores = member_log_scores(engine, group, label, t)
     best = max(sorted(members), key=lambda m: (scores[m], -m))
-    return GroupRepresentative(P_KIND, members, (best,), person=best)
+    return GroupRepresentative(P_KIND, (best,), person=best)
 
 
 def v_gr(group) -> GroupRepresentative:
     """The average of all members in feature space."""
     members = feats.as_entity(group)
-    if not members:
-        raise ValueError("empty group")
-    return GroupRepresentative(V_KIND, members, members)
+    return GroupRepresentative(V_KIND, members)
 
 
 def sv_gr(
@@ -100,17 +95,15 @@ def sv_gr(
     representative subset falls back to the whole-group average.
     """
     members = feats.as_entity(group)
-    if not members:
-        raise ValueError("empty group")
     if len(members) == 1:
-        return GroupRepresentative(SV_KIND, members, members)
+        return GroupRepresentative(SV_KIND, members)
     scores = member_log_scores(engine, group, label, t)
     logs = np.array([scores[m] for m in members])
     norm = np.exp(logs - logsumexp(logs))
     subset = tuple(m for m, v in zip(members, norm) if v > tr)
     if not subset:
-        return GroupRepresentative(SV_KIND, members, members, fallback=True)
-    return GroupRepresentative(SV_KIND, members, subset)
+        return GroupRepresentative(SV_KIND, members, fallback=True)
+    return GroupRepresentative(SV_KIND, subset)
 
 
 def make_representative(

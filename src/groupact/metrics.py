@@ -81,12 +81,6 @@ class TruthFrame:
     def member_sets(self) -> list[frozenset]:
         return [g[0] for g in self.groups]
 
-    def label_of(self, members: frozenset) -> str | None:
-        for ms, label in self.groups:
-            if ms == members:
-                return label
-        return None
-
     def relation(self, a: frozenset, b: frozenset) -> str:
         return self.pair_labels.get(frozenset((a, b)), IGNORE)
 
@@ -269,28 +263,3 @@ def truth_has_explicit_single(annotations: AnnotationSet, t: int, members: froze
             return True
     return False
 
-
-def detections_from_truth(annotations: AnnotationSet, universes: dict[int, tuple]) -> list:
-    """Convert ground truth into a detection stream (for self-scoring checks)."""
-    from .clustering import GroupAssignment, Partition
-    from .grad import FrameDetection, PairLabel
-
-    out = []
-    for t in sorted(universes):
-        truth = truth_frame(annotations, t, universes[t])
-        groups = []
-        labels = []
-        for ms, lbl in truth.groups:
-            members = tuple(sorted(ms))
-            groups.append(GroupAssignment(members, members, (), lbl))
-            labels.append(lbl)
-        partition = Partition(t, tuple(sorted(universes[t])), tuple(groups))
-        pairs = []
-        for i in range(len(groups)):
-            for j in range(i + 1, len(groups)):
-                rel = truth.relation(
-                    frozenset(groups[i].members), frozenset(groups[j].members)
-                )
-                pairs.append(PairLabel(i, j, rel))
-        out.append(FrameDetection(t, partition, tuple(labels), tuple(pairs)))
-    return out

@@ -23,6 +23,7 @@ from .taxonomy import SINGLE, Taxonomy, default_taxonomy
 from .trackio import AnnotationSet, TrackSet
 
 EPS_MIN = 1e-3
+REL_VAR_FLOOR = 0.01  # per-dimension variance floor, as a fraction of the pooled variance
 
 
 class DataError(ValueError):
@@ -399,19 +400,22 @@ class TrainConfig:
     seed: int = 0
     max_iters: int = 40
     tol: float = 1e-4
-    var_floor: float = VAR_FLOOR
-    rel_var_floor: float = 0.01
-    eps_min: float = EPS_MIN
     fix_advance: float | None = None
     chunk: int | None = None
     max_segments: int | None = 64
     terminal_slack: int = 0
 
+    def __post_init__(self) -> None:
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
+        if self.max_segments is not None and self.max_segments < 1:
+            raise ValueError(f"max_segments must be at least 1 or None, got {self.max_segments}")
 
-def _dim_floor(pooled: np.ndarray, config: TrainConfig) -> np.ndarray:
+
+def _dim_floor(pooled: np.ndarray) -> np.ndarray:
     """Per-dimension variance floor: a fraction of the pooled data variance."""
     spread = pooled.var(axis=0) if pooled.shape[0] else np.zeros(pooled.shape[1])
-    return np.maximum(config.var_floor, config.rel_var_floor * spread)
+    return np.maximum(VAR_FLOOR, REL_VAR_FLOOR * spread)
 
 
 def _init_mixtures(pools: list[np.ndarray], k: int, seed: int, var_floor):
@@ -485,7 +489,7 @@ def _initial_chain(n: int, mean_len: float) -> tuple[np.ndarray, np.ndarray, np.
 
 
 def _run_em(model: ActivityModel, batches: list[tuple], accumulate, config: TrainConfig,
-            marg_floor, joint_floor=None) -> tuple[ActivityModel, list[float]]:
+            marg_floor, joint_floor=VAR_FLOOR) -> tuple[ActivityModel, list[float]]:
     """EM from ``model`` until the log-likelihood gain falls below ``config.tol``;
     ``accumulate(model, *batch, stats)`` is the E-step of one batch."""
     history: list[float] = []
@@ -536,8 +540,8 @@ def train_activity_model(
     marg_pools = _temporal_pools([fj for _, fj in segs], n)
     # per-dimension floors keyed to the pooled spread keep collapsed
     # components from spiking the density scale
-    marg_floor = _dim_floor(np.concatenate([fj for _, fj in segs], axis=0), config)
-    joint_floor = _dim_floor(np.concatenate(joint_pools, axis=0), config)
+    marg_floor = _dim_floor(np.concatenate([fj for _, fj in segs], axis=0))
+    joint_floor = _dim_floor(np.concatenate(joint_pools, axis=0))
     joint, fb1 = _init_mixtures(joint_pools, config.mixtures, config.seed, joint_floor)
     marginal, fb2 = _init_mixtures(marg_pools, config.mixtures, config.seed + 7, marg_floor)
 
@@ -555,10 +559,10 @@ def train_activity_model(
 class _EmStats:
     """Accumulated expected counts for one EM iteration."""
 
-    def __init__(self, n: int, config: TrainConfig, marg_floor=None, joint_floor=None):
+    def __init__(self, n: int, config: TrainConfig, marg_floor=VAR_FLOOR, joint_floor=VAR_FLOOR):
         self.config = config
-        self.marg_floor = config.var_floor if marg_floor is None else marg_floor
-        self.joint_floor = config.var_floor if joint_floor is None else joint_floor
+        self.marg_floor = marg_floor
+        self.joint_floor = joint_floor
         self.entry = np.zeros(n)
         self.trans = np.zeros((n, n))
         self.exit = np.zeros(n)
@@ -591,7 +595,7 @@ class _EmStats:
             advance = advance.copy()
             mask = tot > 1e-10
             advance[mask] = adv[mask] / tot[mask]
-            advance = np.clip(advance, cfg.eps_min, 1.0 - cfg.eps_min)
+            advance = np.clip(advance, EPS_MIN, 1.0 - EPS_MIN)
         joint = model.joint
         if self.joint_x:
             jx = np.concatenate(self.joint_x, axis=0)
@@ -683,7 +687,7 @@ def train_hmm_model(
     seqs = _subsample([np.atleast_2d(np.asarray(s, dtype=float)) for s in sequences], config.max_segments)
     n = config.states
     pools = _temporal_pools(seqs, n)
-    floor = _dim_floor(np.concatenate(seqs, axis=0), config)
+    floor = _dim_floor(np.concatenate(seqs, axis=0))
     marginal, fallback = _init_mixtures(pools, config.mixtures, config.seed + 3, floor)
     entry, trans, exit_ = _initial_chain(n, float(np.mean([s.shape[0] for s in seqs])))
     model = ActivityModel(label, kind, entry, trans, exit_, None, marginal, None, fallback)

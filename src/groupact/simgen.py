@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .taxonomy import SINGLE, Taxonomy, default_taxonomy
 from .trackio import AnnotationRecord, AnnotationSet, MbbSample, TrackSet
 
 
@@ -148,9 +147,8 @@ def _gait(base: np.ndarray, amp: float, period: float, t: int) -> np.ndarray:
     return base * (1.0 + amp * math.sin(2.0 * math.pi * t / period))
 
 
-def generate(spec: ScenarioSpec, taxonomy: Taxonomy | None = None) -> tuple[TrackSet, AnnotationSet]:
+def generate(spec: ScenarioSpec) -> tuple[TrackSet, AnnotationSet]:
     """Simulate the scenario; returns tracks plus exact ground truth."""
-    tax = taxonomy or default_taxonomy()
     rng = np.random.default_rng(spec.seed)
     T = spec.duration
     ids = [a.agent for a in spec.agents]
@@ -309,8 +307,7 @@ def generate(spec: ScenarioSpec, taxonomy: Taxonomy | None = None) -> tuple[Trac
                     "asym", ev.label, ev.frames[0], ev.frames[1], groups=ev.groups
                 )
             )
-    annotations = AnnotationSet(records, taxonomy=tax)
-    return tracks, annotations
+    return tracks, AnnotationSet(records)
 
 
 def load_spec(fp) -> ScenarioSpec:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 SYMMETRIC = "symmetric"
 ASYMMETRIC = "asymmetric"
@@ -48,18 +48,9 @@ class Taxonomy:
     def is_symmetric(self, label: str) -> bool:
         return self.level(label) == SYMMETRIC
 
-    def is_asymmetric(self, label: str) -> bool:
-        return self.level(label) == ASYMMETRIC
-
     def is_grouping(self, label: str) -> bool:
         """True when a shared label of this kind puts people in one group."""
         return self.is_symmetric(label) and label not in self.non_grouping
-
-    def labels(self) -> list[str]:
-        return sorted(self.levels)
-
-    def symmetric_labels(self) -> list[str]:
-        return sorted(l for l in self.levels if self.levels[l] == SYMMETRIC)
 
     def asymmetric_labels(self) -> list[str]:
         return sorted(l for l in self.levels if self.levels[l] == ASYMMETRIC)

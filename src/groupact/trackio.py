@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .taxonomy import SINGLE, SYMMETRIC, Taxonomy, TaxonomyError, default_taxonomy
+from .taxonomy import TaxonomyError, default_taxonomy
 
 MODEL_FORMAT_VERSION = 1
 
@@ -95,9 +95,6 @@ class TrackSet:
     def observable(self, person: int, frame: int) -> bool:
         """True when features at ``frame`` exist (sample here and one frame back)."""
         return self.has(person, frame) and self.has(person, frame - 1)
-
-    def persons_at(self, frame: int) -> tuple[int, ...]:
-        return tuple(p for p in self._persons if self.has(p, frame))
 
     def observable_persons(self, frame: int) -> tuple[int, ...]:
         return tuple(p for p in self._persons if self.observable(p, frame))
@@ -204,8 +201,8 @@ class AnnotationRecord:
 class AnnotationSet:
     """Validated collection of annotation records."""
 
-    def __init__(self, records: Iterable[AnnotationRecord], taxonomy: Taxonomy | None = None):
-        self.taxonomy = taxonomy or default_taxonomy()
+    def __init__(self, records: Iterable[AnnotationRecord]):
+        self.taxonomy = default_taxonomy()
         recs = tuple(records)
         declared: set[str] = set()
         for i, r in enumerate(recs):
@@ -249,7 +246,7 @@ class AnnotationSet:
         return (min(r.start for r in self.records), max(r.end for r in self.records))
 
 
-def parse_annotations(text, taxonomy: Taxonomy | None = None) -> AnnotationSet:
+def parse_annotations(text) -> AnnotationSet:
     """Parse one-JSON-record-per-line annotations.
 
     Record fields: ``kind`` (sym|asym), ``label``, ``frames`` ([start, end],
@@ -277,7 +274,7 @@ def parse_annotations(text, taxonomy: Taxonomy | None = None) -> AnnotationSet:
             )
         )
     try:
-        return AnnotationSet(records, taxonomy=taxonomy)
+        return AnnotationSet(records)
     except TaxonomyError as exc:
         raise ParseError(str(exc)) from None
 

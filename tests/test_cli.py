@@ -146,7 +146,10 @@ def _group(gid, members):
     {"frame": "x", "groups": [], "pairs": []},
     {"frame": 5, "groups": [_group(0, [1, 2]), _group(1, [2, 3])], "pairs": []},
     {"frame": 5, "groups": [{**_group(0, [1, 2]), "label": ["InGroup"]}], "pairs": []},
-], ids=["no-frame", "list", "pair-index", "frame-not-int", "shared-member", "label-not-str"])
+    {"frame": 5, "groups": [_group(0, [1, 2])], "pairs": [{"a": 0, "b": 0, "label": "Approach"}]},
+    {"frame": 4, "groups": [_group(0, [1, 2])], "pairs": []},  # same frame as the first record
+], ids=["no-frame", "list", "pair-index", "frame-not-int", "shared-member", "label-not-str",
+        "pair-one-group", "repeated-frame"])
 def test_malformed_detections_exit_data_error(tmp_path, capsys, record):
     assert _evaluate_second_record(tmp_path, record) == 2
     err = capsys.readouterr().err
@@ -224,6 +227,36 @@ def test_bad_window_or_dt_is_usage_error(workdir, tmp_path, capsys, command, fla
     err = capsys.readouterr().err
     assert f"groupact {command}: error:" in err and "Traceback" not in err
     assert flags[0].lstrip("-") in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--max-iters", "0"], ["--max-iters", "-3"], ["--max-segments", "0"], ["--max-segments", "-1"],
+])
+def test_bad_training_count_is_usage_error(tmp_path, capsys, flags):
+    # no input file exists: the check comes before any input is read
+    out = tmp_path / "out"
+    args = ["train", "--tracks", tmp_path / "missing.csv",
+            "--annotations", tmp_path / "missing.jsonl", "--out", out, *flags]
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert "groupact train: error:" in err and "Traceback" not in err
+    assert flags[0].lstrip("-").replace("-", "_") in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["detect", "evaluate"])
+def test_reversed_frame_range_is_usage_error(workdir, tmp_path, capsys, command):
+    out = tmp_path / "out.jsonl"
+    if command == "detect":
+        args = ["detect", "--tracks", workdir / "eval.tracks.csv",
+                "--model", workdir / "model.json", "--out", out]
+    else:
+        args = ["evaluate", "--detections", workdir / "dets.jsonl",
+                "--truth", workdir / "eval.annotations.jsonl", "--csv", out]
+    assert run([*args, "--frames", "5:3"]) == 1
+    err = capsys.readouterr().err
+    assert "5:3" in err and "Traceback" not in err
     assert not out.exists()
 
 

@@ -15,7 +15,6 @@ from groupact.features import (
     body_size_change,
     entity_average_speed,
     group_feature_window,
-    group_observation,
     pair_feature_windows,
     pair_observation,
     wrap_angle,
@@ -133,7 +132,7 @@ def test_group_observation_hand_values():
         [(1.0, 0.0), (0.0, 0.0)],
         [(3.0, 8.0), (6.0, 8.0)],
     )
-    _, _, avg_speed, avg_dist, speed_var = group_observation(tracks, [1, 2], 1)
+    _, _, avg_speed, avg_dist, speed_var = group_feature_window(tracks, [1, 2], 1, 1)[0]
     assert avg_dist == pytest.approx(5.0)
     assert avg_speed == pytest.approx(2.0)
     assert speed_var == pytest.approx(1.0)
@@ -141,7 +140,7 @@ def test_group_observation_hand_values():
 
 def test_group_observation_singleton():
     tracks = two_person_tracks([(0.0, 0.0), (3.0, 4.0)], [(0.0, 0.0), (0.0, 0.0)])
-    _, _, avg_speed, avg_dist, speed_var = group_observation(tracks, [1], 1)
+    _, _, avg_speed, avg_dist, speed_var = group_feature_window(tracks, [1], 1, 1)[0]
     assert avg_speed == pytest.approx(5.0)
     assert avg_dist == 0.0
     assert speed_var == 0.0
@@ -149,13 +148,12 @@ def test_group_observation_singleton():
 
 def test_group_observation_identical_movers():
     tracks = two_person_tracks([(0.0, 0.0), (2.0, 0.0)], [(5.0, 0.0), (7.0, 0.0)])
-    assert group_observation(tracks, [1, 2], 1)[4] == 0.0  # speed variance
+    assert group_feature_window(tracks, [1, 2], 1, 1)[0, 4] == 0.0  # speed variance
 
 
-def test_group_observation_missing_member_raises():
+def test_group_observation_missing_member_gives_none():
     tracks = make_tracks([(0, 1, 0, 0, 5, 5), (1, 1, 1, 0, 5, 5), (1, 2, 9, 9, 5, 5)])
-    with pytest.raises(ObservationUnavailable):
-        group_observation(tracks, [1, 2], 1)
+    assert group_feature_window(tracks, [1, 2], 1, 1) is None
 
 
 def test_body_size_change_values():

@@ -52,9 +52,9 @@ class StubEngine:
         return self.profiles([key], t)[key]
 
 
-def ctx(index, members, label, rep_members, speed):
-    rep = GroupRepresentative("v", tuple(members), tuple(rep_members))
-    return GroupContext(index, tuple(members), label, rep, speed)
+def ctx(index, members, rep_members, speed):
+    rep = GroupRepresentative("v", tuple(rep_members))
+    return GroupContext(index, tuple(members), rep, speed)
 
 
 def vote_values(label, v=0.9, labels=("Approach", "Chase", "Ignore", "Split")):
@@ -65,8 +65,8 @@ def vote_values(label, v=0.9, labels=("Approach", "Chase", "Ignore", "Split")):
 
 
 def test_majority_vote_unanimous(bank):
-    a = ctx(0, (1, 2), "InGroup", (1, 2), 0.1)
-    b = ctx(1, (5,), "single", (5,), 2.0)
+    a = ctx(0, (1, 2), (1, 2), 0.1)
+    b = ctx(1, (5,), (5,), 2.0)
     table = {((5,), (m,)): vote_values("Approach") for m in (1, 2)}
     engine = StubEngine(bank, table)
     pl = majority_vote_intergroup(engine, a, b, 10)
@@ -74,8 +74,8 @@ def test_majority_vote_unanimous(bank):
 
 
 def test_majority_vote_two_to_one(bank):
-    a = ctx(0, (1, 2, 3), "InGroup", (1, 2, 3), 0.1)
-    b = ctx(1, (5,), "single", (5,), 2.0)
+    a = ctx(0, (1, 2, 3), (1, 2, 3), 0.1)
+    b = ctx(1, (5,), (5,), 2.0)
     table = {
         ((5,), (1,)): vote_values("Approach"),
         ((5,), (2,)): vote_values("Approach"),
@@ -86,8 +86,8 @@ def test_majority_vote_two_to_one(bank):
 
 
 def test_majority_vote_tie_breaks_on_summed_correlation(bank):
-    a = ctx(0, (1, 2), "InGroup", (1, 2), 0.1)
-    b = ctx(1, (5,), "single", (5,), 2.0)
+    a = ctx(0, (1, 2), (1, 2), 0.1)
+    b = ctx(1, (5,), (5,), 2.0)
     table = {
         ((5,), (1,)): vote_values("Approach", v=0.6),
         ((5,), (2,)): vote_values("Chase", v=0.9),  # higher summed correlation
@@ -104,8 +104,8 @@ def test_majority_vote_tie_breaks_on_summed_correlation(bank):
 
 
 def test_intergroup_orders_by_speed_then_index(bank):
-    slow = ctx(0, (1, 2), "InGroup", (1, 2), 0.1)
-    fast = ctx(1, (5,), "single", (5,), 2.0)
+    slow = ctx(0, (1, 2), (1, 2), 0.1)
+    fast = ctx(1, (5,), (5,), 2.0)
     table = {
         ((5,), (1, 2)): vote_values("Approach"),
         ((5,), (1,)): vote_values("Approach"),
@@ -114,8 +114,8 @@ def test_intergroup_orders_by_speed_then_index(bank):
     pl = recognize_intergroup(StubEngine(bank, table), fast, slow, 10)
     assert (pl.a, pl.b) == (0, 1)  # slower group always first
     # ties on speed: smaller index first
-    g0 = ctx(0, (1,), "single", (1,), 1.0)
-    g1 = ctx(1, (2,), "single", (2,), 1.0)
+    g0 = ctx(0, (1,), (1,), 1.0)
+    g1 = ctx(1, (2,), (2,), 1.0)
     table2 = {((2,), (1,)): vote_values("Ignore")}
     pl2 = recognize_intergroup(StubEngine(bank, table2), g1, g0, 10)
     assert (pl2.a, pl2.b) == (0, 1)

@@ -4,12 +4,7 @@ import pytest
 
 from groupact.clustering import GroupAssignment, Partition
 from groupact.grad import FrameDetection, PairLabel
-from groupact.metrics import (
-    detections_from_truth,
-    partition_match,
-    score,
-    truth_frame,
-)
+from groupact.metrics import partition_match, score, truth_frame
 from groupact.seqmodel import DataError
 from groupact.trackio import AnnotationRecord, AnnotationSet
 
@@ -137,6 +132,29 @@ def test_truth_frame_rejects_overlapping_groups():
     ])
     with pytest.raises(DataError):
         truth_frame(bad, 3, (1, 2, 3))
+
+
+def detections_from_truth(annotations: AnnotationSet, universes: dict[int, tuple]) -> list:
+    """Convert ground truth into a detection stream (for self-scoring checks)."""
+    out = []
+    for t in sorted(universes):
+        truth = truth_frame(annotations, t, universes[t])
+        groups = []
+        labels = []
+        for ms, lbl in truth.groups:
+            members = tuple(sorted(ms))
+            groups.append(GroupAssignment(members, members, (), lbl))
+            labels.append(lbl)
+        partition = Partition(t, tuple(sorted(universes[t])), tuple(groups))
+        pairs = []
+        for i in range(len(groups)):
+            for j in range(i + 1, len(groups)):
+                rel = truth.relation(
+                    frozenset(groups[i].members), frozenset(groups[j].members)
+                )
+                pairs.append(PairLabel(i, j, rel))
+        out.append(FrameDetection(t, partition, tuple(labels), tuple(pairs)))
+    return out
 
 
 def test_truth_to_detections_scores_zero():

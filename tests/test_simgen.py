@@ -83,7 +83,7 @@ def test_annotations_partition_agents_every_frame():
     for name, build in EVAL_SCENARIOS.items():
         tracks, anns = generate(build(seed=4))
         for t in (10, 150, 290):
-            universe = tracks.persons_at(t)
+            universe = [p for p in tracks.persons if tracks.has(p, t)]
             tf = truth_frame(anns, t, universe)
             covered = sorted(m for ms, _ in tf.groups for m in ms)
             assert covered == sorted(universe), name

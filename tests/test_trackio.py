@@ -78,7 +78,7 @@ def test_lenient_mode_counts_everything():
 def test_track_queries_and_observability():
     ts = parse_tracks("0,1,1,2,3,4\n2,1,2,2,3,4\n3,1,3,2,3,4\n3,2,0,0,1,1\n")
     assert ts.has(1, 0) and not ts.has(1, 1)
-    assert ts.persons_at(3) == (1, 2)
+    assert [p for p in ts.persons if ts.has(p, 3)] == [1, 2]
     assert ts.observable(1, 3)
     assert not ts.observable(1, 2)  # gap at frame 1
     assert ts.observable_persons(3) == (1,)
@@ -254,7 +254,7 @@ def test_model_threshold_out_of_range():
 def test_default_taxonomy_contents():
     tax = default_taxonomy()
     assert tax.is_symmetric("Fight") and tax.is_symmetric("Ignore")
-    assert tax.is_asymmetric("Chase")
+    assert tax.level("Chase") == ASYMMETRIC
     assert not tax.is_grouping("Ignore")
     assert not tax.is_grouping("single")
     assert tax.is_grouping("WalkTogether")
