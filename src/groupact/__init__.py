@@ -42,7 +42,6 @@ from .seqmodel import (
     train_activity_model,
     train_bank,
 )
-from .taxonomy import Taxonomy, default_taxonomy
 from .trackio import (
     AnnotationRecord,
     AnnotationSet,

@@ -60,16 +60,6 @@ def _atomic_write(path: Path, writer) -> None:
         raise
 
 
-def _check_flags(command: str, window: int, dt: int, **thresholds: float | None) -> None:
-    """Usage error for a window/dt pair the correlation lattice cannot read out,
-    or for a threshold flag outside [0, 1]."""
-    try:
-        check_window(window, dt)
-        check_thresholds(**{k: v for k, v in thresholds.items() if v is not None})
-    except ValueError as exc:
-        raise CliError(EXIT_USAGE, f"groupact {command}: error: {exc}") from None
-
-
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
@@ -154,8 +144,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _check_flags("train", args.window, args.dt, tc=args.tc, to=args.to, tr=args.tr)
     try:
+        check_window(args.window, args.dt)
+        check_thresholds(tc=args.tc, to=args.to, tr=args.tr)
         config = TrainConfig(
             seed=args.seed,
             max_iters=args.max_iters,
@@ -185,20 +176,17 @@ def cmd_detect(args) -> int:
     frames = _parse_frames(args.frames)
     with open(args.model, "r", encoding="utf-8") as fp:
         bank = load_model(fp)
-    _check_flags(
-        "detect",
-        bank.window if args.window is None else args.window,
-        bank.dt if args.dt is None else args.dt,
-        tc=args.tc, to=args.to, tr=args.tr,
-    )
+    try:
+        config = grad.PipelineConfig.from_bank(
+            bank,
+            gr=args.gr, variant=args.variant, baseline=args.baseline,
+            tc=args.tc, to=args.to, tr=args.tr,
+            window=args.window, dt=args.dt,
+            smoothing=True if args.smooth else None,
+        )
+    except ValueError as exc:
+        raise CliError(EXIT_USAGE, f"groupact detect: error: {exc}") from None
     tracks = parse_tracks(_read_text(args.tracks), strict=not args.lenient)
-    config = grad.PipelineConfig.from_bank(
-        bank,
-        gr=args.gr, variant=args.variant, baseline=args.baseline,
-        tc=args.tc, to=args.to, tr=args.tr,
-        window=args.window, dt=args.dt,
-        smoothing=True if args.smooth else None,
-    )
     dets = grad.run_pipeline(bank, tracks, config, frames=frames)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

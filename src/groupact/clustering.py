@@ -17,7 +17,7 @@ import numpy as np
 
 from . import features as feats
 from .seqmodel import CorrelationEngine
-from .taxonomy import SINGLE
+from .taxonomy import SINGLE, is_grouping
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,6 @@ class ClusterSeed:
 class GroupAssignment:
     members: tuple[int, ...]
     seed_members: tuple[int, ...]
-    assigned_members: tuple[int, ...]
     label: str | None
 
 
@@ -80,7 +79,6 @@ def detect_seeds(
     label is its largest column; ties go to the smallest label.
     """
     tracks = engine.tracks
-    tax = engine.bank.taxonomy
     present = tracks.observable_persons(t)
     seeds: list[ClusterSeed] = []
     for i in present:
@@ -94,7 +92,7 @@ def detect_seeds(
             if pab is None or pba is None:
                 continue
             col = pab.argmax()
-            if col != pba.argmax() or not tax.is_grouping(engine.labels[col]):
+            if col != pba.argmax() or not is_grouping(engine.labels[col]):
                 continue
             if pab[col] > to and pba[col] > to:
                 strength = float(min(pab[col], pba[col]))
@@ -122,7 +120,7 @@ def _cross_label_agreement(
                     candidate = lbl
                 if lbl != candidate:
                     return None
-    if candidate is None or not engine.bank.taxonomy.is_grouping(candidate):
+    if candidate is None or not is_grouping(candidate):
         return None
     return candidate
 
@@ -194,7 +192,6 @@ def assign_remaining(engine: CorrelationEngine, t: int, seeds: list[ClusterSeed]
     label is a grouping activity; only person-to-representative values are
     used.
     """
-    tax = engine.bank.taxonomy
     present = engine.tracks.observable_persons(t)
     seeded = {m for s in seeds for m in s.members}
     remaining = [p for p in present if p not in seeded]
@@ -209,7 +206,7 @@ def assign_remaining(engine: CorrelationEngine, t: int, seeds: list[ClusterSeed]
             if prof is None:
                 continue
             col = prof.argmax()
-            if tax.is_grouping(engine.labels[col]) and prof[col] > best_val:
+            if is_grouping(engine.labels[col]) and prof[col] > best_val:
                 best_val, best_idx = prof[col], idx
         if best_idx is not None:
             joined[best_idx].append(p)
@@ -220,12 +217,10 @@ def assign_remaining(engine: CorrelationEngine, t: int, seeds: list[ClusterSeed]
         label = seed.label
         if len(members) == 1 and label is None:
             label = SINGLE
-        groups.append(
-            GroupAssignment(members, seed.members, tuple(sorted(joined[idx])), label)
-        )
+        groups.append(GroupAssignment(members, seed.members, label))
     assigned_all = {m for g in groups for m in g.members}
     for p in present:
         if p not in assigned_all:
-            groups.append(GroupAssignment((p,), (), (), SINGLE))
+            groups.append(GroupAssignment((p,), (), SINGLE))
     groups.sort(key=lambda g: g.members)
     return Partition(t, tuple(present), tuple(groups))

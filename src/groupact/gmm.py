@@ -7,6 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 VAR_FLOOR = 1e-6
+EM_MAX_ITERS = 200
+EM_TOL = 1e-4  # relative log-likelihood improvement below which EM stops
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
@@ -123,8 +125,6 @@ def fit_em(
     samples: np.ndarray,
     k: int,
     seed: int,
-    max_iters: int = 200,
-    tol: float = 1e-4,
     var_floor: float = VAR_FLOOR,
     return_history: bool = False,
 ):
@@ -133,7 +133,7 @@ def fit_em(
     Initialisation is seeded k-means, so identical inputs give bitwise
     identical parameters.  The per-iteration log-likelihood is
     non-decreasing; iteration stops when the relative improvement drops
-    below ``tol`` or after ``max_iters`` rounds.
+    below ``EM_TOL`` or after ``EM_MAX_ITERS`` rounds.
     """
     x = np.atleast_2d(np.asarray(samples, dtype=float))
     n, d = x.shape
@@ -163,7 +163,7 @@ def fit_em(
 
     history: list[float] = []
     prev = -np.inf
-    for _ in range(max_iters):
+    for _ in range(EM_MAX_ITERS):
         gm = GaussianMixture(weights, means, variances)
         comp = gm.component_log_density(x) + np.log(weights)[None, :]
         per_point = logsumexp(comp, axis=1)
@@ -176,7 +176,7 @@ def fit_em(
         means = (resp.T @ x) / nk[:, None]
         sq = (resp.T @ (x * x)) / nk[:, None]
         variances = np.maximum(sq - means * means, var_floor)
-        if prev > -np.inf and ll - prev < tol * max(1.0, abs(prev)):
+        if prev > -np.inf and ll - prev < EM_TOL * max(1.0, abs(prev)):
             break
         prev = ll
 

@@ -34,7 +34,7 @@ from .seqmodel import (
     check_thresholds,
     check_window,
 )
-from .taxonomy import SINGLE
+from .taxonomy import GROUPING_LABELS, INTERGROUP_CANDIDATES, SINGLE
 from .trackio import ParseError, TrackSet
 
 
@@ -137,13 +137,12 @@ def recognize_symmetric(
         return SINGLE
     if variant == 1 and group.label is not None:
         return group.label
-    candidates = engine.bank.taxonomy.grouping_labels()
     sums = _pair_sums(engine, members, members, t)  # each member's self-profile included
-    prior = {label: float(sums[engine.column[label]]) for label in candidates}
+    prior = {label: float(sums[engine.column[label]]) for label in GROUPING_LABELS}
     scores = prior
     if variant == 2:
         scores = {}
-        for label in candidates:
+        for label in GROUPING_LABELS:
             glik = engine.group_score(label, members, t)
             if glik is not None:
                 scores[label] = glik + prior[label]
@@ -162,8 +161,7 @@ def _relation_scores(
     if gr_prof is not None:
         with np.errstate(divide="ignore"):
             scores = np.log(gr_prof) + scores
-    return {label: float(scores[engine.column[label]])
-            for label in engine.bank.taxonomy.intergroup_candidates()}
+    return {label: float(scores[engine.column[label]]) for label in INTERGROUP_CANDIDATES}
 
 
 def _order_groups(a: GroupContext, b: GroupContext) -> tuple[GroupContext, GroupContext]:
@@ -194,12 +192,11 @@ def majority_vote_intergroup(
 ) -> PairLabel:
     """Mode over cross-pair labels; ties go to the larger summed correlation."""
     slow, fast = _order_groups(a, b)
-    candidates = engine.bank.taxonomy.intergroup_candidates()
-    cols = [engine.column[label] for label in candidates]
+    cols = [engine.column[label] for label in INTERGROUP_CANDIDATES]
     rows = _cross_profiles(engine, fast.members, slow.members, t)
     if not rows:
         raise DataError(f"no evaluable cross pair between groups at frame {t}")
-    votes = [candidates[row[cols].argmax()] for row in rows]
+    votes = [INTERGROUP_CANDIDATES[row[cols].argmax()] for row in rows]
     sums = sum(rows, np.zeros(len(engine.labels)))
     return PairLabel(slow.index, fast.index, _mode(votes, lambda l: sums[engine.column[l]]))
 
@@ -343,8 +340,7 @@ def _detection_record(obj) -> FrameDetection:
     for g in obj["groups"]:
         members = tuple(sorted(int(m) for m in g["members"]))
         seed = tuple(sorted(int(m) for m in g.get("seed", ())))
-        assigned = tuple(m for m in members if m not in seed)
-        groups.append(GroupAssignment(members, seed, assigned, _label(g["label"])))
+        groups.append(GroupAssignment(members, seed, _label(g["label"])))
     persons = tuple(sorted(m for g in groups for m in g.members))
     partition = Partition(frame, persons, tuple(groups))
     pairs = tuple(PairLabel(int(p["a"]), int(p["b"]), _label(p["label"])) for p in obj.get("pairs", ()))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .seqmodel import DataError
-from .taxonomy import IGNORE, SINGLE
+from .taxonomy import IGNORE, LEVELS, SINGLE, is_grouping
 from .trackio import AnnotationSet
 
 
@@ -92,14 +92,13 @@ def truth_frame(annotations: AnnotationSet, t: int, universe) -> TruthFrame:
     person in the universe is a singleton.  Relation labels come from
     inter-group records whose two groups are both present.
     """
-    tax = annotations.taxonomy
     universe = set(universe)
     groups: list[tuple[frozenset, str]] = []
     taken: set[int] = set()
     for rec in annotations.sym_records():
         if not rec.active_at(t):
             continue
-        if not (tax.is_grouping(rec.label) or rec.label == SINGLE):
+        if not (is_grouping(rec.label) or rec.label == SINGLE):
             continue
         members = frozenset(rec.members) & universe
         if not members:
@@ -142,12 +141,12 @@ def partition_match(predicted: list[frozenset], truth: list[frozenset]) -> set[i
     return {p for p in pred_universe if by_person_pred[p] != by_person_truth[p]}
 
 
-def _check_labels(det, taxonomy) -> None:
-    """Reject a group or pair label outside the truth's taxonomy."""
+def _check_labels(det) -> None:
+    """Reject a group or pair label outside the taxonomy."""
     for kind, labels in (("group", det.group_labels), ("pair", [p.label for p in det.pair_labels])):
         for label in labels:
-            if label not in taxonomy:
-                raise DataError(f"frame {det.frame}: {kind} label {label!r} is not in the truth's taxonomy")
+            if label not in LEVELS:
+                raise DataError(f"frame {det.frame}: {kind} label {label!r} is not in the taxonomy")
 
 
 def score(detections, annotations: AnnotationSet, frames=None) -> EvalReport:
@@ -159,14 +158,14 @@ def score(detections, annotations: AnnotationSet, frames=None) -> EvalReport:
     eder_num = 0
     tfer_num = 0
     tfer_den = 0
-    labels = sorted(annotations.taxonomy.levels)
+    labels = sorted(LEVELS)
     pos = {l: 0 for l in labels}
     fn = {l: 0 for l in labels}
     neg = {l: 0 for l in labels}
     fp = {l: 0 for l in labels}
 
     for det in detections:
-        _check_labels(det, annotations.taxonomy)
+        _check_labels(det)
         if frame_filter is not None and det.frame not in frame_filter:
             continue
         if det.partition is None:

@@ -18,8 +18,8 @@ from functools import partial
 import numpy as np
 
 from . import features as feats
+from . import taxonomy
 from .gmm import VAR_FLOOR, GaussianMixture, fit_em, logsumexp
-from .taxonomy import SINGLE, Taxonomy, default_taxonomy
 from .trackio import AnnotationSet, TrackSet
 
 EPS_MIN = 1e-3
@@ -152,10 +152,10 @@ class ActivityModel:
 
 @dataclass(frozen=True)
 class ActivityModelBank:
-    """All trained activity models plus the taxonomy and runtime defaults."""
+    """One trained model per modelable activity, group-feature models for
+    some grouping activities, and the runtime defaults."""
 
     models: dict[str, ActivityModel]
-    taxonomy: Taxonomy = field(default_factory=default_taxonomy)
     group_models: dict[str, ActivityModel] = field(default_factory=dict)
     window: int = 25
     dt: int = 5
@@ -166,9 +166,15 @@ class ActivityModelBank:
     def __post_init__(self) -> None:
         check_window(self.window, self.dt)
         check_thresholds(tc=self.tc, to=self.to, tr=self.tr)
-        missing = [l for l in self.taxonomy.modelable_labels() if l not in self.models]
+        missing = [l for l in taxonomy.MODELABLE_LABELS if l not in self.models]
         if missing:
             raise ValueError(f"bank lacks models for activities: {missing}")
+        extra = sorted(set(self.models) - set(taxonomy.MODELABLE_LABELS))
+        if extra:
+            raise ValueError(f"bank has models for unknown activities: {extra}")
+        extra = sorted(set(self.group_models) - set(taxonomy.GROUPING_LABELS))
+        if extra:
+            raise ValueError(f"bank has group models for non-grouping activities: {extra}")
 
     def labels(self) -> list[str]:
         return sorted(self.models)
@@ -743,18 +749,17 @@ def assemble_training_data(
     as the subject stream (both directions again when the label is symmetric,
     e.g. mutual non-interaction).
     """
-    tax = annotations.taxonomy
     pair_segments: dict[str, list] = {}
     group_sequences: dict[str, list] = {}
     for rec in annotations.sym_records():
-        if rec.label != SINGLE and len(rec.members) >= 2:
+        if rec.label != taxonomy.SINGLE and len(rec.members) >= 2:
             for a in rec.members:
                 for b in rec.members:
                     if a == b:
                         continue
                     segs = _stream_chunks(tracks, a, b, rec.start, rec.end, chunk)
                     pair_segments.setdefault(rec.label, []).extend(segs)
-        if tax.is_grouping(rec.label):
+        if taxonomy.is_grouping(rec.label):
             group_sequences.setdefault(rec.label, []).extend(
                 _group_chunks(tracks, rec.members, rec.start, rec.end, chunk)
             )
@@ -771,7 +776,7 @@ def assemble_training_data(
             for j in slower:
                 segs = _stream_chunks(tracks, i, j, rec.start, rec.end, chunk)
                 pair_segments.setdefault(rec.label, []).extend(segs)
-                if tax.is_symmetric(rec.label):
+                if taxonomy.is_symmetric(rec.label):
                     segs = _stream_chunks(tracks, j, i, rec.start, rec.end, chunk)
                     pair_segments.setdefault(rec.label, []).extend(segs)
     return pair_segments, group_sequences
@@ -791,35 +796,34 @@ def train_bank(
     check_window(window, dt)
     check_thresholds(tc=tc, to=to, tr=tr)
     config = config or TrainConfig()
-    tax = annotations.taxonomy
     chunk = config.chunk or window
     slack = config.terminal_slack or dt
     pair_segments, group_sequences = assemble_training_data(tracks, annotations, chunk)
     models = {}
-    for idx, label in enumerate(tax.modelable_labels()):
+    for idx, label in enumerate(taxonomy.MODELABLE_LABELS):
         segs = pair_segments.get(label, [])
         if not segs:
             raise DataError(f"no training data for activity {label!r}")
         cfg = replace(config, seed=config.seed + idx, terminal_slack=slack)
-        models[label] = train_activity_model(segs, cfg, label=label, kind=tax.level(label))
+        models[label] = train_activity_model(segs, cfg, label=label, kind=taxonomy.level(label))
     group_models = {}
-    for idx, label in enumerate(tax.grouping_labels()):
+    for idx, label in enumerate(taxonomy.GROUPING_LABELS):
         seqs = group_sequences.get(label, [])
         if seqs:
             cfg = replace(config, seed=config.seed + 1000 + idx)
-            group_models[label] = train_hmm_model(seqs, cfg, label=label, kind=tax.level(label))
+            group_models[label] = train_hmm_model(seqs, cfg, label=label, kind=taxonomy.level(label))
     return ActivityModelBank(
-        models=models, taxonomy=tax, group_models=group_models,
-        window=window, dt=dt, tc=tc, to=to, tr=tr,
+        models=models, group_models=group_models, window=window, dt=dt, tc=tc, to=to, tr=tr
     )
+
+
+def _taxonomy_payload() -> dict:
+    return {"levels": dict(sorted(taxonomy.LEVELS.items())), "non_grouping": sorted(taxonomy.NON_GROUPING)}
 
 
 def bank_to_payload(bank: ActivityModelBank) -> dict:
     return {
-        "taxonomy": {
-            "levels": dict(sorted(bank.taxonomy.levels.items())),
-            "non_grouping": sorted(bank.taxonomy.non_grouping),
-        },
+        "taxonomy": _taxonomy_payload(),
         "config": {
             "window": bank.window, "dt": bank.dt,
             "tc": bank.tc, "to": bank.to, "tr": bank.tr,
@@ -832,14 +836,12 @@ def bank_to_payload(bank: ActivityModelBank) -> dict:
 
 
 def bank_from_payload(payload: dict) -> ActivityModelBank:
-    tax = Taxonomy(
-        levels=dict(payload["taxonomy"]["levels"]),
-        non_grouping=frozenset(payload["taxonomy"]["non_grouping"]),
-    )
+    """Rebuild a bank; a taxonomy block other than the stock one is a ValueError."""
+    if payload["taxonomy"] != _taxonomy_payload():
+        raise ValueError("model taxonomy differs from the stock nine-label taxonomy")
     cfg = payload["config"]
     return ActivityModelBank(
         models={l: ActivityModel.from_payload(p) for l, p in payload["models"].items()},
-        taxonomy=tax,
         group_models={l: ActivityModel.from_payload(p) for l, p in payload["group_models"].items()},
         window=int(cfg["window"]), dt=int(cfg["dt"]),
         tc=float(cfg["tc"]), to=float(cfg["to"]), tr=float(cfg["tr"]),

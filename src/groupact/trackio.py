@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .taxonomy import TaxonomyError, default_taxonomy
+from .taxonomy import TaxonomyError, level
 
 MODEL_FORMAT_VERSION = 1
 
@@ -202,12 +202,11 @@ class AnnotationSet:
     """Validated collection of annotation records."""
 
     def __init__(self, records: Iterable[AnnotationRecord]):
-        self.taxonomy = default_taxonomy()
         recs = tuple(records)
         declared: set[str] = set()
         for i, r in enumerate(recs):
             where = f"record {i}"
-            self.taxonomy.validate_label(r.label)
+            level(r.label)  # TaxonomyError for a label outside the taxonomy
             if r.kind == "sym":
                 if not r.members:
                     raise ParseError(f"{where}: symmetric record needs members")

@@ -277,12 +277,12 @@ def test_criterion_09_metrics_exactness():
 
     def frame(t, pair_label="Approach", grouped=True):
         if grouped:
-            groups = (GroupAssignment((1, 2), (1, 2), (), "Fight"),
-                      GroupAssignment((3,), (3,), (), "single"))
+            groups = (GroupAssignment((1, 2), (1, 2), "Fight"),
+                      GroupAssignment((3,), (3,), "single"))
             labels = ("Fight", "single")
             pairs = (PairLabel(0, 1, pair_label),)
         else:
-            groups = tuple(GroupAssignment((p,), (p,), (), "single") for p in (1, 2, 3))
+            groups = tuple(GroupAssignment((p,), (p,), "single") for p in (1, 2, 3))
             labels = ("single",) * 3
             pairs = tuple(PairLabel(a, b, "Ignore") for a in range(3) for b in range(a + 1, 3))
         return FrameDetection(t, Partition(t, (1, 2, 3), groups), labels, pairs)

@@ -10,8 +10,9 @@ from groupact.cli import main
 from groupact.simgen import ScenarioSpec
 
 from scenarios import approach, fight, merge_for_training, split, chase, walk_together, run_together, fig1_hierarchy
-from groupact.trackio import write_annotations, write_tracks
+from groupact.trackio import ModelFormatError, load_model, write_annotations, write_tracks
 
+FROZEN_BANK = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "bank.json"
 SHORT = 90  # frames: enough for every activity to be learnable at window 8
 
 
@@ -124,6 +125,40 @@ def test_detect_bad_model_version(workdir, tmp_path, capsys):
                 "--model", bad, "--out", tmp_path / "x.jsonl"])
     assert code == 3
     assert "99" in capsys.readouterr().err
+
+
+def _fight_asymmetric(bank):
+    bank["taxonomy"]["levels"]["Fight"] = "asymmetric"
+
+
+def _extra_model(bank):
+    bank["models"]["Dance"] = bank["models"]["Fight"]
+
+
+def _missing_model(bank):
+    del bank["models"]["Split"]
+
+
+def _group_model_under_approach(bank):
+    bank["group_models"]["Approach"] = bank["group_models"]["Fight"]
+
+
+@pytest.mark.parametrize("corrupt", [
+    _fight_asymmetric, _extra_model, _missing_model, _group_model_under_approach,
+], ids=["non-stock-taxonomy", "extra-model", "missing-model", "group-model-under-approach"])
+def test_bank_outside_the_taxonomy_is_model_error(tmp_path, capsys, corrupt):
+    doc = json.loads(FROZEN_BANK.read_text(encoding="utf-8"))
+    corrupt(doc["bank"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    with open(bad, encoding="utf-8") as fp, pytest.raises(ModelFormatError):
+        load_model(fp)
+    # no tracks file exists: the bank is checked before any track is read
+    out = tmp_path / "x.jsonl"
+    assert run(["detect", "--tracks", tmp_path / "missing.csv", "--model", bad, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert "model error" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_evaluate_disjoint_ranges(workdir, tmp_path, capsys):

@@ -14,17 +14,15 @@ from groupact.clustering import (
     merge_seeds,
 )
 from groupact.seqmodel import CorrelationEngine
-from groupact.taxonomy import default_taxonomy
+from groupact.taxonomy import MODELABLE_LABELS
 from groupact.trackio import MbbSample, TrackSet
 
 from scenarios import WARMUP, fight, walk_together
 from groupact.simgen import generate
 
 
-# what merge_seeds reads of an engine: the profile columns and the taxonomy
-ENGINE = SimpleNamespace(
-    labels=default_taxonomy().modelable_labels(), bank=SimpleNamespace(taxonomy=default_taxonomy())
-)
+# what merge_seeds reads of an engine: the profile columns
+ENGINE = SimpleNamespace(labels=MODELABLE_LABELS)
 
 
 def profile_map(labels: dict[tuple, str], value: float = 0.99):
@@ -173,18 +171,18 @@ def test_assign_remaining_joins_best_seed(bank):
     partition = assign_remaining(engine, t, seeds)
     g0, = (g for g in partition.groups if 3 in g.members)
     assert g0.members == (1, 2, 3)
-    assert 3 in g0.assigned_members
+    assert 3 in g0.members and 3 not in g0.seed_members
     # far-away walkers stay single
     assert [g.members for g in partition.groups if 8 in g.members] == [(8,)]
 
 
 def test_partition_validation():
     with pytest.raises(ValueError):
-        Partition(0, (1, 2), (GroupAssignment((1,), (1,), (), None),))
+        Partition(0, (1, 2), (GroupAssignment((1,), (1,), None),))
     with pytest.raises(ValueError):
         Partition(
             0, (1, 2),
-            (GroupAssignment((1, 2), (), (), None), GroupAssignment((2,), (), (), None)),
+            (GroupAssignment((1, 2), (), None), GroupAssignment((2,), (), None)),
         )
 
 

@@ -125,15 +125,15 @@ def test_recognize_symmetric_variants(bank):
     tracks, _ = generate(walk_together(seed=31))
     engine = CorrelationEngine(bank, tracks)
     t = 60
-    singleton = GroupAssignment((8,), (), (), None)
+    singleton = GroupAssignment((8,), (), None)
     assert recognize_symmetric(engine, singleton, t, 1) == "single"
     assert recognize_symmetric(engine, singleton, t, 2) == "single"
-    seeded = GroupAssignment((1, 2, 3), (1, 2), (3,), "WalkTogether")
+    seeded = GroupAssignment((1, 2, 3), (1, 2), "WalkTogether")
     assert recognize_symmetric(engine, seeded, t, 1) == "WalkTogether"
     # variant 2 recomputes from group features plus the correlation prior
     assert recognize_symmetric(engine, seeded, t, 2) == "WalkTogether"
     # variant 1 without a seed label falls back to the strongest grouping label
-    unlabeled = GroupAssignment((1, 2, 3), (1,), (2, 3), None)
+    unlabeled = GroupAssignment((1, 2, 3), (1,), None)
     assert recognize_symmetric(engine, unlabeled, t, 1) == "WalkTogether"
 
 

@@ -14,7 +14,7 @@ def ann(records):
 
 
 def det(frame, groups, labels, pairs=()):
-    gas = tuple(GroupAssignment(tuple(sorted(m)), tuple(sorted(m)), (), lbl)
+    gas = tuple(GroupAssignment(tuple(sorted(m)), tuple(sorted(m)), lbl)
                 for m, lbl in zip(groups, labels))
     persons = tuple(sorted(p for g in groups for p in g))
     return FrameDetection(frame, Partition(frame, persons, gas), tuple(labels), tuple(pairs))
@@ -143,7 +143,7 @@ def detections_from_truth(annotations: AnnotationSet, universes: dict[int, tuple
         labels = []
         for ms, lbl in truth.groups:
             members = tuple(sorted(ms))
-            groups.append(GroupAssignment(members, members, (), lbl))
+            groups.append(GroupAssignment(members, members, lbl))
             labels.append(lbl)
         partition = Partition(t, tuple(sorted(universes[t])), tuple(groups))
         pairs = []

@@ -26,7 +26,7 @@ from groupact.seqmodel import (
     train_hmm_model,
     window_log_mass,
 )
-from groupact.taxonomy import SYMMETRIC, Taxonomy
+from groupact.taxonomy import MODELABLE_LABELS, SYMMETRIC
 from groupact.trackio import MbbSample, TrackSet
 
 from oracles import (
@@ -235,41 +235,30 @@ def walking_pair_tracks(n=30):
     return TrackSet([MbbSample(*r) for r in rows])
 
 
-def tiny_bank(models, window=8, dt=2, taxonomy=None):
-    tax = taxonomy or Taxonomy(levels={m: SYMMETRIC for m in models} | {"single": SYMMETRIC})
-    return ActivityModelBank(models=models, taxonomy=tax, window=window, dt=dt)
+def tiny_bank(make, window=8, dt=2):
+    """A bank over the stock modelable labels; ``make(label)`` builds each model."""
+    return ActivityModelBank(models={l: make(l) for l in MODELABLE_LABELS}, window=window, dt=dt)
 
 
-def test_correlation_single_activity_is_one():
-    rng = np.random.default_rng(42)
-    model = random_model(rng, n=2, d=6, label="Solo")
-    bank = tiny_bank({"Solo": model})
-    tracks = walking_pair_tracks()
-    prof = correlation(bank, tracks, 1, 2, 20)
-    assert prof is not None
-    assert bank.labels() == ["Solo"]
-    assert prof[0] == pytest.approx(1.0)
+def random_bank(rng, window=8, dt=2):
+    return tiny_bank(lambda l: random_model(rng, n=2, d=6, label=l), window, dt)
 
 
 def test_correlation_normalizes_and_ties_break_lexicographically():
     rng = np.random.default_rng(43)
-    model = random_model(rng, n=2, d=6, label="B")
-    clone = ActivityModel(
-        "A", model.kind, model.entry, model.trans, model.exit, model.advance,
-        model.marginal, model.joint,
-    )
-    bank = tiny_bank({"B": model, "A": clone})
+    model = random_model(rng, n=2, d=6)
+    bank = tiny_bank(lambda l: replace(model, label=l))  # one model under every label
     tracks = walking_pair_tracks()
     prof = correlation(bank, tracks, 1, 2, 20)
-    assert bank.labels() == ["A", "B"]  # the profile's column order
+    assert bank.labels() == list(MODELABLE_LABELS)  # the profile's column order
     assert prof.sum() == pytest.approx(1.0, abs=1e-9)
-    assert prof[0] == pytest.approx(0.5, abs=1e-9)
+    assert prof[0] == pytest.approx(1.0 / len(MODELABLE_LABELS), abs=1e-9)
     assert prof.argmax() == 0  # lexicographic tie-break
 
 
 def test_correlation_unavailable_window():
     rng = np.random.default_rng(4)
-    bank = tiny_bank({"Solo": random_model(rng, n=2, d=6, label="Solo")})
+    bank = random_bank(rng)
     tracks = walking_pair_tracks(n=5)
     assert correlation(bank, tracks, 1, 2, 0) is None  # no frame -1
     assert correlation(bank, tracks, 1, 7, 3) is None  # unknown person
@@ -277,11 +266,7 @@ def test_correlation_unavailable_window():
 
 def test_asymmetry_check_identical_tracks_equal_profiles():
     rng = np.random.default_rng(9)
-    models = {
-        "A": random_model(rng, n=2, d=6, label="A"),
-        "B": random_model(rng, n=2, d=6, label="B"),
-    }
-    bank = tiny_bank(models)
+    bank = random_bank(rng)
     rows = []
     for t in range(20):
         rows.append((t, 1, 3.0 * t, 1.0, 10.0, 20.0))
@@ -297,16 +282,12 @@ def test_label_argmax_scale_invariance():
     # multiplying every activity's lattice mass by a common factor cannot
     # change the label: correlation values are a normalized family
     rng = np.random.default_rng(12)
-    models = {
-        "A": random_model(rng, n=2, d=6, label="A"),
-        "B": random_model(rng, n=2, d=6, label="B"),
-    }
-    bank = tiny_bank(models)
+    bank = random_bank(rng)
     tracks = walking_pair_tracks()
     prof = correlation(bank, tracks, 1, 2, 20)
     masses = {
-        l: window_log_mass(models[l], *_windows(bank, tracks, 1, 2, 20), bank.dt)
-        for l in models
+        l: window_log_mass(m, *_windows(bank, tracks, 1, 2, 20), bank.dt)
+        for l, m in bank.models.items()
     }
     shifted = {l: m + 123.456 for l, m in masses.items()}
     assert max(sorted(shifted), key=lambda l: shifted[l]) == bank.labels()[prof.argmax()]
@@ -320,12 +301,7 @@ def _windows(bank, tracks, a, b, t):
 
 def test_engine_matches_reference_correlation():
     rng = np.random.default_rng(31)
-    models = {
-        "A": random_model(rng, n=2, d=6, label="A"),
-        "B": random_model(rng, n=2, d=6, label="B"),
-        "C": random_model(rng, n=2, d=6, label="C"),
-    }
-    bank = tiny_bank(models, window=6, dt=2)
+    bank = random_bank(rng, window=6, dt=2)
     rows = []
     rng2 = np.random.default_rng(55)
     for t in range(15):
@@ -377,18 +353,18 @@ def test_engine_matches_reference_correlation():
 
 
 def _wide_bank():
-    """Three random pair models broad enough that profiles stay far from one-hot
+    """Random pair models broad enough that profiles stay far from one-hot
     at 4K-frame coordinates, so a changed lattice cell shows in the values."""
     rng = np.random.default_rng(77)
 
     def widen(g):
         return GaussianMixture(g.weights, g.means * 300.0, g.variances * 1e7)
 
-    models = {}
-    for label in "ABC":
+    def make(label):
         m = random_model(rng, n=2, d=6, label=label)
-        models[label] = replace(m, marginal=tuple(map(widen, m.marginal)), joint=tuple(map(widen, m.joint)))
-    return tiny_bank(models)
+        return replace(m, marginal=tuple(map(widen, m.marginal)), joint=tuple(map(widen, m.joint)))
+
+    return tiny_bank(make)
 
 
 WIDE_BANK = _wide_bank()

@@ -8,7 +8,8 @@ import pytest
 
 from groupact.gmm import GaussianMixture
 from groupact.seqmodel import ActivityModel, ActivityModelBank
-from groupact.taxonomy import ASYMMETRIC, SYMMETRIC, Taxonomy, default_taxonomy
+from groupact import taxonomy
+from groupact.taxonomy import ASYMMETRIC
 from groupact.trackio import (
     AnnotationRecord,
     AnnotationSet,
@@ -149,12 +150,9 @@ def test_annotation_round_trip():
 # --- model bank persistence -------------------------------------------------
 
 
-def random_bank(rng, n_act=2, states=2):
-    labels = [f"Act{i}" for i in range(n_act)]
-    levels = {l: (SYMMETRIC if i % 2 == 0 else ASYMMETRIC) for i, l in enumerate(labels)}
-    levels["single"] = SYMMETRIC
+def random_bank(rng, states=2):
     models = {}
-    for l in labels:
+    for l in taxonomy.MODELABLE_LABELS:
         entry = rng.random(states) + 0.1
         entry /= entry.sum()
         raw = rng.random((states, states + 1)) + 0.1
@@ -173,12 +171,11 @@ def random_bank(rng, n_act=2, states=2):
             for _ in range(states)
         )
         models[l] = ActivityModel(
-            l, levels[l], entry, raw[:, :states], raw[:, states],
+            l, taxonomy.level(l), entry, raw[:, :states], raw[:, states],
             rng.uniform(0.1, 0.9, states), marg, joint,
         )
-    tax = Taxonomy(levels=levels, non_grouping=frozenset({"single"}))
     return ActivityModelBank(
-        models=models, taxonomy=tax, window=int(rng.integers(2, 40)),
+        models=models, window=int(rng.integers(2, 40)),
         dt=1, tc=float(rng.random()), to=float(rng.random()), tr=float(rng.random()),
     )
 
@@ -193,7 +190,7 @@ def test_model_round_trip_property():
         again = load_model(buf)
         assert again.window == bank.window and again.dt == bank.dt
         assert (again.tc, again.to, again.tr) == (bank.tc, bank.to, bank.tr)
-        assert again.taxonomy.levels == bank.taxonomy.levels
+        assert again.models.keys() == bank.models.keys()
         for l, m in bank.models.items():
             m2 = again.models[l]
             assert np.array_equal(m2.entry, m.entry)
@@ -252,11 +249,10 @@ def test_model_threshold_out_of_range():
 
 
 def test_default_taxonomy_contents():
-    tax = default_taxonomy()
-    assert tax.is_symmetric("Fight") and tax.is_symmetric("Ignore")
-    assert tax.level("Chase") == ASYMMETRIC
-    assert not tax.is_grouping("Ignore")
-    assert not tax.is_grouping("single")
-    assert tax.is_grouping("WalkTogether")
-    assert tax.intergroup_candidates() == ["Approach", "Chase", "Ignore", "Split"]
-    assert "single" not in tax.modelable_labels()
+    assert taxonomy.is_symmetric("Fight") and taxonomy.is_symmetric("Ignore")
+    assert taxonomy.level("Chase") == ASYMMETRIC
+    assert not taxonomy.is_grouping("Ignore")
+    assert not taxonomy.is_grouping("single")
+    assert taxonomy.is_grouping("WalkTogether")
+    assert taxonomy.INTERGROUP_CANDIDATES == ("Approach", "Chase", "Ignore", "Split")
+    assert "single" not in taxonomy.MODELABLE_LABELS
