@@ -54,15 +54,15 @@ class EntityTrack:
         n = hi - lo + 1
         acc = np.zeros((4, n))
         count = np.zeros(n)
-        t0, t1 = tracks.frame_range or (0, -1)
-        src_lo, src_hi = max(lo, t0), min(hi, t1)
-        sl = slice(src_lo - t0, src_hi - t0 + 1)
-        dst = slice(src_lo - lo, src_hi - lo + 1)
-        for m in members if src_lo <= src_hi else ():
-            if m in tracks.persons:
-                has, xywh = tracks.person_arrays(m)
-                acc[:, dst] += np.where(has[sl], xywh[:, sl], 0.0)
-                count[dst] += has[sl]
+        for m in members:
+            frames, xywh = tracks.person_arrays(m)
+            a, b = frames.searchsorted((lo, hi + 1)).tolist()
+            if a < b:
+                first, last = frames[a] - lo, frames[b - 1] - lo
+                # a run without gaps is scattered as a slice, which is cheaper
+                at = slice(first, last + 1) if last - first == b - a - 1 else frames[a:b] - lo
+                acc[:, at] += xywh[:, a:b]
+                count[at] += 1
         valid = count > 0
         self.usable = np.zeros(n, dtype=bool)
         self.usable[1:] = valid[1:] & valid[:-1]

@@ -33,7 +33,6 @@ class GroupRepresentative:
 
     kind: str
     members: tuple[int, ...]
-    person: int | None = None
     fallback: bool = False
 
 
@@ -74,10 +73,10 @@ def p_gr(engine: CorrelationEngine, group, label: str, t: int) -> GroupRepresent
     """The highest-scoring actual member; ties go to the smallest person id."""
     members = feats.as_entity(group)
     if len(members) == 1:
-        return GroupRepresentative(P_KIND, members, person=members[0])
+        return GroupRepresentative(P_KIND, members)
     scores = member_log_scores(engine, group, label, t)
     best = max(sorted(members), key=lambda m: (scores[m], -m))
-    return GroupRepresentative(P_KIND, (best,), person=best)
+    return GroupRepresentative(P_KIND, (best,))
 
 
 def v_gr(group) -> GroupRepresentative:

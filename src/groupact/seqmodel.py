@@ -66,8 +66,6 @@ class ActivityModel:
     per-state mixtures over concatenated observation pairs.
     """
 
-    label: str
-    kind: str
     entry: np.ndarray
     trans: np.ndarray
     exit: np.ndarray
@@ -122,8 +120,6 @@ class ActivityModel:
 
     def to_payload(self) -> dict:
         return {
-            "label": self.label,
-            "kind": self.kind,
             "entry": self.entry.tolist(),
             "trans": self.trans.tolist(),
             "exit": self.exit.tolist(),
@@ -136,8 +132,6 @@ class ActivityModel:
     @classmethod
     def from_payload(cls, payload: dict) -> "ActivityModel":
         return cls(
-            label=payload["label"],
-            kind=payload["kind"],
             entry=np.asarray(payload["entry"], dtype=float),
             trans=np.asarray(payload["trans"], dtype=float),
             exit=np.asarray(payload["exit"], dtype=float),
@@ -516,8 +510,6 @@ def _run_em(model: ActivityModel, batches: list[tuple], accumulate, config: Trai
 def train_activity_model(
     segments: list[tuple[np.ndarray, np.ndarray]],
     config: TrainConfig | None = None,
-    label: str = "activity",
-    kind: str = "symmetric",
     return_history: bool = False,
 ):
     """Fit an activity model to ordered stream pairs by expectation-maximisation.
@@ -553,7 +545,7 @@ def train_activity_model(
 
     entry, trans, exit_ = _initial_chain(n, float(np.mean([fj.shape[0] for _, fj in segs])))
     advance = np.full(n, 0.7 if config.fix_advance is None else float(config.fix_advance))
-    model = ActivityModel(label, kind, entry, trans, exit_, advance, marginal, joint, fb1 or fb2)
+    model = ActivityModel(entry, trans, exit_, advance, marginal, joint, fb1 or fb2)
     slack = 0 if config.fix_advance is not None else config.terminal_slack
     model, history = _run_em(
         model, _stack_by_shape(segs), partial(_accumulate_batch, terminal_slack=slack),
@@ -614,10 +606,7 @@ class _EmStats:
             marginal = tuple(
                 _fit_weighted_mixture(model.marginal[k], mx, mw[:, k], self.marg_floor) for k in range(n)
             )
-        return ActivityModel(
-            model.label, model.kind, entry, trans, exit_, advance, marginal, joint,
-            model.mixture_fallback,
-        )
+        return ActivityModel(entry, trans, exit_, advance, marginal, joint, model.mixture_fallback)
 
 
 def _stack_by_shape(items: list[tuple[np.ndarray, ...]]) -> list[tuple[np.ndarray, ...]]:
@@ -682,8 +671,6 @@ def _accumulate_sequences(model: ActivityModel, seqs: np.ndarray, stats: _EmStat
 def train_hmm_model(
     sequences: list[np.ndarray],
     config: TrainConfig | None = None,
-    label: str = "activity",
-    kind: str = "symmetric",
     return_history: bool = False,
 ):
     """Fit a synchronous single-stream model (marginal emissions only)."""
@@ -696,7 +683,7 @@ def train_hmm_model(
     floor = _dim_floor(np.concatenate(seqs, axis=0))
     marginal, fallback = _init_mixtures(pools, config.mixtures, config.seed + 3, floor)
     entry, trans, exit_ = _initial_chain(n, float(np.mean([s.shape[0] for s in seqs])))
-    model = ActivityModel(label, kind, entry, trans, exit_, None, marginal, None, fallback)
+    model = ActivityModel(entry, trans, exit_, None, marginal, None, fallback)
     model, history = _run_em(
         model, _stack_by_shape([(s,) for s in seqs]), _accumulate_sequences, config, floor
     )
@@ -805,13 +792,13 @@ def train_bank(
         if not segs:
             raise DataError(f"no training data for activity {label!r}")
         cfg = replace(config, seed=config.seed + idx, terminal_slack=slack)
-        models[label] = train_activity_model(segs, cfg, label=label, kind=taxonomy.level(label))
+        models[label] = train_activity_model(segs, cfg)
     group_models = {}
     for idx, label in enumerate(taxonomy.GROUPING_LABELS):
         seqs = group_sequences.get(label, [])
         if seqs:
             cfg = replace(config, seed=config.seed + 1000 + idx)
-            group_models[label] = train_hmm_model(seqs, cfg, label=label, kind=taxonomy.level(label))
+            group_models[label] = train_hmm_model(seqs, cfg)
     return ActivityModelBank(
         models=models, group_models=group_models, window=window, dt=dt, tc=tc, to=to, tr=tr
     )
@@ -821,6 +808,11 @@ def _taxonomy_payload() -> dict:
     return {"levels": dict(sorted(taxonomy.LEVELS.items())), "non_grouping": sorted(taxonomy.NON_GROUPING)}
 
 
+def _model_payloads(models: dict[str, ActivityModel]) -> dict:
+    """Each model's payload under its key, headed by the key and the key's taxonomy level."""
+    return {l: {"label": l, "kind": taxonomy.level(l), **models[l].to_payload()} for l in sorted(models)}
+
+
 def bank_to_payload(bank: ActivityModelBank) -> dict:
     return {
         "taxonomy": _taxonomy_payload(),
@@ -828,24 +820,27 @@ def bank_to_payload(bank: ActivityModelBank) -> dict:
             "window": bank.window, "dt": bank.dt,
             "tc": bank.tc, "to": bank.to, "tr": bank.tr,
         },
-        "models": {label: bank.models[label].to_payload() for label in sorted(bank.models)},
-        "group_models": {
-            label: bank.group_models[label].to_payload() for label in sorted(bank.group_models)
-        },
+        "models": _model_payloads(bank.models),
+        "group_models": _model_payloads(bank.group_models),
     }
 
 
 def bank_from_payload(payload: dict) -> ActivityModelBank:
-    """Rebuild a bank; a taxonomy block other than the stock one is a ValueError."""
+    """Rebuild a bank.  A taxonomy block other than the stock one, or a model
+    whose ``label``/``kind`` differ from its key and the key's level, is a ValueError."""
     if payload["taxonomy"] != _taxonomy_payload():
         raise ValueError("model taxonomy differs from the stock nine-label taxonomy")
     cfg = payload["config"]
-    return ActivityModelBank(
+    bank = ActivityModelBank(
         models={l: ActivityModel.from_payload(p) for l, p in payload["models"].items()},
         group_models={l: ActivityModel.from_payload(p) for l, p in payload["group_models"].items()},
         window=int(cfg["window"]), dt=int(cfg["dt"]),
         tc=float(cfg["tc"]), to=float(cfg["to"]), tr=float(cfg["tr"]),
     )
+    for l, p in (*payload["models"].items(), *payload["group_models"].items()):
+        if (p["label"], p["kind"]) != (l, taxonomy.level(l)):
+            raise ValueError(f"model under {l!r} says label {p['label']!r}, kind {p['kind']!r}")
+    return bank
 
 
 class _BatchGmm:

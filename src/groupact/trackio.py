@@ -11,6 +11,8 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from itertools import starmap
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -18,6 +20,7 @@ import numpy as np
 from .taxonomy import TaxonomyError, level
 
 MODEL_FORMAT_VERSION = 1
+_NO_SAMPLES = (np.zeros(0, dtype=np.int64), np.zeros((4, 0)))
 
 
 class ParseError(ValueError):
@@ -49,7 +52,9 @@ class MbbSample:
 class TrackSet:
     """Per-person box samples, sorted by frame, with explicit gaps.
 
-    Immutable after construction; lookups by (person, frame) are O(1).
+    Immutable after construction.  Each person's samples are one sorted
+    ``int64`` frame array and one (4, n) array of x, y, w, h, so memory
+    follows the samples, not the frame span; lookups are binary searches.
     """
 
     def __init__(self, samples: Iterable[MbbSample], warnings: Iterable[str] = ()):
@@ -60,20 +65,18 @@ class TrackSet:
             if s.w <= 0 or s.h <= 0:
                 raise ParseError(f"non-positive box for person {s.person} at frame {s.frame}")
             by_person.setdefault(s.person, []).append(s)
-        self._index: dict[int, dict[int, MbbSample]] = {}
         self._arrays: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for person, rows in by_person.items():
-            rows.sort(key=lambda s: s.frame)
-            frames = {}
-            for s in rows:
-                if s.frame in frames:
-                    raise ParseError(f"duplicate sample for person {person} at frame {s.frame}")
-                frames[s.frame] = s
-            self._index[person] = frames
-        self._persons = tuple(sorted(self._index))
+            rows.sort(key=attrgetter("frame"))
+            frames = np.fromiter(map(attrgetter("frame"), rows), np.int64, len(rows))
+            dup = np.flatnonzero(frames[1:] == frames[:-1])
+            if dup.size:
+                raise ParseError(f"duplicate sample for person {person} at frame {frames[dup[0]]}")
+            xywh = np.stack([np.fromiter(map(attrgetter(c), rows), float, len(rows)) for c in "xywh"])
+            frames.flags.writeable = xywh.flags.writeable = False
+            self._arrays[person] = (frames, xywh)
+        self._persons = tuple(sorted(self._arrays))
         self.warnings = tuple(warnings)
-        all_frames = [f for idx in self._index.values() for f in idx]
-        self._frame_range = (min(all_frames), max(all_frames)) if all_frames else None
 
     @property
     def persons(self) -> tuple[int, ...]:
@@ -81,16 +84,20 @@ class TrackSet:
 
     @property
     def frame_range(self) -> tuple[int, int] | None:
-        return self._frame_range
+        ends = [int(f[i]) for f, _ in self._arrays.values() for i in (0, -1)]
+        return (min(ends), max(ends)) if ends else None
 
     def __len__(self) -> int:
-        return sum(len(v) for v in self._index.values())
+        return sum(f.size for f, _ in self._arrays.values())
 
     def sample(self, person: int, frame: int) -> MbbSample | None:
-        return self._index.get(person, {}).get(frame)
+        frames, xywh = self.person_arrays(person)
+        i = int(frames.searchsorted(frame))
+        found = i < frames.size and frames[i] == frame
+        return MbbSample(int(frame), person, *xywh[:, i].tolist()) if found else None
 
     def has(self, person: int, frame: int) -> bool:
-        return frame in self._index.get(person, {})
+        return self.sample(person, frame) is not None
 
     def observable(self, person: int, frame: int) -> bool:
         """True when features at ``frame`` exist (sample here and one frame back)."""
@@ -100,25 +107,17 @@ class TrackSet:
         return tuple(p for p in self._persons if self.observable(p, frame))
 
     def person_arrays(self, person: int) -> tuple[np.ndarray, np.ndarray]:
-        """Validity mask and (4, n) x/y/w/h rows over the set's frame range."""
-        if person in self._arrays:
-            return self._arrays[person]
-        if self._frame_range is None or person not in self._index:
-            raise KeyError(f"unknown person {person}")
-        t0, t1 = self._frame_range
-        rows = self._index[person]
-        at = np.fromiter(rows, dtype=int, count=len(rows)) - t0
-        valid = np.zeros(t1 - t0 + 1, dtype=bool)
-        valid[at] = True
-        xywh = np.zeros((4, valid.size))
-        xywh[:, at] = np.array([(s.x, s.y, s.w, s.h) for s in rows.values()], dtype=float).T
-        self._arrays[person] = (valid, xywh)
-        return valid, xywh
+        """Read-only sorted frames and (4, n) x, y, w, h of one person; empty if unknown."""
+        return self._arrays.get(person, _NO_SAMPLES)
+
+    def _rows(self) -> Iterator[tuple]:
+        for person in self._persons:
+            frames, xywh = self._arrays[person]
+            for frame, x, y, w, h in zip(frames.tolist(), *xywh.tolist()):
+                yield frame, person, x, y, w, h
 
     def iter_samples(self) -> Iterator[MbbSample]:
-        for person in self._persons:
-            for frame in sorted(self._index[person]):
-                yield self._index[person][frame]
+        return starmap(MbbSample, self._rows())
 
 
 def _lines(text) -> Iterator[tuple[int, str]]:
@@ -178,8 +177,9 @@ def parse_tracks(text, strict: bool = True) -> TrackSet:
 
 
 def write_tracks(tracks: TrackSet, fp) -> None:
-    for s in sorted(tracks.iter_samples(), key=lambda s: (s.frame, s.person)):
-        fp.write(f"{s.frame},{s.person},{s.x!r},{s.y!r},{s.w!r},{s.h!r}\n")
+    # (frame, person) is unique, so the sort never reaches the coordinates
+    for frame, person, x, y, w, h in sorted(tracks._rows()):
+        fp.write(f"{frame},{person},{x!r},{y!r},{w!r},{h!r}\n")
 
 
 @dataclass(frozen=True)

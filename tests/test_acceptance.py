@@ -26,7 +26,6 @@ from groupact.seqmodel import (
     window_log_mass,
 )
 from groupact.simgen import generate
-from groupact.taxonomy import SYMMETRIC
 
 from oracles import enumerate_ahmm
 from scenarios import (
@@ -146,7 +145,7 @@ def test_criterion_04_em_monotonicity_and_recovery():
             if ep is not None:
                 segs.append(ep)
         cfg = TrainConfig(states=2, mixtures=2, seed=seed, max_iters=12, max_segments=None)
-        _, hist = train_activity_model(segs, cfg, label="x", return_history=True)
+        _, hist = train_activity_model(segs, cfg, return_history=True)
         for a, b in zip(hist, hist[1:]):
             assert b >= a - 1e-9 * max(1.0, abs(a))
         checked += len(hist)
@@ -215,7 +214,7 @@ def test_criterion_07_grad_versus_majority_vote(bank):
             for i in (1, 2, 3)
         }
         p0_bad += not (p0[3] < p0[1] and p0[3] < p0[2])
-        p_bad += grouprep.p_gr(engine, (1, 2, 3), "InGroup", t).person == 3
+        p_bad += grouprep.p_gr(engine, (1, 2, 3), "InGroup", t).members == (3,)
         sv_bad += 3 in grouprep.sv_gr(engine, (1, 2, 3), "InGroup", t, bank.tr).members
     assert p0_bad == 0, "outlier's peer-correlation prior must be strictly smallest"
     assert p_bad <= 0.1 * len(frames)
@@ -240,7 +239,6 @@ def test_criterion_08_ahmm_versus_hmm(bank, hmm_bank):
 
     def gait_model(eps):
         return ActivityModel(
-            "gait", SYMMETRIC,
             np.array([0.5, 0.5]),
             np.array([[0.10, 0.85], [0.85, 0.10]]),
             np.array([0.05, 0.05]),

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from groupact.cli import main
-from groupact.simgen import ScenarioSpec
+from groupact.simgen import ScenarioSpec, generate
 
 from scenarios import approach, fight, merge_for_training, split, chase, walk_together, run_together, fig1_hierarchy
 from groupact.trackio import ModelFormatError, load_model, write_annotations, write_tracks
@@ -143,9 +143,15 @@ def _group_model_under_approach(bank):
     bank["group_models"]["Approach"] = bank["group_models"]["Fight"]
 
 
+def _fight_model_says_chase(bank):
+    bank["models"]["Fight"].update(label="Chase", kind="asymmetric")
+
+
 @pytest.mark.parametrize("corrupt", [
     _fight_asymmetric, _extra_model, _missing_model, _group_model_under_approach,
-], ids=["non-stock-taxonomy", "extra-model", "missing-model", "group-model-under-approach"])
+    _fight_model_says_chase,
+], ids=["non-stock-taxonomy", "extra-model", "missing-model", "group-model-under-approach",
+        "model-label-not-its-key"])
 def test_bank_outside_the_taxonomy_is_model_error(tmp_path, capsys, corrupt):
     doc = json.loads(FROZEN_BANK.read_text(encoding="utf-8"))
     corrupt(doc["bank"])
@@ -159,6 +165,23 @@ def test_bank_outside_the_taxonomy_is_model_error(tmp_path, capsys, corrupt):
     err = capsys.readouterr().err
     assert "model error" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_far_frame_sample_leaves_a_frame_range_run_unchanged(tmp_path):
+    tracks, _ = generate(shorten(fight(seed=950)))
+    near = tmp_path / "near.csv"
+    with open(near, "w") as fp:
+        write_tracks(tracks, fp)
+    far = tmp_path / "far.csv"
+    far.write_text(near.read_text() + "999999999,1,10.0,20.0,4.0,9.0\n")
+    outs = []
+    for src in (near, far):
+        out = tmp_path / f"{src.stem}.jsonl"
+        assert run(["detect", "--tracks", src, "--model", FROZEN_BANK, "--out", out,
+                    "--frames", "20:40"]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert len(outs[0].splitlines()) == 21 and b'"groups": [{' in outs[0]
 
 
 def test_evaluate_disjoint_ranges(workdir, tmp_path, capsys):

@@ -33,14 +33,13 @@ def test_singleton_group_all_kinds_coincide(bank):
     p = p_gr(engine, (4,), "single", 10)
     v = v_gr((4,))
     sv = sv_gr(engine, (4,), "single", 10, bank.tr)
-    assert p.person == 4
     assert p.members == v.members == sv.members == (4,)
 
 
 def test_identical_tracks_tie_breaks_to_smaller_id(bank):
     tracks = make_tracks(30, {7: lambda t: (t, 1.0), 5: lambda t: (t, 1.0)})
     p = p_gr(CorrelationEngine(bank, tracks), (5, 7), "WalkTogether", 20)
-    assert p.person == 5
+    assert p.members == (5,)
 
 
 def test_scores_scale_invariance(bank):
@@ -112,9 +111,9 @@ def test_outlier_probe_selection_discards_outlier(bank):
     tracks, _ = generate(outlier_probe(seed=11))
     engine = CorrelationEngine(bank, tracks)
     frames = range(20, 300, 20)
-    p_picks = [p_gr(engine, (1, 2, 3), "InGroup", t).person for t in frames]
+    p_picks = [p_gr(engine, (1, 2, 3), "InGroup", t).members for t in frames]
     sv_sets = [sv_gr(engine, (1, 2, 3), "InGroup", t, bank.tr).members for t in frames]
-    assert all(person != 3 for person in p_picks)
+    assert all(members != (3,) for members in p_picks)
     assert all(3 not in members for members in sv_sets)
     # the full-group average keeps the outlier by definition
     assert v_gr((1, 2, 3)).members == (1, 2, 3)

@@ -8,8 +8,8 @@ check: ``__init__.py`` re-exports by importing and is left out, and so are
 The field check works by name: a field counts as read when any ``.name``
 load of the same name appears in ``src/groupact`` or ``perfbench``.  So it
 cannot see a field that is unread on its own class but shares its name with
-a read field of another class, such as ``GroupRepresentative.person`` beside
-``MbbSample.person``.
+a read field of another class: a ``person`` field would pass unread beside
+the read ``MbbSample.person``.
 """
 
 import ast

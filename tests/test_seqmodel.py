@@ -26,7 +26,7 @@ from groupact.seqmodel import (
     train_hmm_model,
     window_log_mass,
 )
-from groupact.taxonomy import MODELABLE_LABELS, SYMMETRIC
+from groupact.taxonomy import MODELABLE_LABELS
 from groupact.trackio import MbbSample, TrackSet
 
 from oracles import (
@@ -46,7 +46,7 @@ def random_gmm(rng, d, k=None):
     return GaussianMixture(w, rng.normal(scale=2.0, size=(k, d)), rng.random((k, d)) + 0.2)
 
 
-def random_model(rng, n=None, d=1, eps=None, label="a", kind=SYMMETRIC):
+def random_model(rng, n=None, d=1, eps=None):
     n = n or int(rng.integers(1, 4))
     entry = rng.random(n) + 0.1
     entry /= entry.sum()
@@ -56,7 +56,7 @@ def random_model(rng, n=None, d=1, eps=None, label="a", kind=SYMMETRIC):
     advance = np.full(n, eps) if eps is not None else rng.uniform(0.2, 0.9, size=n)
     marginal = tuple(random_gmm(rng, d) for _ in range(n))
     joint = tuple(random_gmm(rng, 2 * d) for _ in range(n))
-    return ActivityModel(label, kind, entry, trans, exit_, advance, marginal, joint)
+    return ActivityModel(entry, trans, exit_, advance, marginal, joint)
 
 
 def oracle_fns(model, fi, fj):
@@ -216,7 +216,7 @@ def test_log_space_safety_long_window():
     adv = np.array([0.7, 0.7])
     tiny = GaussianMixture(np.array([1.0]), np.array([[0.0] * 2]), np.array([[1e-6] * 2]))
     wide = GaussianMixture(np.array([1.0]), np.array([[0.0] * 4]), np.array([[1e-6] * 4]))
-    model = ActivityModel("x", SYMMETRIC, entry, trans, exit_, adv, (tiny, tiny), (wide, wide))
+    model = ActivityModel(entry, trans, exit_, adv, (tiny, tiny), (wide, wide))
     rng = np.random.default_rng(1)
     f = rng.normal(scale=40.0, size=(200, 2))  # log-densities around -1e3 per frame
     lat, ll = ahmm_forward(model, f, f)
@@ -241,13 +241,13 @@ def tiny_bank(make, window=8, dt=2):
 
 
 def random_bank(rng, window=8, dt=2):
-    return tiny_bank(lambda l: random_model(rng, n=2, d=6, label=l), window, dt)
+    return tiny_bank(lambda l: random_model(rng, n=2, d=6), window, dt)
 
 
 def test_correlation_normalizes_and_ties_break_lexicographically():
     rng = np.random.default_rng(43)
     model = random_model(rng, n=2, d=6)
-    bank = tiny_bank(lambda l: replace(model, label=l))  # one model under every label
+    bank = tiny_bank(lambda l: model)  # one model under every label
     tracks = walking_pair_tracks()
     prof = correlation(bank, tracks, 1, 2, 20)
     assert bank.labels() == list(MODELABLE_LABELS)  # the profile's column order
@@ -361,7 +361,7 @@ def _wide_bank():
         return GaussianMixture(g.weights, g.means * 300.0, g.variances * 1e7)
 
     def make(label):
-        m = random_model(rng, n=2, d=6, label=label)
+        m = random_model(rng, n=2, d=6)
         return replace(m, marginal=tuple(map(widen, m.marginal)), joint=tuple(map(widen, m.joint)))
 
     return tiny_bank(make)
@@ -479,10 +479,10 @@ def test_training_monotone_and_deterministic():
         if ep is not None:
             segs.append(ep)
     cfg = TrainConfig(states=2, mixtures=2, seed=5, max_iters=15, max_segments=None)
-    m1, hist = train_activity_model(segs, cfg, label="x", return_history=True)
+    m1, hist = train_activity_model(segs, cfg, return_history=True)
     for a, b in zip(hist, hist[1:]):
         assert b >= a - 1e-9 * max(1.0, abs(a))
-    m2 = train_activity_model(segs, cfg, label="x")
+    m2 = train_activity_model(segs, cfg)
     assert np.array_equal(m1.trans, m2.trans)
     assert np.array_equal(m1.advance, m2.advance)
     for g1, g2 in zip(m1.marginal, m2.marginal):
@@ -502,7 +502,7 @@ def test_training_recovers_heldout_likelihood():
         if ep is not None:
             held.append(ep)
     cfg = TrainConfig(states=2, mixtures=2, seed=3, max_iters=30, max_segments=None)
-    fitted = train_activity_model(train, cfg, label="x")
+    fitted = train_activity_model(train, cfg)
 
     def total_ll(model):
         return sum(ahmm_forward(model, fi, fj)[1] for fi, fj in held)
@@ -516,7 +516,7 @@ def test_training_degenerate_constant_segment():
     fi = np.zeros((6, 2))
     fj = np.zeros((6, 2))
     cfg = TrainConfig(states=2, mixtures=2, seed=0, max_iters=8)
-    model, hist = train_activity_model([(fi, fj)], cfg, label="x", return_history=True)
+    model, hist = train_activity_model([(fi, fj)], cfg, return_history=True)
     assert model.mixture_fallback  # not enough distinct data for 2 mixtures per state
     for g in model.marginal + model.joint:
         assert np.all(np.isfinite(g.means))
@@ -536,7 +536,7 @@ def test_train_hmm_model_monotone():
     rng = np.random.default_rng(17)
     seqs = [rng.normal(size=(12, 3)) + np.array([0.0, 5.0, -2.0]) for _ in range(8)]
     cfg = TrainConfig(states=2, mixtures=2, seed=1, max_iters=12)
-    model, hist = train_hmm_model(seqs, cfg, label="g", return_history=True)
+    model, hist = train_hmm_model(seqs, cfg, return_history=True)
     assert model.advance is None
     for a, b in zip(hist, hist[1:]):
         assert b >= a - 1e-9 * max(1.0, abs(a))
@@ -550,7 +550,7 @@ def test_fixed_advance_training_keeps_eps_pinned():
         g = rng.normal(size=(8, 1))
         segs.append((f, g))
     cfg = TrainConfig(states=2, mixtures=1, seed=2, max_iters=6, fix_advance=1.0)
-    model = train_activity_model(segs, cfg, label="x")
+    model = train_activity_model(segs, cfg)
     assert np.all(model.advance == 1.0)
 
 
@@ -596,7 +596,7 @@ def test_em_counts_match_enumeration(monkeypatch, slack, fix_advance):
     monkeypatch.setattr(seqmodel._EmStats, "m_step", spy)
     cfg = TrainConfig(states=2, mixtures=1, seed=4, max_iters=3, tol=0.0, max_segments=None,
                       terminal_slack=slack, fix_advance=fix_advance)
-    _, hist = train_activity_model(segs, cfg, label="x", return_history=True)
+    _, hist = train_activity_model(segs, cfg, return_history=True)
     assert len(seen) == len(hist) == 3
     used_slack = 0 if fix_advance is not None else slack
     for (stats, model), ll in zip(seen, hist):
@@ -635,15 +635,15 @@ def test_zero_likelihood_segment_raises():
     segs = [(np.zeros((4, 1)), np.ones((4, 1))), (np.zeros((2, 1)), np.ones((3, 1)))]
     cfg = TrainConfig(states=2, mixtures=1, max_iters=2, fix_advance=1.0)
     with pytest.raises(DataError, match="zero likelihood"):
-        train_activity_model(segs, cfg, label="x")
+        train_activity_model(segs, cfg)
 
 
 def test_train_hmm_model_loglik_matches_enumeration():
     rng = np.random.default_rng(41)
     seqs = [rng.normal(size=(T, 2)) for T in (3, 5, 4, 3, 5, 1)]
     cfg = TrainConfig(states=2, mixtures=1, seed=2, max_iters=1)
-    m1 = train_hmm_model(seqs, cfg, label="g")
-    _, hist = train_hmm_model(seqs, replace(cfg, max_iters=2), label="g", return_history=True)
+    m1 = train_hmm_model(seqs, cfg)
+    _, hist = train_hmm_model(seqs, replace(cfg, max_iters=2), return_history=True)
     want = 0.0
     for s in seqs:
         logb = [[float(m1.marginal[k].log_density(s[t])) for k in range(2)] for t in range(len(s))]
@@ -664,7 +664,7 @@ def test_hmm_em_counts_match_enumeration(monkeypatch):
 
     monkeypatch.setattr(seqmodel._EmStats, "m_step", spy)
     cfg = TrainConfig(states=2, mixtures=1, seed=2, max_iters=3, tol=0.0, max_segments=None)
-    _, hist = train_hmm_model(seqs, cfg, label="g", return_history=True)
+    _, hist = train_hmm_model(seqs, cfg, return_history=True)
     assert len(seen) == len(hist) == 3
     for (stats, model), ll in zip(seen, hist):
         want_ll = 0.0
@@ -726,9 +726,7 @@ def test_group_likelihood_factorized_cross_check():
         )
         for k in range(n)
     )
-    model = ActivityModel(
-        "g", SYMMETRIC, entry, raw[:, :n], raw[:, n], np.ones(n), marginal, joint
-    )
+    model = ActivityModel(entry, raw[:, :n], raw[:, n], np.ones(n), marginal, joint)
     fa = rng.normal(size=(6, d))
     _, paired = ahmm_forward(model, fa, fa)
     grouped = hmm_group_likelihood(model, fa)

@@ -2,9 +2,13 @@
 
 import io
 import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupact.gmm import GaussianMixture
 from groupact.seqmodel import ActivityModel, ActivityModelBank
@@ -93,6 +97,64 @@ def test_write_tracks_round_trip():
     assert list(again.iter_samples()) == list(ts.iter_samples())
 
 
+def test_readme_tracks_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("**Tracks**", 1)[1].split("```\n", 2)[1]
+    assert list(parse_tracks(block).iter_samples()) == [MbbSample(0, 1, 10.0, 20.0, 4.0, 9.0)]
+
+
+@st.composite
+def sparse_samples(draw):
+    """Samples of up to four people at frames clustered around far-apart anchors in [0, 2**31]."""
+    anchors = draw(st.lists(st.integers(0, 2**31), min_size=1, max_size=4))
+    keys = draw(st.lists(
+        st.tuples(st.sampled_from(anchors), st.integers(0, 3), st.integers(0, 3)),
+        min_size=1, max_size=40, unique_by=lambda k: (k[0] + k[1], k[2]),
+    ))
+    coord = st.floats(-1e6, 1e6)
+    size = st.floats(0.01, 1e4)
+    return [MbbSample(a + o, p, draw(coord), draw(coord), draw(size), draw(size)) for a, o, p in keys]
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_samples())
+def test_sparse_far_frames_match_a_dict_reference(samples):
+    ref = {(s.person, s.frame): s for s in samples}
+    persons = sorted({s.person for s in samples})
+    tracemalloc.start()
+    try:
+        ts = TrackSet(samples)
+        arrays = {p: ts.person_arrays(p) for p in persons}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a store dense over the frame span would take gigabytes here
+    assert peak <= 4096 + 512 * len(samples)
+
+    assert len(ts) == len(samples) and ts.persons == tuple(persons)
+    assert ts.frame_range == (min(f for _, f in ref), max(f for _, f in ref))
+    for p, (frames, xywh) in arrays.items():
+        mine = [ref[k] for k in sorted(ref) if k[0] == p]
+        assert frames.dtype == np.int64 and frames.tolist() == [s.frame for s in mine]
+        assert xywh.tolist() == [[getattr(s, c) for s in mine] for c in "xywh"]
+    got = list(ts.iter_samples())
+    assert got == [ref[k] for k in sorted(ref)]
+    for s in got + [ts.sample(s.person, s.frame) for s in got]:  # plain types: writers format with !r
+        assert type(s.frame) is int and {type(v) for v in (s.x, s.y, s.w, s.h)} == {float}
+    for f in {g for _, f in ref for g in (f - 1, f, f + 1, f + 2)} | {0, 2**31 + 4}:
+        for p in persons + [99]:
+            assert ts.has(p, f) == ((p, f) in ref)
+            assert ts.sample(p, f) == ref.get((p, f))
+            assert ts.observable(p, f) == ((p, f) in ref and (p, f - 1) in ref)
+        assert ts.observable_persons(f) == tuple(p for p in persons if (p, f) in ref and (p, f - 1) in ref)
+    buf = io.StringIO()
+    write_tracks(ts, buf)
+    assert buf.getvalue() == "".join(
+        f"{s.frame},{s.person},{s.x!r},{s.y!r},{s.w!r},{s.h!r}\n"
+        for s in sorted(samples, key=lambda s: (s.frame, s.person))
+    )
+
+
 # --- annotations ----------------------------------------------------------
 
 
@@ -171,8 +233,7 @@ def random_bank(rng, states=2):
             for _ in range(states)
         )
         models[l] = ActivityModel(
-            l, taxonomy.level(l), entry, raw[:, :states], raw[:, states],
-            rng.uniform(0.1, 0.9, states), marg, joint,
+            entry, raw[:, :states], raw[:, states], rng.uniform(0.1, 0.9, states), marg, joint,
         )
     return ActivityModelBank(
         models=models, window=int(rng.integers(2, 40)),
