@@ -57,12 +57,9 @@ class EntityTrack:
         for m in members:
             frames, xywh = tracks.person_arrays(m)
             a, b = frames.searchsorted((lo, hi + 1)).tolist()
-            if a < b:
-                first, last = frames[a] - lo, frames[b - 1] - lo
-                # a run without gaps is scattered as a slice, which is cheaper
-                at = slice(first, last + 1) if last - first == b - a - 1 else frames[a:b] - lo
-                acc[:, at] += xywh[:, a:b]
-                count[at] += 1
+            at = frames[a:b] - lo
+            acc[:, at] += xywh[:, a:b]
+            count[at] += 1
         valid = count > 0
         self.usable = np.zeros(n, dtype=bool)
         self.usable[1:] = valid[1:] & valid[:-1]
