@@ -36,8 +36,6 @@ from .seqmodel import (
     CorrelationEngine,
     DataError,
     TrainConfig,
-    ahmm_forward,
-    correlation,
     hmm_group_likelihood,
     train_activity_model,
     train_bank,

@@ -126,9 +126,9 @@ def fit_em(
     k: int,
     seed: int,
     var_floor: float = VAR_FLOOR,
-    return_history: bool = False,
-):
-    """Fit a k-component diagonal mixture by EM.
+) -> tuple[GaussianMixture, list[float]]:
+    """Fit a k-component diagonal mixture by EM; returns it with the
+    log-likelihood of every iteration and of the result.
 
     Initialisation is seeded k-means, so identical inputs give bitwise
     identical parameters.  The per-iteration log-likelihood is
@@ -143,9 +143,7 @@ def fit_em(
         mean = x.mean(axis=0, keepdims=True)
         var = np.maximum(x.var(axis=0, keepdims=True), var_floor)
         gm = GaussianMixture(np.array([1.0]), mean, var)
-        if return_history:
-            return gm, [float(np.sum(gm.log_density(x)))]
-        return gm
+        return gm, [float(np.sum(gm.log_density(x)))]
 
     rng = np.random.default_rng(seed)
     centers = _kmeans(x, k, rng)
@@ -182,6 +180,4 @@ def fit_em(
 
     gm = GaussianMixture(weights, means, variances)
     history.append(float(np.sum(gm.log_density(x))))
-    if return_history:
-        return gm, history
-    return gm
+    return gm, history

@@ -37,6 +37,8 @@ from .seqmodel import (
 from .taxonomy import GROUPING_LABELS, INTERGROUP_CANDIDATES, SINGLE
 from .trackio import ParseError, TrackSet
 
+SMOOTH_RADIUS = 2  # frames on each side of the label majority filter
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -269,41 +271,31 @@ def _detect_frame(engine: CorrelationEngine, t: int, config: PipelineConfig) -> 
     return FrameDetection(t, partition, tuple(labels), tuple(pair_labels))
 
 
-def _smooth_labels(dets: list[FrameDetection], radius: int = 2) -> list[FrameDetection]:
-    """Majority-filter group and pair labels over +-radius frames."""
-    by_frame = {d.frame: d for d in dets if d.partition is not None}
+def _keyed_labels(d: FrameDetection) -> dict[frozenset, str]:
+    """Label of each group, keyed by its member set, and of each group pair,
+    keyed by the set of its two groups' member sets."""
+    sets = [frozenset(g.members) for g in d.partition.groups]
+    pairs = (frozenset((sets[p.a], sets[p.b])) for p in d.pair_labels)
+    return dict(zip([*sets, *pairs], [*d.group_labels, *(p.label for p in d.pair_labels)]))
 
-    def window(frame):
-        return [by_frame[f] for f in range(frame - radius, frame + radius + 1) if f in by_frame]
 
+def _smooth_labels(dets: list[FrameDetection]) -> list[FrameDetection]:
+    """Majority-filter group and pair labels over +-SMOOTH_RADIUS frames;
+    a tie keeps the frame's own label if it is among the most frequent."""
+    near = {d.frame: _keyed_labels(d) for d in dets if d.partition is not None}
     out = []
     for d in dets:
         if d.partition is None:
             out.append(d)
             continue
-        new_group_labels = []
-        for gi, grp in enumerate(d.partition.groups):
-            key = frozenset(grp.members)
-            votes = []
-            for w in window(d.frame):
-                for gj, other in enumerate(w.partition.groups):
-                    if frozenset(other.members) == key:
-                        votes.append(w.group_labels[gj])
-            cur = d.group_labels[gi]
-            new_group_labels.append(_mode(votes, lambda l: l == cur))
-        new_pairs = []
-        for pl in d.pair_labels:
-            ka = frozenset(d.partition.groups[pl.a].members)
-            kb = frozenset(d.partition.groups[pl.b].members)
-            key = frozenset((ka, kb))
-            votes = []
-            for w in window(d.frame):
-                sets = [frozenset(g.members) for g in w.partition.groups]
-                for opl in w.pair_labels:
-                    if frozenset((sets[opl.a], sets[opl.b])) == key:
-                        votes.append(opl.label)
-            new_pairs.append(replace(pl, label=_mode(votes, lambda l: l == pl.label)))
-        out.append(replace(d, group_labels=tuple(new_group_labels), pair_labels=tuple(new_pairs)))
+        frames = range(d.frame - SMOOTH_RADIUS, d.frame + SMOOTH_RADIUS + 1)
+        labels = []
+        for key, cur in _keyed_labels(d).items():
+            votes = [near[f][key] for f in frames if key in near.get(f, ())]
+            labels.append(_mode(votes, lambda l: l == cur))
+        n = len(d.group_labels)
+        pairs = tuple(replace(p, label=l) for p, l in zip(d.pair_labels, labels[n:]))
+        out.append(replace(d, group_labels=tuple(labels[:n]), pair_labels=pairs))
     return out
 
 
@@ -317,7 +309,7 @@ def write_detections(dets: list[FrameDetection], fp) -> None:
             {
                 "id": i,
                 "members": list(g.members),
-                "label": d.group_labels[i] if i < len(d.group_labels) else (g.label or SINGLE),
+                "label": d.group_labels[i],
                 "seed": list(g.seed_members),
             }
             for i, g in enumerate(d.partition.groups)

@@ -19,9 +19,10 @@ import numpy as np
 
 from . import features as feats
 from . import taxonomy
-from .gmm import VAR_FLOOR, GaussianMixture, fit_em, logsumexp
+from .gmm import EM_TOL, VAR_FLOOR, GaussianMixture, fit_em, logsumexp
 from .trackio import AnnotationSet, TrackSet
 
+N_STATES = N_MIXTURES = 2  # hidden states per trained model, mixture components per state
 EPS_MIN = 1e-3
 REL_VAR_FLOOR = 0.01  # per-dimension variance floor, as a fraction of the pooled variance
 
@@ -174,80 +175,6 @@ class ActivityModelBank:
         return sorted(self.models)
 
 
-def _emission_tables(model: ActivityModel, fi: np.ndarray, fj: np.ndarray):
-    """(T, n) marginal and (S, T, n) joint log-emission tables."""
-    T = fj.shape[0]
-    S = fi.shape[0]
-    n = model.n_states
-    logp_m = np.empty((T, n))
-    for k in range(n):
-        logp_m[:, k] = model.marginal[k].log_density(fj)
-    logp_j = None
-    if model.joint is not None and S > 0:
-        pairs = np.concatenate(
-            [
-                np.repeat(fi, T, axis=0),
-                np.tile(fj, (S, 1)),
-            ],
-            axis=1,
-        )
-        logp_j = np.empty((S, T, n))
-        for k in range(n):
-            logp_j[:, :, k] = model.joint[k].log_density(pairs).reshape(S, T)
-    return logp_m, logp_j
-
-
-def ahmm_forward(
-    model: ActivityModel,
-    fi: np.ndarray,
-    fj: np.ndarray,
-    terminal_slack: int = 0,
-) -> tuple[np.ndarray, float]:
-    """Forward lattice over alignment x state, plus the total log-likelihood.
-
-    ``fi`` is the shorter stream (length S), ``fj`` the longer (length T >= S).
-    The returned lattice has shape (T, S+1, n) in log space, where index s
-    counts how many ``fi`` observations have been consumed.  The total
-    likelihood sums exit probabilities over final alignments within
-    ``terminal_slack`` of S.
-    """
-    fi = np.atleast_2d(np.asarray(fi, dtype=float))
-    fj = np.atleast_2d(np.asarray(fj, dtype=float))
-    S, T = fi.shape[0], fj.shape[0]
-    if S < 1 or T < 1:
-        raise ValueError("sequences must be non-empty")
-    if S > T:
-        raise ValueError(f"first stream longer than second ({S} > {T})")
-    if model.joint is None or model.advance is None:
-        raise ValueError("model lacks joint emissions / advance probabilities")
-    if fi.shape[1] != model.obs_dim or fj.shape[1] != model.obs_dim:
-        raise ValueError("observation dimension does not match emission models")
-
-    n = model.n_states
-    log_entry = _log(model.entry)
-    log_trans = _log(model.trans)
-    log_exit = _log(model.exit)
-    log_eps = _log(model.advance)
-    log_hold = _log(1.0 - model.advance)
-    logp_m, logp_j = _emission_tables(model, fi, fj)
-
-    lat = np.full((T, S + 1, n), -np.inf)
-    lat[0, 0, :] = log_entry + log_hold + logp_m[0]
-    lat[0, 1, :] = log_entry + log_eps + logp_j[0, 0]
-    for t in range(1, T):
-        prev = lat[t - 1]
-        tin = logsumexp(prev[:, :, None] + log_trans[None, :, :], axis=1)
-        hold = tin + (log_hold + logp_m[t])[None, :]
-        adv = np.full_like(hold, -np.inf)
-        smax = min(t + 1, S)
-        if smax >= 1:
-            adv[1 : smax + 1] = tin[0:smax] + log_eps[None, :] + logp_j[0:smax, t]
-        lat[t] = np.logaddexp(hold, adv)
-    s_lo = max(0, S - terminal_slack)
-    loglik = logsumexp(lat[T - 1, s_lo : S + 1, :] + log_exit[None, :])
-    return lat, float(loglik)
-
-
 def _fold_logaddexp(x: np.ndarray, axis: int) -> np.ndarray:
     """log(sum(exp(x))) along a short ``axis`` as a left fold of ``np.logaddexp``.
 
@@ -326,18 +253,6 @@ def _hmm_loglik(model: ActivityModel, logb: np.ndarray) -> float:
     return float(logsumexp(la[-1, 0] + _log(model.exit)))
 
 
-def pair_hmm_loglik(model: ActivityModel, fi: np.ndarray, fj: np.ndarray) -> float:
-    """Synchronous pair likelihood: standard forward over joint emissions."""
-    fi = np.atleast_2d(np.asarray(fi, dtype=float))
-    fj = np.atleast_2d(np.asarray(fj, dtype=float))
-    if fi.shape != fj.shape:
-        raise ValueError("synchronous scoring needs equal-length streams")
-    if model.joint is None:
-        raise ValueError("model lacks joint emissions")
-    obs = np.concatenate([fi, fj], axis=1)
-    return _hmm_loglik(model, np.stack([g.log_density(obs) for g in model.joint], axis=1))
-
-
 def hmm_group_likelihood(model: ActivityModel, fa: np.ndarray) -> float:
     """Synchronous forward over a single observation stream (marginal emissions)."""
     fa = np.atleast_2d(np.asarray(fa, dtype=float))
@@ -348,62 +263,15 @@ def hmm_group_likelihood(model: ActivityModel, fa: np.ndarray) -> float:
     return _hmm_loglik(model, np.stack([g.log_density(fa) for g in model.marginal], axis=1))
 
 
-def window_log_mass(model: ActivityModel, fi: np.ndarray, fj: np.ndarray, dt: int) -> float:
-    """Log lattice mass near the diagonal at the window end (one activity)."""
-    fi = np.atleast_2d(np.asarray(fi, dtype=float))
-    fj = np.atleast_2d(np.asarray(fj, dtype=float))
-    lat, _ = ahmm_forward(model, fi, fj)
-    S, T = fi.shape[0], fj.shape[0]
-    lo = max(1, T - dt)
-    return float(logsumexp(lat[-1, lo : S + 1, :]))
-
-
-def correlation(
-    bank: ActivityModelBank,
-    tracks: TrackSet,
-    subject,
-    target,
-    t: int,
-    window: int | None = None,
-    dt: int | None = None,
-) -> np.ndarray | None:
-    """Correlation profile of ``target`` w.r.t. ``subject`` at frame ``t``.
-
-    The profile is one value per activity in ``bank.labels()`` order, and
-    the values sum to one.  The subject's stream feeds the advance branch
-    (first stream).  Returns None when no usable observation window of
-    length >= 2 ends at ``t``.
-    """
-    window = window if window is not None else bank.window
-    dt = dt if dt is not None else bank.dt
-    ea, eb = feats.as_entity(subject), feats.as_entity(target)
-    pairw = feats.pair_feature_windows(tracks, ea, eb, t, window)
-    if pairw is None:
-        return None
-    fa, fb = pairw
-    masses = np.array([window_log_mass(bank.models[label], fa, fb, dt) for label in bank.labels()])
-    return np.exp(masses - logsumexp(masses))
-
-
 @dataclass
 class TrainConfig:
-    """Knobs for sequence-model training; deterministic given ``seed``.
+    """Knobs for sequence-model training; deterministic given ``seed``."""
 
-    ``terminal_slack`` widens the set of admissible final alignments during
-    training, matching the near-diagonal mass the correlation metric reads;
-    without it, equal-length stream pairs admit only all-advance paths and
-    the advance probabilities degenerate to one.
-    """
-
-    states: int = 2
-    mixtures: int = 2
     seed: int = 0
     max_iters: int = 40
-    tol: float = 1e-4
     fix_advance: float | None = None
     chunk: int | None = None
     max_segments: int | None = 64
-    terminal_slack: int = 0
 
     def __post_init__(self) -> None:
         if self.max_iters < 1:
@@ -418,29 +286,30 @@ def _dim_floor(pooled: np.ndarray) -> np.ndarray:
     return np.maximum(VAR_FLOOR, REL_VAR_FLOOR * spread)
 
 
-def _init_mixtures(pools: list[np.ndarray], k: int, seed: int, var_floor):
-    """Per-state mixtures from temporal pools; falls back to one component."""
+def _init_mixtures(pools: list[np.ndarray], seed: int, var_floor):
+    """Per-state mixtures of ``N_MIXTURES`` components from temporal pools;
+    a pool of fewer than two rows per component falls back to one."""
     mixes = []
     fallback = False
     for i, pool in enumerate(pools):
-        kk = k
-        if pool.shape[0] < 2 * k:
-            kk = 1
-            fallback = fallback or k > 1
         if pool.shape[0] == 0:
             raise DataError("no observations available to initialise emissions")
-        mixes.append(fit_em(pool, kk, seed=seed * 31 + i, var_floor=var_floor))
+        k = N_MIXTURES if pool.shape[0] >= 2 * N_MIXTURES else 1
+        fallback = fallback or k < N_MIXTURES
+        gm, _ = fit_em(pool, k, seed=seed * 31 + i, var_floor=var_floor)
+        mixes.append(gm)
     return tuple(mixes), fallback
 
 
-def _temporal_pools(rows_per_segment: list[np.ndarray], n_states: int) -> list[np.ndarray]:
-    pools: list[list[np.ndarray]] = [[] for _ in range(n_states)]
+def _temporal_pools(rows_per_segment: list[np.ndarray]) -> list[np.ndarray]:
+    """Each segment's rows cut into ``N_STATES`` consecutive runs, pooled per run."""
+    pools: list[list[np.ndarray]] = [[] for _ in range(N_STATES)]
     for rows in rows_per_segment:
         m = rows.shape[0]
         if m == 0:
             continue
-        bounds = np.linspace(0, m, n_states + 1).astype(int)
-        for k in range(n_states):
+        bounds = np.linspace(0, m, N_STATES + 1).astype(int)
+        for k in range(N_STATES):
             chunk = rows[bounds[k] : bounds[k + 1]]
             if chunk.shape[0] == 0:
                 chunk = rows
@@ -476,22 +345,20 @@ def _subsample(items: list, limit: int | None) -> list:
     return [items[i] for i in sorted(set(idx.tolist()))]
 
 
-def _initial_chain(n: int, mean_len: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _initial_chain(mean_len: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Uniform entry, exit ``1 / mean_len`` (at most 0.5), diagonal-heavy transitions."""
+    n = N_STATES
     exit0 = min(0.5, 1.0 / mean_len)
-    if n == 1:
-        trans = np.array([[1.0 - exit0]])
-    else:
-        trans = np.full((n, n), 0.4 / (n - 1))
-        np.fill_diagonal(trans, 0.6)
-        trans *= 1.0 - exit0
+    trans = np.full((n, n), 0.4 / (n - 1))
+    np.fill_diagonal(trans, 0.6)
+    trans *= 1.0 - exit0
     return np.full(n, 1.0 / n), trans, np.full(n, exit0)
 
 
 def _run_em(model: ActivityModel, batches: list[tuple], accumulate, config: TrainConfig,
             marg_floor, joint_floor=VAR_FLOOR) -> tuple[ActivityModel, list[float]]:
-    """EM from ``model`` until the log-likelihood gain falls below ``config.tol``;
-    ``accumulate(model, *batch, stats)`` is the E-step of one batch."""
+    """EM from ``model`` until the relative log-likelihood gain falls below
+    ``EM_TOL``; ``accumulate(model, *batch, stats)`` is the E-step of one batch."""
     history: list[float] = []
     prev_ll = -np.inf
     for _ in range(config.max_iters):
@@ -501,7 +368,7 @@ def _run_em(model: ActivityModel, batches: list[tuple], accumulate, config: Trai
             ll += float(accumulate(model, *batch, stats).sum())
         history.append(ll)
         model = stats.m_step(model)
-        if prev_ll > -np.inf and ll - prev_ll < config.tol * max(1.0, abs(prev_ll)):
+        if prev_ll > -np.inf and ll - prev_ll < EM_TOL * max(1.0, abs(prev_ll)):
             break
         prev_ll = ll
     return model, history
@@ -510,8 +377,8 @@ def _run_em(model: ActivityModel, batches: list[tuple], accumulate, config: Trai
 def train_activity_model(
     segments: list[tuple[np.ndarray, np.ndarray]],
     config: TrainConfig | None = None,
-    return_history: bool = False,
-):
+    terminal_slack: int = 0,
+) -> tuple[ActivityModel, list[float]]:
     """Fit an activity model to ordered stream pairs by expectation-maximisation.
 
     Each segment is ``(fi, fj)`` with ``len(fi) <= len(fj)``.  The E-step runs
@@ -519,7 +386,14 @@ def train_activity_model(
     per segment shape over the cells that can reach the read-out; the M-step
     updates entry/transition/exit rows, per-state advance probabilities
     (unless ``fix_advance`` pins them), and both emission mixture families.
-    The training log-likelihood never decreases.
+    Returns the model and the training log-likelihood of every iteration,
+    which never decreases.
+
+    ``terminal_slack`` admits final alignments up to that many ``fi``
+    observations short of the end, matching the near-diagonal mass the
+    correlation metric reads; without it, equal-length stream pairs admit
+    only all-advance paths and the advance probabilities degenerate to one.
+    A pinned ``fix_advance`` trains without slack.
     """
     config = config or TrainConfig()
     if not segments:
@@ -532,26 +406,24 @@ def train_activity_model(
             raise DataError("segment has first stream longer than second")
         segs.append((fi, fj))
     segs = _subsample(segs, config.max_segments)
-    n = config.states
 
-    joint_pools = _temporal_pools([np.concatenate([fi, fj[: len(fi)]], axis=1) for fi, fj in segs], n)
-    marg_pools = _temporal_pools([fj for _, fj in segs], n)
+    joint_pools = _temporal_pools([np.concatenate([fi, fj[: len(fi)]], axis=1) for fi, fj in segs])
+    marg_pools = _temporal_pools([fj for _, fj in segs])
     # per-dimension floors keyed to the pooled spread keep collapsed
     # components from spiking the density scale
     marg_floor = _dim_floor(np.concatenate([fj for _, fj in segs], axis=0))
     joint_floor = _dim_floor(np.concatenate(joint_pools, axis=0))
-    joint, fb1 = _init_mixtures(joint_pools, config.mixtures, config.seed, joint_floor)
-    marginal, fb2 = _init_mixtures(marg_pools, config.mixtures, config.seed + 7, marg_floor)
+    joint, fb1 = _init_mixtures(joint_pools, config.seed, joint_floor)
+    marginal, fb2 = _init_mixtures(marg_pools, config.seed + 7, marg_floor)
 
-    entry, trans, exit_ = _initial_chain(n, float(np.mean([fj.shape[0] for _, fj in segs])))
-    advance = np.full(n, 0.7 if config.fix_advance is None else float(config.fix_advance))
+    entry, trans, exit_ = _initial_chain(float(np.mean([fj.shape[0] for _, fj in segs])))
+    advance = np.full(N_STATES, 0.7 if config.fix_advance is None else float(config.fix_advance))
     model = ActivityModel(entry, trans, exit_, advance, marginal, joint, fb1 or fb2)
-    slack = 0 if config.fix_advance is not None else config.terminal_slack
-    model, history = _run_em(
+    slack = 0 if config.fix_advance is not None else terminal_slack
+    return _run_em(
         model, _stack_by_shape(segs), partial(_accumulate_batch, terminal_slack=slack),
         config, marg_floor, joint_floor,
     )
-    return (model, history) if return_history else model
 
 
 class _EmStats:
@@ -671,23 +543,19 @@ def _accumulate_sequences(model: ActivityModel, seqs: np.ndarray, stats: _EmStat
 def train_hmm_model(
     sequences: list[np.ndarray],
     config: TrainConfig | None = None,
-    return_history: bool = False,
-):
-    """Fit a synchronous single-stream model (marginal emissions only)."""
+) -> tuple[ActivityModel, list[float]]:
+    """Fit a synchronous single-stream model (marginal emissions only);
+    returns it with the training log-likelihood of every iteration."""
     config = config or TrainConfig()
     if not sequences:
         raise DataError("no training sequences")
     seqs = _subsample([np.atleast_2d(np.asarray(s, dtype=float)) for s in sequences], config.max_segments)
-    n = config.states
-    pools = _temporal_pools(seqs, n)
+    pools = _temporal_pools(seqs)
     floor = _dim_floor(np.concatenate(seqs, axis=0))
-    marginal, fallback = _init_mixtures(pools, config.mixtures, config.seed + 3, floor)
-    entry, trans, exit_ = _initial_chain(n, float(np.mean([s.shape[0] for s in seqs])))
+    marginal, fallback = _init_mixtures(pools, config.seed + 3, floor)
+    entry, trans, exit_ = _initial_chain(float(np.mean([s.shape[0] for s in seqs])))
     model = ActivityModel(entry, trans, exit_, None, marginal, None, fallback)
-    model, history = _run_em(
-        model, _stack_by_shape([(s,) for s in seqs]), _accumulate_sequences, config, floor
-    )
-    return (model, history) if return_history else model
+    return _run_em(model, _stack_by_shape([(s,) for s in seqs]), _accumulate_sequences, config, floor)
 
 
 def _usable_chunks(usable: np.ndarray, chunk: int, min_len: int = 4) -> list[np.ndarray]:
@@ -784,21 +652,20 @@ def train_bank(
     check_thresholds(tc=tc, to=to, tr=tr)
     config = config or TrainConfig()
     chunk = config.chunk or window
-    slack = config.terminal_slack or dt
     pair_segments, group_sequences = assemble_training_data(tracks, annotations, chunk)
     models = {}
     for idx, label in enumerate(taxonomy.MODELABLE_LABELS):
         segs = pair_segments.get(label, [])
         if not segs:
             raise DataError(f"no training data for activity {label!r}")
-        cfg = replace(config, seed=config.seed + idx, terminal_slack=slack)
-        models[label] = train_activity_model(segs, cfg)
+        cfg = replace(config, seed=config.seed + idx)
+        models[label], _ = train_activity_model(segs, cfg, terminal_slack=dt)
     group_models = {}
     for idx, label in enumerate(taxonomy.GROUPING_LABELS):
         seqs = group_sequences.get(label, [])
         if seqs:
             cfg = replace(config, seed=config.seed + 1000 + idx)
-            group_models[label] = train_hmm_model(seqs, cfg)
+            group_models[label], _ = train_hmm_model(seqs, cfg)
     return ActivityModelBank(
         models=models, group_models=group_models, window=window, dt=dt, tc=tc, to=to, tr=tr
     )
@@ -917,10 +784,10 @@ class _FrameRows:
 class CorrelationEngine:
     """Batched correlation evaluation for a fixed bank over one track set.
 
-    Computes the same profiles as :func:`correlation` but stacks all
-    activities (and many entity pairs) into single vectorised lattice sweeps,
-    which is what makes per-frame clustering affordable.  A profile is a row
-    of values in ``labels`` order; ``column`` maps a label to its index.
+    Computes each profile by stacking all activities (and many entity
+    pairs) into single vectorised lattice sweeps, which is what makes
+    per-frame clustering affordable.  A profile is a row of values in
+    ``labels`` order; ``column`` maps a label to its index.
     Emission rows depend only on the entity pair and the frame, so the
     engine keeps those of the last ``window`` frames and a new frame
     computes only its own.
@@ -1072,7 +939,7 @@ class CorrelationEngine:
             # hold a longer window's values; the sweep never enters them
             ae[k] = block.joint[r, :, :D]
         _, la = _band_forward(self._ent, self._tr, ae, hm)
-        # descending h is ascending s, the scalar read-out's summation order
+        # descending h is ascending s, the summation order of a full-lattice read-out
         return logsumexp(la[-1, :, :, ::-1, :].reshape(I, A, -1), axis=2)
 
     def group_score(self, label: str, members, t: int) -> float | None:

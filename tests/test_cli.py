@@ -247,6 +247,16 @@ def test_malformed_tracks_exit_data_error(workdir, tmp_path, capsys):
     code = run(["detect", "--tracks", p, "--model", workdir / "model.json",
                 "--out", tmp_path / "x.jsonl", "--lenient"])
     assert code == 0
+    # a frame past the int64 range is a bad line too, not a traceback
+    p.write_text("0,1,1,2,3,4\n9223372036854775808,1,1,2,3,4\n")
+    code = run(["detect", "--tracks", p, "--model", workdir / "model.json",
+                "--out", tmp_path / "x.jsonl"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "data error: line 2: frame 9223372036854775808" in err and "Traceback" not in err
+    code = run(["detect", "--tracks", p, "--model", workdir / "model.json",
+                "--out", tmp_path / "x.jsonl", "--lenient"])
+    assert code == 0
 
 
 def test_usage_error_exit_code(capsys):

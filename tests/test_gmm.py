@@ -71,7 +71,7 @@ def test_density_integrates_to_one_1d():
 def test_fit_k1_closed_form():
     rng = np.random.default_rng(0)
     x = rng.normal(3.0, 2.0, size=(40, 2))
-    gm = fit_em(x, 1, seed=0)
+    gm, _ = fit_em(x, 1, seed=0)
     assert np.allclose(gm.means[0], x.mean(axis=0))
     assert np.allclose(gm.variances[0], np.maximum(x.var(axis=0), VAR_FLOOR))
     assert gm.weights[0] == 1.0
@@ -80,7 +80,7 @@ def test_fit_k1_closed_form():
 def test_fit_recovers_separated_means():
     rng = np.random.default_rng(42)
     x = np.concatenate([rng.normal(0.0, 1.0, 250), rng.normal(10.0, 1.0, 250)])[:, None]
-    gm = fit_em(x, 2, seed=7)
+    gm, _ = fit_em(x, 2, seed=7)
     got = sorted(gm.means[:, 0])
     assert abs(got[0] - 0.0) < 0.3
     assert abs(got[1] - 10.0) < 0.3
@@ -89,14 +89,14 @@ def test_fit_recovers_separated_means():
 def test_fit_monotone_loglik():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(120, 3)) * np.array([1.0, 4.0, 0.2])
-    _, hist = fit_em(x, 3, seed=1, return_history=True)
+    _, hist = fit_em(x, 3, seed=1)
     for a, b in zip(hist, hist[1:]):
         assert b >= a - 1e-9 * max(1.0, abs(a))
 
 
 def test_fit_degenerate_identical_points():
     x = np.ones((10, 2)) * 5.0
-    gm = fit_em(x, 2, seed=0)
+    gm, _ = fit_em(x, 2, seed=0)
     assert np.allclose(gm.means, 5.0)
     assert np.allclose(gm.variances, VAR_FLOOR)
     assert gm.weights.sum() == pytest.approx(1.0, abs=1e-12)
@@ -105,8 +105,8 @@ def test_fit_degenerate_identical_points():
 def test_fit_deterministic():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(80, 2))
-    a = fit_em(x, 2, seed=11)
-    b = fit_em(x.copy(), 2, seed=11)
+    a, _ = fit_em(x, 2, seed=11)
+    b, _ = fit_em(x.copy(), 2, seed=11)
     assert np.array_equal(a.weights, b.weights)
     assert np.array_equal(a.means, b.means)
     assert np.array_equal(a.variances, b.variances)

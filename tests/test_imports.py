@@ -1,18 +1,25 @@
-"""Every name a package module imports is read in that module, and every
-dataclass field is read somewhere.
+"""Every name a package module imports is read in that module, every
+dataclass field is read somewhere, and every function and method is
+referenced somewhere outside its own definition.
 
 No linter ships with the test dependencies, so this is the unused-import
 check: ``__init__.py`` re-exports by importing and is left out, and so are
 ``from __future__`` imports.
 
-The field check works by name: a field counts as read when any ``.name``
-load of the same name appears in ``src/groupact`` or ``perfbench``.  So it
-cannot see a field that is unread on its own class but shares its name with
-a read field of another class: a ``person`` field would pass unread beside
-the read ``MbbSample.person``.
+The field check works by name, narrowed by annotations: a ``b.name`` load
+counts for the class ``B`` alone where the enclosing function annotates
+``b`` as ``B`` (or ``B | None``), and for every class with a ``name`` field
+otherwise.  So it still cannot see a field that is unread on its own class
+but shares its name with a field read through an unannotated variable.
+
+The function check is by name too: a function or method counts as used
+when its name is loaded, read as an attribute or imported anywhere in
+``src/groupact`` or ``perfbench`` outside its own body.  Dunder methods are
+left out, since Python calls them.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -60,18 +67,44 @@ def _is_dataclass(decorator: ast.expr) -> bool:
     return isinstance(target, ast.Name) and target.id == "dataclass"
 
 
+def _owner(annotation: ast.expr | None) -> str | None:
+    """The one class an annotation names, ``None`` and quotes aside; else None."""
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        annotation = ast.parse(annotation.value, mode="eval").body
+    names = {n.id for n in ast.walk(annotation) if isinstance(n, ast.Name)} if annotation else set()
+    return names.pop() if len(names) == 1 else None
+
+
+def _field_reads(node: ast.AST, owners: dict[str, str | None], reads: set) -> None:
+    """Add ``(class or None, attr)`` for every attribute load under ``node``,
+    with the class an enclosing function's annotation gives the variable."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+        owners = {**owners, **{a.arg: _owner(a.annotation) for a in params if a is not None}}
+        owners.update((n.target.id, _owner(n.annotation)) for n in ast.walk(node)
+                      if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name))
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        on = owners.get(node.value.id) if isinstance(node.value, ast.Name) else None
+        reads.add((on, node.attr))
+    for child in ast.iter_child_nodes(node):
+        _field_reads(child, owners, reads)
+
+
 def unread_fields(sources: list[str]) -> list[str]:
-    """``Class.field`` for each annotated dataclass field with no ``.field`` load in any source."""
+    """``Class.field`` for each annotated dataclass field with no ``.field`` load,
+    in any source, on a variable that is unannotated or annotated with that class."""
     trees = [ast.parse(s) for s in sources]
-    read = {n.attr for tree in trees for n in ast.walk(tree)
-            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    reads: set = set()
+    for tree in trees:
+        _field_reads(tree, {}, reads)
     return sorted(
         f"{node.name}.{stmt.target.id}"
         for tree in trees for node in ast.walk(tree)
         if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list))
         for stmt in node.body
         if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-        and stmt.target.id not in read
+        and not {(None, stmt.target.id), (node.name, stmt.target.id)} & reads
     )
 
 
@@ -97,3 +130,87 @@ def test_unread_fields_finds_only_unread_dataclass_fields():
 def test_every_dataclass_field_is_read():
     paths = sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
     assert unread_fields([p.read_text(encoding="utf-8") for p in paths]) == []
+
+
+def test_unread_fields_follows_annotated_owners():
+    source = (
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class A:\n"
+        "    person: int\n"
+        "    frame: int\n"
+        "    size: int\n"
+        "@dataclass\n"
+        "class B:\n"
+        "    person: int\n"
+        "    frame: int\n"
+        "def f(b: B, c: 'A | None', d) -> int:\n"
+        "    e: B = d\n"
+        "    size = lambda b: b.size\n"
+        "    return b.person + c.frame + e.frame + size(d)\n"
+    )
+    assert unread_fields([source]) == ["A.person"]
+
+
+def _referenced_name(node: ast.AST) -> str | None:
+    """The name that a loaded name or attribute, or an import, refers to; else None."""
+    if isinstance(node, ast.alias):
+        return node.name
+    if isinstance(getattr(node, "ctx", None), ast.Load):
+        return getattr(node, "id", None) or getattr(node, "attr", None)
+    return None
+
+
+def unreferenced_functions(package: dict[str, str], users: list[str]) -> list[str]:
+    """``module.function`` or ``module.Class.method`` for each function of the
+    ``package`` sources (module name to source) whose name no package or
+    ``users`` source loads, reads as an attribute or imports outside its body."""
+    trees = {name: ast.parse(s) for name, s in package.items()}
+
+    def refs(tree: ast.AST) -> Counter:
+        return Counter(filter(None, map(_referenced_name, ast.walk(tree))))
+
+    total = sum((refs(t) for t in [*trees.values(), *map(ast.parse, users)]), Counter())
+    out = []
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            name = getattr(child, "name", None)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                dunder = name.startswith("__") and name.endswith("__")
+                if not dunder and total[name] == refs(child)[name]:
+                    out.append(f"{prefix}.{name}")
+            visit(child, f"{prefix}.{name}" if isinstance(child, ast.ClassDef) else prefix)
+
+    for module, tree in trees.items():
+        visit(tree, module)
+    return sorted(out)
+
+
+def test_unreferenced_functions_finds_only_unused_definitions():
+    package = {
+        "m": (
+            "from .n import g\n"
+            "def f(x):\n"
+            "    return f(x - 1) if x else 0\n"
+            "def h():\n"
+            "    return g()\n"
+            "class K:\n"
+            "    def __init__(self):\n"
+            "        self.spare = None\n"
+            "    def run(self):\n"
+            "        return self.step()\n"
+            "    def step(self):\n"
+            "        return 0\n"
+            "    def spare(self):\n"
+            "        return 0\n"
+        ),
+        "n": "def g():\n    return 0\n",
+    }
+    assert unreferenced_functions(package, ["from m import K, h\nK().run()\n"]) == ["m.K.spare", "m.f"]
+
+
+def test_every_function_is_referenced():
+    package = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    users = [p.read_text(encoding="utf-8") for p in sorted(PERFBENCH.glob("*.py"))]
+    assert unreferenced_functions(package, users) == []

@@ -18,23 +18,23 @@ from groupact.seqmodel import (
     CorrelationEngine,
     DataError,
     TrainConfig,
-    ahmm_forward,
-    correlation,
     hmm_group_likelihood,
-    pair_hmm_loglik,
     train_activity_model,
     train_hmm_model,
-    window_log_mass,
 )
 from groupact.taxonomy import MODELABLE_LABELS
 from groupact.trackio import MbbSample, TrackSet
 
 from oracles import (
+    ahmm_forward,
+    correlation,
     enumerate_ahmm,
     enumerate_ahmm_counts,
     enumerate_ahmm_lattice_masses,
     enumerate_hmm,
     enumerate_hmm_counts,
+    pair_hmm_loglik,
+    window_log_mass,
 )
 from scenarios import ragged_tracks
 
@@ -478,11 +478,11 @@ def test_training_monotone_and_deterministic():
         ep = sample_episode(gen, 12, rng)
         if ep is not None:
             segs.append(ep)
-    cfg = TrainConfig(states=2, mixtures=2, seed=5, max_iters=15, max_segments=None)
-    m1, hist = train_activity_model(segs, cfg, return_history=True)
+    cfg = TrainConfig(seed=5, max_iters=15, max_segments=None)
+    m1, hist = train_activity_model(segs, cfg)
     for a, b in zip(hist, hist[1:]):
         assert b >= a - 1e-9 * max(1.0, abs(a))
-    m2 = train_activity_model(segs, cfg)
+    m2, _ = train_activity_model(segs, cfg)
     assert np.array_equal(m1.trans, m2.trans)
     assert np.array_equal(m1.advance, m2.advance)
     for g1, g2 in zip(m1.marginal, m2.marginal):
@@ -501,8 +501,8 @@ def test_training_recovers_heldout_likelihood():
         ep = sample_episode(gen, 10, rng)
         if ep is not None:
             held.append(ep)
-    cfg = TrainConfig(states=2, mixtures=2, seed=3, max_iters=30, max_segments=None)
-    fitted = train_activity_model(train, cfg)
+    cfg = TrainConfig(seed=3, max_iters=30, max_segments=None)
+    fitted, _ = train_activity_model(train, cfg)
 
     def total_ll(model):
         return sum(ahmm_forward(model, fi, fj)[1] for fi, fj in held)
@@ -515,8 +515,8 @@ def test_training_recovers_heldout_likelihood():
 def test_training_degenerate_constant_segment():
     fi = np.zeros((6, 2))
     fj = np.zeros((6, 2))
-    cfg = TrainConfig(states=2, mixtures=2, seed=0, max_iters=8)
-    model, hist = train_activity_model([(fi, fj)], cfg, return_history=True)
+    cfg = TrainConfig(seed=0, max_iters=8)
+    model, hist = train_activity_model([(fi, fj)], cfg)
     assert model.mixture_fallback  # not enough distinct data for 2 mixtures per state
     for g in model.marginal + model.joint:
         assert np.all(np.isfinite(g.means))
@@ -535,22 +535,23 @@ def test_training_rejects_empty_and_misordered():
 def test_train_hmm_model_monotone():
     rng = np.random.default_rng(17)
     seqs = [rng.normal(size=(12, 3)) + np.array([0.0, 5.0, -2.0]) for _ in range(8)]
-    cfg = TrainConfig(states=2, mixtures=2, seed=1, max_iters=12)
-    model, hist = train_hmm_model(seqs, cfg, return_history=True)
+    cfg = TrainConfig(seed=1, max_iters=12)
+    model, hist = train_hmm_model(seqs, cfg)
     assert model.advance is None
     for a, b in zip(hist, hist[1:]):
         assert b >= a - 1e-9 * max(1.0, abs(a))
 
 
-def test_fixed_advance_training_keeps_eps_pinned():
+def test_fixed_advance_training_keeps_eps_pinned(monkeypatch):
+    monkeypatch.setattr(seqmodel, "N_MIXTURES", 1)
     rng = np.random.default_rng(23)
     segs = []
     for _ in range(6):
         f = rng.normal(size=(8, 1))
         g = rng.normal(size=(8, 1))
         segs.append((f, g))
-    cfg = TrainConfig(states=2, mixtures=1, seed=2, max_iters=6, fix_advance=1.0)
-    model = train_activity_model(segs, cfg)
+    cfg = TrainConfig(seed=2, max_iters=6, fix_advance=1.0)
+    model, _ = train_activity_model(segs, cfg)
     assert np.all(model.advance == 1.0)
 
 
@@ -594,9 +595,10 @@ def test_em_counts_match_enumeration(monkeypatch, slack, fix_advance):
         return m_step(stats, model)
 
     monkeypatch.setattr(seqmodel._EmStats, "m_step", spy)
-    cfg = TrainConfig(states=2, mixtures=1, seed=4, max_iters=3, tol=0.0, max_segments=None,
-                      terminal_slack=slack, fix_advance=fix_advance)
-    _, hist = train_activity_model(segs, cfg, return_history=True)
+    monkeypatch.setattr(seqmodel, "N_MIXTURES", 1)
+    monkeypatch.setattr(seqmodel, "EM_TOL", 0.0)
+    cfg = TrainConfig(seed=4, max_iters=3, max_segments=None, fix_advance=fix_advance)
+    _, hist = train_activity_model(segs, cfg, terminal_slack=slack)
     assert len(seen) == len(hist) == 3
     used_slack = 0 if fix_advance is not None else slack
     for (stats, model), ll in zip(seen, hist):
@@ -630,20 +632,22 @@ def test_batched_estep_loglik_per_segment(S, T, slack):
         assert got[b] == pytest.approx(want, rel=1e-9)
 
 
-def test_zero_likelihood_segment_raises():
+def test_zero_likelihood_segment_raises(monkeypatch):
     # advance pinned at one cannot align a shorter first stream
+    monkeypatch.setattr(seqmodel, "N_MIXTURES", 1)
     segs = [(np.zeros((4, 1)), np.ones((4, 1))), (np.zeros((2, 1)), np.ones((3, 1)))]
-    cfg = TrainConfig(states=2, mixtures=1, max_iters=2, fix_advance=1.0)
+    cfg = TrainConfig(max_iters=2, fix_advance=1.0)
     with pytest.raises(DataError, match="zero likelihood"):
         train_activity_model(segs, cfg)
 
 
-def test_train_hmm_model_loglik_matches_enumeration():
+def test_train_hmm_model_loglik_matches_enumeration(monkeypatch):
+    monkeypatch.setattr(seqmodel, "N_MIXTURES", 1)
     rng = np.random.default_rng(41)
     seqs = [rng.normal(size=(T, 2)) for T in (3, 5, 4, 3, 5, 1)]
-    cfg = TrainConfig(states=2, mixtures=1, seed=2, max_iters=1)
-    m1 = train_hmm_model(seqs, cfg)
-    _, hist = train_hmm_model(seqs, replace(cfg, max_iters=2), return_history=True)
+    cfg = TrainConfig(seed=2, max_iters=1)
+    m1, _ = train_hmm_model(seqs, cfg)
+    _, hist = train_hmm_model(seqs, replace(cfg, max_iters=2))
     want = 0.0
     for s in seqs:
         logb = [[float(m1.marginal[k].log_density(s[t])) for k in range(2)] for t in range(len(s))]
@@ -663,8 +667,10 @@ def test_hmm_em_counts_match_enumeration(monkeypatch):
         return m_step(stats, model)
 
     monkeypatch.setattr(seqmodel._EmStats, "m_step", spy)
-    cfg = TrainConfig(states=2, mixtures=1, seed=2, max_iters=3, tol=0.0, max_segments=None)
-    _, hist = train_hmm_model(seqs, cfg, return_history=True)
+    monkeypatch.setattr(seqmodel, "N_MIXTURES", 1)
+    monkeypatch.setattr(seqmodel, "EM_TOL", 0.0)
+    cfg = TrainConfig(seed=2, max_iters=3, max_segments=None)
+    _, hist = train_hmm_model(seqs, cfg)
     assert len(seen) == len(hist) == 3
     for (stats, model), ll in zip(seen, hist):
         want_ll = 0.0

@@ -70,6 +70,13 @@ def test_parse_malformed_line_number():
     with pytest.raises(ParseError) as err:
         parse_tracks("0,1,1,2,3,4\nnot,a,line\n")
     assert err.value.line == 2
+    # frames are int64: one past the range is a bad line, not an overflow
+    with pytest.raises(ParseError) as err:
+        parse_tracks("0,1,1,2,3,4\n9223372036854775808,1,1,2,3,4\n")
+    assert err.value.line == 2
+    with pytest.raises(ParseError):
+        TrackSet([MbbSample(2**63, 1, 1.0, 2.0, 3.0, 4.0)])
+    assert parse_tracks("9223372036854775807,1,1,2,3,4\n").frame_range == (2**63 - 1,) * 2
 
 
 def test_lenient_mode_counts_everything():
