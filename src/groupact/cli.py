@@ -8,13 +8,14 @@ leave partial artifacts behind.
 from __future__ import annotations
 
 import argparse
+import io
 import logging
 import sys
 from pathlib import Path
 
 from . import grad, metrics, simgen
 from .features import ObservationUnavailable
-from .seqmodel import DataError, TrainConfig, check_thresholds, check_window, train_bank
+from .seqmodel import DataError, TrainConfig, check_window, train_bank
 from .trackio import (
     ModelFormatError,
     ParseError,
@@ -63,7 +64,7 @@ def _atomic_write(path: Path, writer) -> None:
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(EXIT_DATA, f"cannot read {path}: {exc}") from None
 
 
@@ -88,16 +89,14 @@ def build_parser() -> _Parser:
     sim.add_argument("--spec", required=True, help="scenario JSON file")
     sim.add_argument("--out-prefix", required=True, help="writes PREFIX.tracks.csv and PREFIX.annotations.jsonl")
 
-    tr = sub.add_parser("train", help="train a model bank from tracks and annotations")
+    # no prefix matching, else "--tr" would mean "--tracks"
+    tr = sub.add_parser("train", help="train a model bank from tracks and annotations", allow_abbrev=False)
     tr.add_argument("--tracks", required=True)
     tr.add_argument("--annotations", required=True)
     tr.add_argument("--out", required=True, help="model JSON path")
     tr.add_argument("--seed", type=int, default=0)
     tr.add_argument("--window", type=int, default=25)
     tr.add_argument("--dt", type=int, default=5)
-    tr.add_argument("--tc", type=float, default=0.1)
-    tr.add_argument("--to", type=float, default=0.95)
-    tr.add_argument("--tr", type=float, default=0.3)
     tr.add_argument("--max-iters", type=int, default=40)
     tr.add_argument("--max-segments", type=int, default=64)
     tr.add_argument("--hmm-metric", action="store_true",
@@ -129,8 +128,7 @@ def build_parser() -> _Parser:
 
 
 def cmd_simulate(args) -> int:
-    with open(args.spec, "r", encoding="utf-8") as fp:
-        spec = simgen.load_spec(fp)
+    spec = simgen.load_spec(io.StringIO(_read_text(args.spec)))
     tracks, annotations = simgen.generate(spec)
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
@@ -146,7 +144,6 @@ def cmd_simulate(args) -> int:
 def cmd_train(args) -> int:
     try:
         check_window(args.window, args.dt)
-        check_thresholds(tc=args.tc, to=args.to, tr=args.tr)
         config = TrainConfig(
             seed=args.seed,
             max_iters=args.max_iters,
@@ -157,10 +154,7 @@ def cmd_train(args) -> int:
         raise CliError(EXIT_USAGE, f"groupact train: error: {exc}") from None
     tracks = parse_tracks(_read_text(args.tracks), strict=not args.lenient)
     annotations = parse_annotations(_read_text(args.annotations))
-    bank = train_bank(
-        tracks, annotations, config,
-        window=args.window, dt=args.dt, tc=args.tc, to=args.to, tr=args.tr,
-    )
+    bank = train_bank(tracks, annotations, config, window=args.window, dt=args.dt)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     _atomic_write(out, lambda fp: save_model(bank, fp))
@@ -198,8 +192,7 @@ def cmd_detect(args) -> int:
 
 def cmd_evaluate(args) -> int:
     frames = _parse_frames(args.frames)
-    with open(args.detections, "r", encoding="utf-8") as fp:
-        dets = grad.read_detections(fp)
+    dets = grad.read_detections(io.StringIO(_read_text(args.detections)))
     annotations = parse_annotations(_read_text(args.truth))
     det_frames = [d.frame for d in dets]
     truth_range = annotations.frame_range()

@@ -121,6 +121,30 @@ def _kmeans(x: np.ndarray, k: int, rng: np.random.Generator, iters: int = 50) ->
     return centers
 
 
+def run_em(model, step, max_iters: int) -> tuple[object, list[float]]:
+    """EM from ``model``, where ``step(model)`` gives its log-likelihood and
+    its re-estimate, until the relative gain falls below ``EM_TOL``; returns
+    the last re-estimate and the log-likelihood of every step."""
+    history: list[float] = []
+    prev = -np.inf
+    for _ in range(max_iters):
+        ll, model = step(model)
+        history.append(ll)
+        if prev > -np.inf and ll - prev < EM_TOL * max(1.0, abs(prev)):
+            break
+        prev = ll
+    return model, history
+
+
+def refit(x: np.ndarray, r: np.ndarray, mass: np.ndarray, var_floor) -> GaussianMixture:
+    """Weighted M-step: component j fits the rows of ``x`` weighted by ``r[:, j]``, which sum to ``mass[j]``."""
+    weights = mass / mass.sum()
+    means = (r.T @ x) / mass[:, None]
+    sq = (r.T @ (x * x)) / mass[:, None]
+    variances = np.maximum(sq - means * means, var_floor)
+    return GaussianMixture(weights, means, variances)
+
+
 def fit_em(
     samples: np.ndarray,
     k: int,
@@ -150,7 +174,6 @@ def fit_em(
     d2 = np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=2)
     assign = np.argmin(d2, axis=1)
     weights = np.zeros(k)
-    means = centers.copy()
     variances = np.empty((k, d))
     for j in range(k):
         mask = assign == j
@@ -159,25 +182,12 @@ def fit_em(
         variances[j] = np.maximum(pts.var(axis=0), var_floor)
     weights /= weights.sum()
 
-    history: list[float] = []
-    prev = -np.inf
-    for _ in range(EM_MAX_ITERS):
-        gm = GaussianMixture(weights, means, variances)
-        comp = gm.component_log_density(x) + np.log(weights)[None, :]
+    def step(gm: GaussianMixture) -> tuple[float, GaussianMixture]:
+        comp = gm.component_log_density(x) + np.log(gm.weights)[None, :]
         per_point = logsumexp(comp, axis=1)
-        ll = float(np.sum(per_point))
-        history.append(ll)
         resp = np.exp(comp - per_point[:, None])
-        nk = resp.sum(axis=0)
-        nk = np.maximum(nk, 1e-12)
-        weights = nk / nk.sum()
-        means = (resp.T @ x) / nk[:, None]
-        sq = (resp.T @ (x * x)) / nk[:, None]
-        variances = np.maximum(sq - means * means, var_floor)
-        if prev > -np.inf and ll - prev < EM_TOL * max(1.0, abs(prev)):
-            break
-        prev = ll
+        return float(np.sum(per_point)), refit(x, resp, np.maximum(resp.sum(axis=0), 1e-12), var_floor)
 
-    gm = GaussianMixture(weights, means, variances)
+    gm, history = run_em(GaussianMixture(weights, centers, variances), step, EM_MAX_ITERS)
     history.append(float(np.sum(gm.log_density(x))))
     return gm, history

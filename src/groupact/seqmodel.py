@@ -19,7 +19,7 @@ import numpy as np
 
 from . import features as feats
 from . import taxonomy
-from .gmm import EM_TOL, VAR_FLOOR, GaussianMixture, fit_em, logsumexp
+from .gmm import VAR_FLOOR, GaussianMixture, fit_em, logsumexp, refit, run_em
 from .trackio import AnnotationSet, TrackSet
 
 N_STATES = N_MIXTURES = 2  # hidden states per trained model, mixture components per state
@@ -320,21 +320,15 @@ def _temporal_pools(rows_per_segment: list[np.ndarray]) -> list[np.ndarray]:
 def _fit_weighted_mixture(
     old: GaussianMixture, x: np.ndarray, w: np.ndarray, var_floor: float
 ) -> GaussianMixture:
-    """One weighted maximisation step for a mixture given point weights."""
-    total = float(w.sum())
-    if total < 1e-10:
-        return old
+    """One weighted maximisation step for a mixture given point weights;
+    ``old`` stays when a component would get almost no mass."""
     comp = old.component_log_density(x) + np.log(old.weights)[None, :]
     comp -= logsumexp(comp, axis=1)[:, None]
     r = np.exp(comp) * w[:, None]
     mass = r.sum(axis=0)
     if np.any(mass < 1e-10):
         return old
-    weights = mass / mass.sum()
-    means = (r.T @ x) / mass[:, None]
-    sq = (r.T @ (x * x)) / mass[:, None]
-    variances = np.maximum(sq - means * means, var_floor)
-    return GaussianMixture(weights, means, variances)
+    return refit(x, r, mass, var_floor)
 
 
 def _subsample(items: list, limit: int | None) -> list:
@@ -355,23 +349,16 @@ def _initial_chain(mean_len: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return np.full(n, 1.0 / n), trans, np.full(n, exit0)
 
 
-def _run_em(model: ActivityModel, batches: list[tuple], accumulate, config: TrainConfig,
-            marg_floor, joint_floor=VAR_FLOOR) -> tuple[ActivityModel, list[float]]:
-    """EM from ``model`` until the relative log-likelihood gain falls below
-    ``EM_TOL``; ``accumulate(model, *batch, stats)`` is the E-step of one batch."""
-    history: list[float] = []
-    prev_ll = -np.inf
-    for _ in range(config.max_iters):
+def _em_step(batches: list[tuple], accumulate, config: TrainConfig, marg_floor, joint_floor=VAR_FLOOR):
+    """The :func:`~groupact.gmm.run_em` step over ``batches``;
+    ``accumulate(model, *batch, stats)`` is the E-step of one batch."""
+
+    def step(model: ActivityModel) -> tuple[float, ActivityModel]:
         stats = _EmStats(model.n_states, config, marg_floor, joint_floor)
-        ll = 0.0
-        for batch in batches:
-            ll += float(accumulate(model, *batch, stats).sum())
-        history.append(ll)
-        model = stats.m_step(model)
-        if prev_ll > -np.inf and ll - prev_ll < EM_TOL * max(1.0, abs(prev_ll)):
-            break
-        prev_ll = ll
-    return model, history
+        ll = sum(float(accumulate(model, *batch, stats).sum()) for batch in batches)
+        return ll, stats.m_step(model)
+
+    return step
 
 
 def train_activity_model(
@@ -420,10 +407,9 @@ def train_activity_model(
     advance = np.full(N_STATES, 0.7 if config.fix_advance is None else float(config.fix_advance))
     model = ActivityModel(entry, trans, exit_, advance, marginal, joint, fb1 or fb2)
     slack = 0 if config.fix_advance is not None else terminal_slack
-    return _run_em(
-        model, _stack_by_shape(segs), partial(_accumulate_batch, terminal_slack=slack),
-        config, marg_floor, joint_floor,
-    )
+    accumulate = partial(_accumulate_batch, terminal_slack=slack)
+    step = _em_step(_stack_by_shape(segs), accumulate, config, marg_floor, joint_floor)
+    return run_em(model, step, config.max_iters)
 
 
 class _EmStats:
@@ -455,7 +441,7 @@ class _EmStats:
                 trans[k] = self.trans[k] / rows[k]
                 exit_[k] = self.exit[k] / rows[k]
         jw = np.concatenate(self.joint_w or [np.zeros((0, n))])
-        mw = np.concatenate(self.marg_w or [np.zeros((0, n))])
+        mw = np.concatenate(self.marg_w)
         advance = model.advance
         if advance is not None and cfg.fix_advance is None:
             # cells outside the band carry no advance posterior, so the weight
@@ -472,12 +458,10 @@ class _EmStats:
             joint = tuple(
                 _fit_weighted_mixture(model.joint[k], jx, jw[:, k], self.joint_floor) for k in range(n)
             )
-        marginal = model.marginal
-        if self.marg_x:
-            mx = np.concatenate(self.marg_x, axis=0)
-            marginal = tuple(
-                _fit_weighted_mixture(model.marginal[k], mx, mw[:, k], self.marg_floor) for k in range(n)
-            )
+        mx = np.concatenate(self.marg_x, axis=0)
+        marginal = tuple(
+            _fit_weighted_mixture(model.marginal[k], mx, mw[:, k], self.marg_floor) for k in range(n)
+        )
         return ActivityModel(entry, trans, exit_, advance, marginal, joint, model.mixture_fallback)
 
 
@@ -555,7 +539,8 @@ def train_hmm_model(
     marginal, fallback = _init_mixtures(pools, config.seed + 3, floor)
     entry, trans, exit_ = _initial_chain(float(np.mean([s.shape[0] for s in seqs])))
     model = ActivityModel(entry, trans, exit_, None, marginal, None, fallback)
-    return _run_em(model, _stack_by_shape([(s,) for s in seqs]), _accumulate_sequences, config, floor)
+    step = _em_step(_stack_by_shape([(s,) for s in seqs]), _accumulate_sequences, config, floor)
+    return run_em(model, step, config.max_iters)
 
 
 def _usable_chunks(usable: np.ndarray, chunk: int, min_len: int = 4) -> list[np.ndarray]:
@@ -643,13 +628,9 @@ def train_bank(
     config: TrainConfig | None = None,
     window: int = 25,
     dt: int = 5,
-    tc: float = 0.1,
-    to: float = 0.95,
-    tr: float = 0.3,
 ) -> ActivityModelBank:
-    """Train one model per modelable activity plus group-feature models."""
+    """Train one model per modelable activity plus group-feature models; the bank keeps the default thresholds."""
     check_window(window, dt)
-    check_thresholds(tc=tc, to=to, tr=tr)
     config = config or TrainConfig()
     chunk = config.chunk or window
     pair_segments, group_sequences = assemble_training_data(tracks, annotations, chunk)
@@ -666,9 +647,7 @@ def train_bank(
         if seqs:
             cfg = replace(config, seed=config.seed + 1000 + idx)
             group_models[label], _ = train_hmm_model(seqs, cfg)
-    return ActivityModelBank(
-        models=models, group_models=group_models, window=window, dt=dt, tc=tc, to=to, tr=tr
-    )
+    return ActivityModelBank(models=models, group_models=group_models, window=window, dt=dt)
 
 
 def _taxonomy_payload() -> dict:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import io
 import json
-import math
+import logging
 from dataclasses import dataclass
 from itertools import starmap
 from operator import attrgetter
@@ -21,7 +21,12 @@ from .taxonomy import TaxonomyError, level
 
 MODEL_FORMAT_VERSION = 1
 MAX_FRAME = 2**63 - 1  # frames are stored as int64
+# sample bounds in px, within which no feature overflows a float
+COORD_MAX = 1e9  # on |x| and |y|
+SIZE_MIN, SIZE_MAX = 1e-9, 1e9  # on w and h
+_BOUNDS = f"|x|, |y| <= {COORD_MAX:g} and {SIZE_MIN:g} <= w, h <= {SIZE_MAX:g}"
 _NO_SAMPLES = (np.zeros(0, dtype=np.int64), np.zeros((4, 0)))
+log = logging.getLogger(__name__)
 
 
 class ParseError(ValueError):
@@ -63,8 +68,6 @@ class TrackSet:
         for s in samples:
             if not 0 <= s.frame <= MAX_FRAME:
                 raise ParseError(f"frame {s.frame} outside 0..{MAX_FRAME}")
-            if s.w <= 0 or s.h <= 0:
-                raise ParseError(f"non-positive box for person {s.person} at frame {s.frame}")
             by_person.setdefault(s.person, []).append(s)
         self._arrays: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for person, rows in by_person.items():
@@ -74,6 +77,11 @@ class TrackSet:
             if dup.size:
                 raise ParseError(f"duplicate sample for person {person} at frame {frames[dup[0]]}")
             xywh = np.stack([np.fromiter(map(attrgetter(c), rows), float, len(rows)) for c in "xywh"])
+            bad = np.flatnonzero(~_in_bounds(*xywh))
+            if bad.size:
+                i = bad[0]
+                raise ParseError(f"sample {tuple(xywh[:, i].tolist())} of person {person} "
+                                 f"at frame {frames[i]} outside {_BOUNDS}")
             frames.flags.writeable = xywh.flags.writeable = False
             self._arrays[person] = (frames, xywh)
         self._persons = tuple(sorted(self._arrays))
@@ -121,6 +129,12 @@ class TrackSet:
         return starmap(MbbSample, self._rows())
 
 
+def _in_bounds(x, y, w, h):
+    """Whether floats or equal-shape arrays lie within the sample bounds; NaN never does."""
+    return ((abs(x) <= COORD_MAX) & (abs(y) <= COORD_MAX)
+            & (SIZE_MIN <= w) & (w <= SIZE_MAX) & (SIZE_MIN <= h) & (h <= SIZE_MAX))
+
+
 def _lines(text) -> Iterator[tuple[int, str]]:
     if isinstance(text, str):
         stream: Iterable[str] = io.StringIO(text)
@@ -137,7 +151,8 @@ def parse_tracks(text, strict: bool = True) -> TrackSet:
     """Parse ``frame,person,x,y,w,h`` lines into a validated TrackSet.
 
     Strict mode raises on the first malformed line; lenient mode skips bad
-    lines and reports them in ``TrackSet.warnings``.
+    lines, reports them in ``TrackSet.warnings`` and logs them: one warning
+    with the count and the first reason, and each line at INFO.
     """
     samples: list[MbbSample] = []
     seen: set[tuple[int, int]] = set()
@@ -147,6 +162,7 @@ def parse_tracks(text, strict: bool = True) -> TrackSet:
         if strict:
             raise ParseError(msg, line=lineno)
         warnings.append(f"line {lineno}: {msg}")
+        log.info("skipped line %d: %s", lineno, msg)
 
     for lineno, line in _lines(text):
         parts = [p.strip() for p in line.split(",")]
@@ -163,17 +179,16 @@ def parse_tracks(text, strict: bool = True) -> TrackSet:
         if not 0 <= frame <= MAX_FRAME:
             fail(f"frame {frame} outside 0..{MAX_FRAME}", lineno)
             continue
-        if not all(math.isfinite(v) for v in (x, y, w, h)):
-            fail("non-finite coordinate", lineno)
-            continue
-        if w <= 0 or h <= 0:
-            fail(f"non-positive box ({w} x {h}) for person {person} at frame {frame}", lineno)
+        if not _in_bounds(x, y, w, h):
+            fail(f"sample {(x, y, w, h)} of person {person} at frame {frame} outside {_BOUNDS}", lineno)
             continue
         if (frame, person) in seen:
             fail(f"duplicate sample for person {person} at frame {frame}", lineno)
             continue
         seen.add((frame, person))
         samples.append(MbbSample(frame, person, x, y, w, h))
+    if warnings:
+        log.warning("skipped %d malformed track lines; first: %s", len(warnings), warnings[0])
     return TrackSet(samples, warnings=warnings)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from hypothesis import strategies as st
 
 from groupact.simgen import AgentSpec, EventSpec, ScenarioSpec
-from groupact.trackio import AnnotationSet, MbbSample, TrackSet
+from groupact.trackio import COORD_MAX, SIZE_MAX, SIZE_MIN, AnnotationSet, MbbSample, TrackSet
 
 DURATION = 300
 SPAN = (0, DURATION - 1)
@@ -387,4 +387,28 @@ def ragged_tracks(draw, min_frames=0, max_frames=16, present=st.integers(0, 3).m
                 w, h = draw(_BOX)
             if sampled:
                 rows.append(MbbSample(frame, person, x, y, w, h))
+    return TrackSet(rows)
+
+
+@st.composite
+def bounded_tracks(draw, max_frames=16, present=st.integers(0, 3).map(bool)):
+    """Up to four people whose coordinates and box sizes reach the sample bounds.
+
+    A person stands still or jumps anywhere within ``|x|, |y| <= COORD_MAX``
+    with a new box in ``SIZE_MIN..SIZE_MAX`` every frame.  Draws favour the
+    bounds and the origin, so people share spots and groups can form.  Each
+    of up to ``max_frames`` frames is sampled when ``present`` draws True.
+    """
+    coord = st.one_of(st.sampled_from([-COORD_MAX, 0.0, COORD_MAX]), st.floats(-COORD_MAX, COORD_MAX))
+    size = st.one_of(st.sampled_from([SIZE_MIN, 1.0, SIZE_MAX]), st.floats(SIZE_MIN, SIZE_MAX))
+    frames = draw(st.integers(2, max_frames))
+    rows = []
+    for person in range(1, draw(st.integers(1, 4)) + 1):
+        still = draw(st.booleans())
+        box = draw(coord), draw(coord), draw(size), draw(size)
+        for frame in range(frames):
+            if not still:
+                box = draw(coord), draw(coord), draw(size), draw(size)
+            if draw(present):
+                rows.append(MbbSample(frame, person, *box))
     return TrackSet(rows)

@@ -1,6 +1,7 @@
 """Command-line tests on a reduced fixture: exit codes, routing, determinism."""
 
 import json
+import logging
 from dataclasses import replace
 from pathlib import Path
 
@@ -237,6 +238,99 @@ def test_labels_outside_the_truth_exit_data_error(tmp_path, capsys, record):
     assert err.startswith("data error: ") and "frame 5" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("simulate", "--spec"), ("train", "--tracks"), ("train", "--annotations"),
+    ("detect", "--tracks"), ("evaluate", "--detections"), ("evaluate", "--truth"),
+])
+def test_undecodable_input_is_data_error(workdir, tmp_path, capsys, command, flag):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    args = {
+        "simulate": ["--spec", workdir / "scenario.json", "--out-prefix", tmp_path / "sim"],
+        "train": ["--tracks", workdir / "train.tracks.csv", "--annotations",
+                  workdir / "train.annotations.jsonl", "--out", tmp_path / "model.json"],
+        "detect": ["--tracks", workdir / "train.tracks.csv", "--model", FROZEN_BANK,
+                   "--out", tmp_path / "dets.jsonl"],
+        "evaluate": ["--detections", empty, "--truth", empty, "--csv", tmp_path / "scores.csv"],
+    }[command]
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"0,1,1,2,3,4\n\xff\xfe\n")
+    args[args.index(flag) + 1] = bad
+    assert run([command, *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot read {bad}: ") and "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == [bad, empty]
+
+
+def _track_lines(third) -> str:
+    """Two people walking side by side for 30 frames, and a third whose
+    sample at frame t is ``third(t)``, as (x, y, w, h)."""
+    lines = []
+    for t in range(30):
+        for person, (x, y, w, h) in enumerate([(100.0 + t, 100.0, 10.0, 24.0),
+                                               (100.0 + t, 130.0, 10.0, 24.0), third(t)], start=1):
+            lines.append(f"{t},{person},{x!r},{y!r},{w!r},{h!r}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("third, line", [
+    (lambda t: (1e200 * (t + 1), 1e200 * (t + 1), 10.0, 24.0), 3),  # moves 1e200 px per frame
+    (lambda t: (300.0, 300.0, 1.0 if t % 2 == 0 else 1e-300, 24.0), 6),  # size change 1e300
+], ids=["far-coordinates", "tiny-box"])
+def test_samples_outside_the_bounds_exit_data_error(tmp_path, capsys, third, line):
+    p = tmp_path / "extreme.csv"
+    p.write_text(_track_lines(third))
+    out = tmp_path / "dets.jsonl"
+    assert run(["detect", "--tracks", p, "--model", FROZEN_BANK, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: line {line}: sample ") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_samples_at_the_bounds_detect_every_frame(tmp_path):
+    p = tmp_path / "bounds.csv"
+    p.write_text(_track_lines(lambda t: ((-1) ** t * 1e9, 1e9, 1e-9 if t % 2 else 1e9, 1e9)))
+    out = tmp_path / "dets.jsonl"
+    # a numpy overflow warning would raise here: this suite turns warnings into errors
+    assert run(["detect", "--tracks", p, "--model", FROZEN_BANK, "--out", out]) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(records) == 29 and all("skipped" not in r for r in records)
+    assert all(pair["label"] is not None for r in records for pair in r["pairs"])
+
+
+@pytest.mark.parametrize("agent", [
+    {"agent": 1, "start": [float("nan"), 0.0]},
+    {"agent": 1, "start": [0.0, 0.0], "velocity": [float("inf"), 0.0]},
+], ids=["nan-start", "infinite-velocity"])
+def test_simulate_non_finite_spec_is_data_error(tmp_path, capsys, agent):
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps({"seed": 1, "duration": 10, "agents": [agent]}))
+    assert run(["simulate", "--spec", p, "--out-prefix", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: sample ") and "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == [p]
+
+
+@pytest.mark.parametrize("command", ["detect", "train"])
+def test_lenient_run_logs_what_it_skipped(workdir, tmp_path, caplog, command):
+    good = (workdir / "train.tracks.csv").read_text().splitlines(keepends=True)
+    p = tmp_path / "tracks.csv"
+    p.write_text("".join([good[0], "not a line\n", *good[1:], "0,99,1,2,-3,4\n"]))
+    n = len(good) + 2
+    if command == "detect":
+        args = ["detect", "--tracks", p, "--model", FROZEN_BANK, "--out", tmp_path / "dets.jsonl",
+                "--frames", "20:21"]
+    else:
+        args = ["train", "--tracks", p, "--annotations", workdir / "train.annotations.jsonl",
+                "--out", tmp_path / "model.json", *TRAIN_FLAGS[:4], "--max-iters", "1"]
+    caplog.set_level(logging.INFO, logger="groupact")
+    assert run(["-v", *args, "--lenient"]) == 0
+    warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert warned == ["skipped 2 malformed track lines; first: line 2: expected 6 fields, got 1"]
+    infos = [r.getMessage() for r in caplog.records if r.getMessage().startswith("skipped line")]
+    assert [m.split(":")[0] for m in infos] == ["skipped line 2", f"skipped line {n}"]
+
+
 def test_malformed_tracks_exit_data_error(workdir, tmp_path, capsys):
     p = tmp_path / "bad.csv"
     p.write_text("0,1,1,2,3,4\nnot a line\n")
@@ -276,11 +370,15 @@ def test_simulate_invalid_spec(tmp_path, capsys):
     assert not (tmp_path / "out.tracks.csv").exists()
 
 
-@pytest.mark.parametrize("flags", [
-    ["--window", "0"], ["--window", "1"], ["--dt", "-1"], ["--dt", "50"],
-    ["--tc", "2"], ["--to", "-0.1"], ["--tr", "nan"],
+WINDOW_FLAGS = [["--window", "0"], ["--window", "1"], ["--dt", "-1"], ["--dt", "50"]]
+THRESHOLD_FLAGS = [["--tc", "2"], ["--to", "-0.1"], ["--tr", "nan"]]
+
+
+@pytest.mark.parametrize("command, flags", [
+    pytest.param(command, flags, id=f"{command}-flags{i}")
+    for command, flag_sets in (("detect", WINDOW_FLAGS + THRESHOLD_FLAGS), ("train", WINDOW_FLAGS))
+    for i, flags in enumerate(flag_sets)
 ])
-@pytest.mark.parametrize("command", ["train", "detect"])
 def test_bad_window_or_dt_is_usage_error(workdir, tmp_path, capsys, command, flags):
     out = tmp_path / "out"
     if command == "train":
@@ -295,6 +393,17 @@ def test_bad_window_or_dt_is_usage_error(workdir, tmp_path, capsys, command, fla
     err = capsys.readouterr().err
     assert f"groupact {command}: error:" in err and "Traceback" not in err
     assert flags[0].lstrip("-") in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", THRESHOLD_FLAGS)
+def test_train_takes_no_thresholds(tmp_path, capsys, flags):
+    # thresholds are detection settings; a trained bank carries the defaults
+    out = tmp_path / "out"
+    args = ["train", "--tracks", tmp_path / "missing.csv",
+            "--annotations", tmp_path / "missing.jsonl", "--out", out, *flags]
+    assert run(args) == 1
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
     assert not out.exists()
 
 

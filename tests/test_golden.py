@@ -1,8 +1,10 @@
-"""Golden detections: sha256 of ``write_detections`` output on the evaluation scenarios.
+"""Golden outputs: sha256 of ``write_detections`` output on the evaluation
+scenarios, and of ``save_model`` output for the trained test banks.
 
-The bank is the benchmark's frozen one (the ``frozen_bank`` fixture), so a
-digest moves only when the detector's output does.  A change that alters
-detections on purpose updates the digests here and says why in CHANGES.md.
+The detections use the benchmark's frozen bank (the ``frozen_bank``
+fixture), so a detection digest moves only when the detector's output does;
+a bank digest moves only when training's does.  A change that alters either
+on purpose updates the digests here and says why in CHANGES.md.
 """
 
 import hashlib
@@ -12,6 +14,7 @@ import pytest
 
 from groupact.grad import PipelineConfig, run_pipeline, write_detections
 from groupact.simgen import generate
+from groupact.trackio import save_model
 
 from scenarios import EVAL_SCENARIOS
 
@@ -64,3 +67,16 @@ def test_detections_match_golden_digests(frozen_bank, config):
         write_detections(run_pipeline(frozen_bank, tracks, cfg, frames=FRAMES), buf)
         got[name] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
     assert got == GOLDEN[config]
+
+
+TRAINED = {
+    "bank": "76715d86e0041e7e28fce8c63966e75621f07260156cbc1edf53c48d19aab6a2",
+    "hmm_bank": "b42668410b80e93cde337c9064a357eda0c87f635eac3ad3b6537497eb4f88b3",
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(TRAINED))
+def test_trained_banks_match_golden_digests(request, fixture):
+    buf = io.StringIO()
+    save_model(request.getfixturevalue(fixture), buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == TRAINED[fixture]

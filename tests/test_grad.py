@@ -25,9 +25,10 @@ from groupact.grad import (
 from groupact.grouprep import GroupRepresentative
 from groupact.seqmodel import CorrelationEngine
 from groupact.simgen import generate
+from groupact.taxonomy import INTERGROUP_CANDIDATES
 from groupact.trackio import MbbSample, TrackSet, parse_tracks, write_tracks
 
-from scenarios import EVAL_SCENARIOS, WARMUP, fig1_hierarchy, ragged_tracks, walk_together
+from scenarios import EVAL_SCENARIOS, WARMUP, bounded_tracks, fig1_hierarchy, ragged_tracks, walk_together
 
 
 class StubEngine:
@@ -253,6 +254,26 @@ def test_pipeline_partitions_or_skips_every_frame_of_ragged_tracks(bank, drawn):
             assert d.partition.persons == tracks.observable_persons(d.frame)
             covered = sorted(m for g in d.partition.groups for m in g.members)
             assert covered == list(d.partition.persons)
+
+
+@settings(max_examples=30, deadline=None)
+@given(bounded_tracks())
+def test_tracks_at_the_sample_bounds_give_finite_profiles_or_a_skip_reason(bank, tracks):
+    """No float overflow inside the sample bounds (and no numpy warning,
+    which this suite turns into an error): every frame is partitioned with
+    finite profiles, or skipped with a reason.  A pair label is a candidate,
+    or None where saturated profiles leave every candidate at -inf."""
+    engine = CorrelationEngine(bank, tracks, window=bank.window, dt=bank.dt)
+    for d in run_pipeline(bank, tracks, PipelineConfig.from_bank(bank), engine=engine):
+        if d.partition is None:
+            assert d.skipped
+            continue
+        persons = d.partition.persons
+        items = [((a,), (b,)) for a in persons for b in persons if a != b]
+        for prof in engine.profiles(items, d.frame).values():
+            assert prof is None or np.all(np.isfinite(prof))
+        assert all(isinstance(label, str) for label in d.group_labels)
+        assert all(p.label is None or p.label in INTERGROUP_CANDIDATES for p in d.pair_labels)
 
 
 def test_detections_round_trip(bank):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from groupact.features import pair_feature_windows
 from groupact.gmm import GaussianMixture
-from groupact import seqmodel
+from groupact import gmm, seqmodel
 from groupact.seqmodel import (
     ActivityModel,
     ActivityModelBank,
@@ -596,7 +596,7 @@ def test_em_counts_match_enumeration(monkeypatch, slack, fix_advance):
 
     monkeypatch.setattr(seqmodel._EmStats, "m_step", spy)
     monkeypatch.setattr(seqmodel, "N_MIXTURES", 1)
-    monkeypatch.setattr(seqmodel, "EM_TOL", 0.0)
+    monkeypatch.setattr(gmm, "EM_TOL", 0.0)
     cfg = TrainConfig(seed=4, max_iters=3, max_segments=None, fix_advance=fix_advance)
     _, hist = train_activity_model(segs, cfg, terminal_slack=slack)
     assert len(seen) == len(hist) == 3
@@ -668,7 +668,7 @@ def test_hmm_em_counts_match_enumeration(monkeypatch):
 
     monkeypatch.setattr(seqmodel._EmStats, "m_step", spy)
     monkeypatch.setattr(seqmodel, "N_MIXTURES", 1)
-    monkeypatch.setattr(seqmodel, "EM_TOL", 0.0)
+    monkeypatch.setattr(gmm, "EM_TOL", 0.0)
     cfg = TrainConfig(seed=2, max_iters=3, max_segments=None)
     _, hist = train_hmm_model(seqs, cfg)
     assert len(seen) == len(hist) == 3
@@ -692,22 +692,6 @@ def test_hmm_em_counts_match_enumeration(monkeypatch):
         for key in want:
             got = getattr(stats, key)
             np.testing.assert_allclose(got, want[key], rtol=1e-9, atol=1e-12, err_msg=key)
-
-
-def test_bank_rejects_out_of_range_threshold_before_training(monkeypatch):
-    from groupact.simgen import generate
-
-    from scenarios import walk_together
-
-    tracks, annotations = generate(walk_together(seed=3))
-
-    def no_training(*args, **kwargs):
-        raise AssertionError("training started")
-
-    monkeypatch.setattr(seqmodel, "assemble_training_data", no_training)
-    for bad in ({"tc": 2.0}, {"to": -0.1}, {"tr": float("nan")}):
-        with pytest.raises(ValueError, match=f"threshold {next(iter(bad))}"):
-            seqmodel.train_bank(tracks, annotations, **bad)
 
 
 def test_group_likelihood_factorized_cross_check():

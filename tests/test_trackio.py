@@ -15,6 +15,9 @@ from groupact.seqmodel import ActivityModel, ActivityModelBank
 from groupact import taxonomy
 from groupact.taxonomy import ASYMMETRIC
 from groupact.trackio import (
+    COORD_MAX,
+    SIZE_MAX,
+    SIZE_MIN,
     AnnotationRecord,
     AnnotationSet,
     MbbSample,
@@ -77,6 +80,28 @@ def test_parse_malformed_line_number():
     with pytest.raises(ParseError):
         TrackSet([MbbSample(2**63, 1, 1.0, 2.0, 3.0, 4.0)])
     assert parse_tracks("9223372036854775807,1,1,2,3,4\n").frame_range == (2**63 - 1,) * 2
+
+
+@pytest.mark.parametrize("x, y, w, h", [
+    (float("nan"), 0.0, 1.0, 1.0), (0.0, float("inf"), 1.0, 1.0), (0.0, 0.0, float("nan"), 1.0),
+    (1e9 * (1 + 1e-15), 0.0, 1.0, 1.0), (0.0, -1.1e9, 1.0, 1.0),
+    (0.0, 0.0, 1e-10, 1.0), (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 1.0, 2e9),
+])
+def test_samples_outside_the_bounds_are_parse_errors(x, y, w, h):
+    line = f"0,1,1,2,3,4\n1,1,{x!r},{y!r},{w!r},{h!r}\n"
+    with pytest.raises(ParseError) as err:
+        parse_tracks(line)
+    assert err.value.line == 2
+    assert len(parse_tracks(line, strict=False).warnings) == 1
+    with pytest.raises(ParseError, match="person 1 at frame 1"):
+        TrackSet([MbbSample(0, 1, 1.0, 2.0, 3.0, 4.0), MbbSample(1, 1, x, y, w, h)])
+
+
+def test_samples_at_the_bounds_parse():
+    lines = [f"{f},1,{x!r},{y!r},{w!r},{h!r}" for f, (x, y, w, h) in enumerate([
+        (COORD_MAX, -COORD_MAX, SIZE_MIN, SIZE_MAX), (-COORD_MAX, COORD_MAX, SIZE_MAX, SIZE_MIN),
+    ])]
+    assert len(parse_tracks("\n".join(lines))) == 2
 
 
 def test_lenient_mode_counts_everything():
