@@ -8,7 +8,6 @@ leave partial artifacts behind.
 from __future__ import annotations
 
 import argparse
-import io
 import logging
 import sys
 from pathlib import Path
@@ -61,9 +60,10 @@ def _atomic_write(path: Path, writer) -> None:
         raise
 
 
-def _read_text(path: str) -> str:
+def _read(path: str, parse, **options):
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fp:  # a decode error may come partway through the parse
+            return parse(fp, **options)
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(EXIT_DATA, f"cannot read {path}: {exc}") from None
 
@@ -128,7 +128,7 @@ def build_parser() -> _Parser:
 
 
 def cmd_simulate(args) -> int:
-    spec = simgen.load_spec(io.StringIO(_read_text(args.spec)))
+    spec = _read(args.spec, simgen.load_spec)
     tracks, annotations = simgen.generate(spec)
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
@@ -152,8 +152,8 @@ def cmd_train(args) -> int:
         )
     except ValueError as exc:
         raise CliError(EXIT_USAGE, f"groupact train: error: {exc}") from None
-    tracks = parse_tracks(_read_text(args.tracks), strict=not args.lenient)
-    annotations = parse_annotations(_read_text(args.annotations))
+    tracks = _read(args.tracks, parse_tracks, strict=not args.lenient)
+    annotations = _read(args.annotations, parse_annotations)
     bank = train_bank(tracks, annotations, config, window=args.window, dt=args.dt)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -180,7 +180,7 @@ def cmd_detect(args) -> int:
         )
     except ValueError as exc:
         raise CliError(EXIT_USAGE, f"groupact detect: error: {exc}") from None
-    tracks = parse_tracks(_read_text(args.tracks), strict=not args.lenient)
+    tracks = _read(args.tracks, parse_tracks, strict=not args.lenient)
     dets = grad.run_pipeline(bank, tracks, config, frames=frames)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -192,8 +192,8 @@ def cmd_detect(args) -> int:
 
 def cmd_evaluate(args) -> int:
     frames = _parse_frames(args.frames)
-    dets = grad.read_detections(io.StringIO(_read_text(args.detections)))
-    annotations = parse_annotations(_read_text(args.truth))
+    dets = _read(args.detections, grad.read_detections)
+    annotations = _read(args.truth, parse_annotations)
     det_frames = [d.frame for d in dets]
     truth_range = annotations.frame_range()
     if det_frames and truth_range is not None:

@@ -35,7 +35,7 @@ from .seqmodel import (
     check_window,
 )
 from .taxonomy import GROUPING_LABELS, INTERGROUP_CANDIDATES, SINGLE
-from .trackio import ParseError, TrackSet
+from .trackio import ParseError, TrackSet, json_ids, json_int
 
 SMOOTH_RADIUS = 2  # frames on each side of the label majority filter
 
@@ -77,7 +77,7 @@ class PipelineConfig:
 class PairLabel:
     a: int  # slower group's index
     b: int
-    label: str
+    label: str | None  # None: no relation candidate has evidence
 
 
 @dataclass(frozen=True)
@@ -173,11 +173,13 @@ def _order_groups(a: GroupContext, b: GroupContext) -> tuple[GroupContext, Group
     return b, a
 
 
-def _mode(votes, tie_key) -> str:
-    """The most frequent vote; ties go to the largest ``tie_key``, then the smallest label."""
+def _mode(votes, tie_key) -> str | None:
+    """The most frequent vote; ties go to any label over None, then to the
+    largest ``tie_key``, then to the smallest label."""
     counts = Counter(votes)
     top = max(counts.values())
-    return max(sorted(l for l, c in counts.items() if c == top), key=tie_key)
+    tied = sorted(l for l, c in counts.items() if c == top and l is not None)
+    return max(tied, key=tie_key) if tied else None
 
 
 def recognize_intergroup(
@@ -271,7 +273,7 @@ def _detect_frame(engine: CorrelationEngine, t: int, config: PipelineConfig) -> 
     return FrameDetection(t, partition, tuple(labels), tuple(pair_labels))
 
 
-def _keyed_labels(d: FrameDetection) -> dict[frozenset, str]:
+def _keyed_labels(d: FrameDetection) -> dict[frozenset, str | None]:
     """Label of each group, keyed by its member set, and of each group pair,
     keyed by the set of its two groups' member sets."""
     sets = [frozenset(g.members) for g in d.partition.groups]
@@ -281,7 +283,8 @@ def _keyed_labels(d: FrameDetection) -> dict[frozenset, str]:
 
 def _smooth_labels(dets: list[FrameDetection]) -> list[FrameDetection]:
     """Majority-filter group and pair labels over +-SMOOTH_RADIUS frames;
-    a tie keeps the frame's own label if it is among the most frequent."""
+    a tie keeps the frame's own label if it is among the most frequent, and
+    a None pair label loses every tie."""
     near = {d.frame: _keyed_labels(d) for d in dets if d.partition is not None}
     out = []
     for d in dets:
@@ -325,17 +328,19 @@ def _label(value, what: str = "label") -> str:
 
 
 def _detection_record(obj) -> FrameDetection:
-    frame = int(obj["frame"])
+    frame = json_int(obj["frame"], "frame")
     if "skipped" in obj:
         return FrameDetection(frame, None, skipped=_label(obj["skipped"], f"frame {frame}: skip reason"))
     groups = []
     for g in obj["groups"]:
-        members = tuple(sorted(int(m) for m in g["members"]))
-        seed = tuple(sorted(int(m) for m in g.get("seed", ())))
+        members = tuple(sorted(json_ids(g["members"], "members")))
+        seed = tuple(sorted(json_ids(g.get("seed", ()), "seed")))
         groups.append(GroupAssignment(members, seed, _label(g["label"])))
     persons = tuple(sorted(m for g in groups for m in g.members))
     partition = Partition(frame, persons, tuple(groups))
-    pairs = tuple(PairLabel(int(p["a"]), int(p["b"]), _label(p["label"])) for p in obj.get("pairs", ()))
+    pairs = tuple(PairLabel(json_int(p["a"], "pair a"), json_int(p["b"], "pair b"),
+                            None if p["label"] is None else _label(p["label"]))
+                  for p in obj.get("pairs", ()))
     for p in pairs:
         if not (0 <= p.a < len(groups) and 0 <= p.b < len(groups)) or p.a == p.b:
             raise ValueError(f"pair ({p.a}, {p.b}) must name two groups in 0..{len(groups) - 1}")

@@ -6,7 +6,8 @@ never matter).  A frame is an error frame when it has a clustering error, a
 wrong symmetric label on a correctly clustered group, or a wrong relation
 label between two correctly clustered groups.  Unannotated people count as
 singletons; group pairs without an explicit relation record default to the
-non-interaction label.
+non-interaction label.  A None pair label (no evidence) matches no true
+relation and asserts no activity.
 """
 
 from __future__ import annotations
@@ -142,8 +143,9 @@ def partition_match(predicted: list[frozenset], truth: list[frozenset]) -> set[i
 
 
 def _check_labels(det) -> None:
-    """Reject a group or pair label outside the taxonomy."""
-    for kind, labels in (("group", det.group_labels), ("pair", [p.label for p in det.pair_labels])):
+    """Reject a group or pair label outside the taxonomy; a pair label may be None."""
+    pair_labels = [p.label for p in det.pair_labels if p.label is not None]
+    for kind, labels in (("group", det.group_labels), ("pair", pair_labels)):
         for label in labels:
             if label not in LEVELS:
                 raise DataError(f"frame {det.frame}: {kind} label {label!r} is not in the taxonomy")

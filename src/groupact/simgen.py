@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .trackio import AnnotationRecord, AnnotationSet, MbbSample, TrackSet
+from .trackio import AnnotationRecord, AnnotationSet, TrackSet, json_ids, json_int
 
 
 class ScenarioError(ValueError):
@@ -83,7 +83,7 @@ class ScenarioSpec:
     def from_payload(cls, obj: dict) -> "ScenarioSpec":
         agents = tuple(
             AgentSpec(
-                agent=int(a["agent"]),
+                agent=json_int(a["agent"], "agent"),
                 start=tuple(float(v) for v in a["start"]),
                 velocity=tuple(float(v) for v in a.get("velocity", (0.0, 0.0))),
                 box=tuple(float(v) for v in a.get("box", (10.0, 24.0))),
@@ -93,8 +93,8 @@ class ScenarioSpec:
         events = tuple(
             EventSpec(
                 label=e["label"],
-                frames=tuple(int(v) for v in e["frames"]),
-                members=tuple(int(v) for v in e.get("members", ())),
+                frames=tuple(json_int(v, "event frame") for v in e["frames"]),
+                members=json_ids(e.get("members", ()), "event members"),
                 group_id=e.get("group_id"),
                 groups=tuple(e["groups"]) if "groups" in e else None,
                 params=dict(e.get("params", {})),
@@ -102,8 +102,8 @@ class ScenarioSpec:
             for e in obj.get("events", ())
         )
         return cls(
-            seed=int(obj["seed"]),
-            duration=int(obj["duration"]),
+            seed=json_int(obj["seed"], "seed"),
+            duration=json_int(obj["duration"], "duration"),
             agents=agents,
             events=events,
             noise_sigma=float(obj.get("noise_sigma", 0.0)),
@@ -279,18 +279,8 @@ def generate(spec: ScenarioSpec) -> tuple[TrackSet, AnnotationSet]:
     if spec.box_sigma > 0:
         box = box * (1.0 + rng.normal(0.0, spec.box_sigma, box.shape))
 
-    samples = []
-    for a in ids:
-        i = index[a]
-        for t in range(T):
-            samples.append(
-                MbbSample(
-                    t, a,
-                    float(pos[i, t, 0]), float(pos[i, t, 1]),
-                    float(box[i, t, 0]), float(box[i, t, 1]),
-                )
-            )
-    tracks = TrackSet(samples)
+    xywh = np.concatenate([pos, box], axis=2).reshape(-1, 4).T  # agent-major, then frame
+    tracks = TrackSet.from_columns(np.tile(np.arange(T), len(ids)), [a for a in ids for _ in range(T)], xywh)
 
     records = []
     for ev in spec.events:

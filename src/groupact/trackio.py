@@ -10,9 +10,9 @@ from __future__ import annotations
 import io
 import json
 import logging
+from array import array
 from dataclasses import dataclass
 from itertools import starmap
-from operator import attrgetter
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -24,7 +24,10 @@ MAX_FRAME = 2**63 - 1  # frames are stored as int64
 # sample bounds in px, within which no feature overflows a float
 COORD_MAX = 1e9  # on |x| and |y|
 SIZE_MIN, SIZE_MAX = 1e-9, 1e9  # on w and h
+_BOX_MIN = np.array([-COORD_MAX, -COORD_MAX, SIZE_MIN, SIZE_MIN])  # x, y, w, h
+_BOX_MAX = np.array([COORD_MAX, COORD_MAX, SIZE_MAX, SIZE_MAX])
 _BOUNDS = f"|x|, |y| <= {COORD_MAX:g} and {SIZE_MIN:g} <= w, h <= {SIZE_MAX:g}"
+_SORT_KEY = np.dtype([("person", np.int64), ("frame", np.int64), ("row", np.intp)])  # sorts field by field
 _NO_SAMPLES = (np.zeros(0, dtype=np.int64), np.zeros((4, 0)))
 log = logging.getLogger(__name__)
 
@@ -64,32 +67,20 @@ class TrackSet:
     """
 
     def __init__(self, samples: Iterable[MbbSample], warnings: Iterable[str] = ()):
-        by_person: dict[int, list[MbbSample]] = {}
-        for s in samples:
-            if not 0 <= s.frame <= MAX_FRAME:
-                raise ParseError(f"frame {s.frame} outside 0..{MAX_FRAME}")
-            by_person.setdefault(s.person, []).append(s)
-        self._arrays: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for person, rows in by_person.items():
-            rows.sort(key=attrgetter("frame"))
-            frames = np.fromiter(map(attrgetter("frame"), rows), np.int64, len(rows))
-            dup = np.flatnonzero(frames[1:] == frames[:-1])
-            if dup.size:
-                raise ParseError(f"duplicate sample for person {person} at frame {frames[dup[0]]}")
-            xywh = np.stack([np.fromiter(map(attrgetter(c), rows), float, len(rows)) for c in "xywh"])
-            bad = np.flatnonzero(~_in_bounds(*xywh))
-            if bad.size:
-                i = bad[0]
-                raise ParseError(f"sample {tuple(xywh[:, i].tolist())} of person {person} "
-                                 f"at frame {frames[i]} outside {_BOUNDS}")
-            frames.flags.writeable = xywh.flags.writeable = False
-            self._arrays[person] = (frames, xywh)
-        self._persons = tuple(sorted(self._arrays))
-        self.warnings = tuple(warnings)
+        rows = [(s.frame, s.person, s.x, s.y, s.w, s.h) for s in samples]
+        frame, person, *xywh = zip(*rows) if rows else [()] * 6
+        self._arrays, self.warnings = _column_arrays(frame, person, xywh), tuple(warnings)
+
+    @classmethod
+    def from_columns(cls, frame, person, xywh) -> TrackSet:
+        """The samples ``(frame[i], person[i], *xywh[:, i])``, checked as the constructor checks samples."""
+        tracks = cls(())  # the constructor takes samples: fill an empty set
+        tracks._arrays = _column_arrays(frame, person, xywh)
+        return tracks
 
     @property
     def persons(self) -> tuple[int, ...]:
-        return self._persons
+        return tuple(self._arrays)
 
     @property
     def frame_range(self) -> tuple[int, int] | None:
@@ -113,15 +104,14 @@ class TrackSet:
         return self.has(person, frame) and self.has(person, frame - 1)
 
     def observable_persons(self, frame: int) -> tuple[int, ...]:
-        return tuple(p for p in self._persons if self.observable(p, frame))
+        return tuple(p for p in self._arrays if self.observable(p, frame))
 
     def person_arrays(self, person: int) -> tuple[np.ndarray, np.ndarray]:
         """Read-only sorted frames and (4, n) x, y, w, h of one person; empty if unknown."""
         return self._arrays.get(person, _NO_SAMPLES)
 
     def _rows(self) -> Iterator[tuple]:
-        for person in self._persons:
-            frames, xywh = self._arrays[person]
+        for person, (frames, xywh) in self._arrays.items():
             for frame, x, y, w, h in zip(frames.tolist(), *xywh.tolist()):
                 yield frame, person, x, y, w, h
 
@@ -129,10 +119,58 @@ class TrackSet:
         return starmap(MbbSample, self._rows())
 
 
-def _in_bounds(x, y, w, h):
-    """Whether floats or equal-shape arrays lie within the sample bounds; NaN never does."""
-    return ((abs(x) <= COORD_MAX) & (abs(y) <= COORD_MAX)
-            & (SIZE_MIN <= w) & (w <= SIZE_MAX) & (SIZE_MIN <= h) & (h <= SIZE_MAX))
+def _ints(values) -> np.ndarray:
+    """Ints as ``int64``, or as Python ints in an object array when ``int64`` cannot hold one."""
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _column_arrays(frame, person, xywh) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """``_build`` over samples numbered from 1; the first broken one raises, without a line."""
+    frame, broken = _ints(frame), []
+    arrays = _build(frame, _ints(person), np.arange(1, frame.size + 1), np.asarray(xywh, float).T, broken)
+    if broken:
+        raise ParseError(min(broken)[1])
+    return arrays
+
+
+def _build(frame, person, line, box, skipped: list[tuple[int, str]]) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Read-only per-person (frames, xywh) arrays, in person order, of the rows
+    (frame, person, line, box) that keep the sample rules; ``line`` ascends.
+
+    A row breaks the first rule it fails: its frame lies in 0..MAX_FRAME, its
+    person id fits int64, its box lies within the sample bounds, and no earlier
+    row that keeps the other rules has its (person, frame).  Adds the (line,
+    reason) of each broken row to ``skipped``.
+    """
+    kept = np.ones(line.size, dtype=bool)
+    broken = []
+
+    def rule(holds, reason):
+        broken.extend((int(line[r]), reason(r)) for r in np.flatnonzero(kept & ~holds).tolist())
+        kept[:] &= holds
+
+    rule((0 <= frame) & (frame <= MAX_FRAME), lambda r: f"frame {frame[r]} outside 0..{MAX_FRAME}")
+    rule((-(2**63) <= person) & (person < 2**63), lambda r: f"person {person[r]} outside the int64 range")
+    rule(((_BOX_MIN <= box) & (box <= _BOX_MAX)).all(axis=1),  # NaN never holds
+         lambda r: f"sample {tuple(box[r].tolist())} of person {person[r]} at frame {frame[r]} outside {_BOUNDS}")
+    rows = np.flatnonzero(kept)
+    order = np.empty(rows.size, _SORT_KEY)
+    order["person"], order["frame"], order["row"] = person[rows], frame[rows], rows
+    order.sort(kind="stable")
+    p, f, rows = order["person"], order["frame"], order["row"]
+    once = np.ones(rows.size, dtype=bool)  # the sort is stable: a run's first row has the earliest line
+    once[1:] = (p[1:] != p[:-1]) | (f[1:] != f[:-1])
+    unique = np.ones(line.size, dtype=bool)
+    unique[rows[~once]] = False
+    rule(unique, lambda r: f"duplicate sample for person {person[r]} at frame {frame[r]}")
+    skipped += broken
+    p, f, xywh = p[once], f[once], box.take(rows[once], axis=0).T
+    f.flags.writeable = xywh.flags.writeable = False
+    cuts = [0, *(np.flatnonzero(p[1:] != p[:-1]) + 1).tolist(), p.size]
+    return {int(p[a]): (f[a:b], xywh[:, a:b]) for a, b in zip(cuts, cuts[1:]) if a < b}
 
 
 def _lines(text) -> Iterator[tuple[int, str]]:
@@ -150,46 +188,40 @@ def _lines(text) -> Iterator[tuple[int, str]]:
 def parse_tracks(text, strict: bool = True) -> TrackSet:
     """Parse ``frame,person,x,y,w,h`` lines into a validated TrackSet.
 
-    Strict mode raises on the first malformed line; lenient mode skips bad
-    lines, reports them in ``TrackSet.warnings`` and logs them: one warning
-    with the count and the first reason, and each line at INFO.
+    ``text`` is a string or a text file open for reading, read line by line
+    into typed columns.  Strict mode raises on the first bad line; lenient
+    mode skips bad lines, reports them in ``TrackSet.warnings`` and logs
+    them: one warning with the count and the first reason, and each at INFO.
     """
-    samples: list[MbbSample] = []
-    seen: set[tuple[int, int]] = set()
-    warnings: list[str] = []
-
-    def fail(msg: str, lineno: int) -> None:
-        if strict:
-            raise ParseError(msg, line=lineno)
-        warnings.append(f"line {lineno}: {msg}")
-        log.info("skipped line %d: %s", lineno, msg)
-
+    ints, box = array("q"), array("d")  # frame, person, line; x, y, w, h
+    skipped: list[tuple[int, str]] = []
     for lineno, line in _lines(text):
-        parts = [p.strip() for p in line.split(",")]
+        parts = line.split(",")
         if len(parts) != 6:
-            fail(f"expected 6 fields, got {len(parts)}", lineno)
+            skipped.append((lineno, f"expected 6 fields, got {len(parts)}"))
             continue
         try:
-            frame = int(parts[0])
-            person = int(parts[1])
-            x, y, w, h = (float(v) for v in parts[2:])
+            frame, person, *xywh = int(parts[0]), int(parts[1]), *map(float, parts[2:])
+            ints.extend((frame, person, lineno))
         except ValueError:
-            fail(f"malformed numeric field in {line!r}", lineno)
+            skipped.append((lineno, f"malformed numeric field in {line!r}"))
             continue
-        if not 0 <= frame <= MAX_FRAME:
-            fail(f"frame {frame} outside 0..{MAX_FRAME}", lineno)
-            continue
-        if not _in_bounds(x, y, w, h):
-            fail(f"sample {(x, y, w, h)} of person {person} at frame {frame} outside {_BOUNDS}", lineno)
-            continue
-        if (frame, person) in seen:
-            fail(f"duplicate sample for person {person} at frame {frame}", lineno)
-            continue
-        seen.add((frame, person))
-        samples.append(MbbSample(frame, person, x, y, w, h))
+        except OverflowError:  # int64 cannot hold the frame or person: keep the ints in a list
+            del ints[len(box) // 4 * 3:]
+            ints = [*ints, frame, person, lineno]
+        box.extend(xywh)
+    arrays = _build(*_ints(ints).reshape(-1, 3).T, np.asarray(box).reshape(-1, 4), skipped)
+    skipped.sort()
+    if strict and skipped:
+        raise ParseError(skipped[0][1], line=skipped[0][0])
+    for lineno, msg in skipped:
+        log.info("skipped line %d: %s", lineno, msg)
+    warnings = [f"line {lineno}: {msg}" for lineno, msg in skipped]
     if warnings:
         log.warning("skipped %d malformed track lines; first: %s", len(warnings), warnings[0])
-    return TrackSet(samples, warnings=warnings)
+    tracks = TrackSet((), warnings)
+    tracks._arrays = arrays
+    return tracks
 
 
 def write_tracks(tracks: TrackSet, fp) -> None:
@@ -261,6 +293,21 @@ class AnnotationSet:
         return (min(r.start for r in self.records), max(r.end for r in self.records))
 
 
+def json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer; TypeError naming ``what`` for a bool, float, string or other value."""
+    if type(value) is not int:
+        raise TypeError(f"{what} {value!r} is not an integer")
+    return value
+
+
+def json_ids(values, what: str) -> tuple[int, ...]:
+    """The JSON integers ``values``; ValueError when one repeats."""
+    ids = tuple(json_int(v, f"{what} entry") for v in values)
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"{what} {list(ids)} repeat an id")
+    return ids
+
+
 def parse_annotations(text) -> AnnotationSet:
     """Parse one-JSON-record-per-line annotations.
 
@@ -276,8 +323,8 @@ def parse_annotations(text) -> AnnotationSet:
         try:
             kind = obj["kind"]
             label = obj["label"]
-            start, end = (int(v) for v in obj["frames"])
-            members = tuple(int(m) for m in obj["members"]) if "members" in obj else None
+            start, end = (json_int(v, "frame") for v in obj["frames"])
+            members = json_ids(obj["members"], "members") if "members" in obj else None
             groups = tuple(obj["groups"]) if "groups" in obj else None
             group_id = obj.get("group_id")
         except (KeyError, TypeError, ValueError) as exc:

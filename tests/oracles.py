@@ -6,6 +6,10 @@ rows are scalar re-derivations from raw box samples, and likelihoods are
 computed by exhaustive enumeration over monotone alignments and state paths,
 feasible for the short sequences used in tests.
 
+``parse_tracks_per_line`` is the line-by-line track parser that the column
+parser replaced, plus the person-id rule: each line is checked as it is
+read, against the samples kept so far.
+
 The scalar reference (``ahmm_forward``, ``window_log_mass``,
 ``pair_hmm_loglik`` and ``correlation``) is the textbook forward recursion
 over the full alignment lattice, one activity and one pair at a time.  It
@@ -17,6 +21,7 @@ reads its streams from ``features.pair_feature_windows``.
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 
@@ -25,7 +30,7 @@ import numpy as np
 from groupact import features as feats
 from groupact.gmm import logsumexp
 from groupact.seqmodel import ActivityModel, ActivityModelBank, _hmm_loglik, _log
-from groupact.trackio import TrackSet
+from groupact.trackio import _BOUNDS, COORD_MAX, MAX_FRAME, SIZE_MAX, SIZE_MIN, MbbSample, ParseError, TrackSet
 
 
 def normal_logpdf(x, mean, var):
@@ -383,3 +388,46 @@ def correlation(
     fa, fb = pairw
     masses = np.array([window_log_mass(bank.models[label], fa, fb, dt) for label in bank.labels()])
     return np.exp(masses - logsumexp(masses))
+
+
+def parse_tracks_per_line(text: str, strict: bool = True) -> tuple[list[MbbSample], list[str]]:
+    """The kept samples in line order and the warnings of ``trackio.parse_tracks``."""
+    samples: list[MbbSample] = []
+    seen: set[tuple[int, int]] = set()
+    warnings: list[str] = []
+
+    def fail(msg: str, lineno: int) -> None:
+        if strict:
+            raise ParseError(msg, line=lineno)
+        warnings.append(f"line {lineno}: {msg}")
+
+    for lineno, raw in enumerate(io.StringIO(text), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != 6:
+            fail(f"expected 6 fields, got {len(parts)}", lineno)
+            continue
+        try:
+            frame = int(parts[0])
+            person = int(parts[1])
+            x, y, w, h = (float(v) for v in parts[2:])
+        except ValueError:
+            fail(f"malformed numeric field in {line!r}", lineno)
+            continue
+        if not 0 <= frame <= MAX_FRAME:
+            fail(f"frame {frame} outside 0..{MAX_FRAME}", lineno)
+            continue
+        if not -(2**63) <= person < 2**63:
+            fail(f"person {person} outside the int64 range", lineno)
+            continue
+        if not (abs(x) <= COORD_MAX and abs(y) <= COORD_MAX and SIZE_MIN <= w <= SIZE_MAX and SIZE_MIN <= h <= SIZE_MAX):
+            fail(f"sample {(x, y, w, h)} of person {person} at frame {frame} outside {_BOUNDS}", lineno)
+            continue
+        if (frame, person) in seen:
+            fail(f"duplicate sample for person {person} at frame {frame}", lineno)
+            continue
+        seen.add((frame, person))
+        samples.append(MbbSample(frame, person, x, y, w, h))
+    return samples, warnings

@@ -207,8 +207,16 @@ def _group(gid, members):
     {"frame": 5, "groups": [{**_group(0, [1, 2]), "label": ["InGroup"]}], "pairs": []},
     {"frame": 5, "groups": [_group(0, [1, 2])], "pairs": [{"a": 0, "b": 0, "label": "Approach"}]},
     {"frame": 4, "groups": [_group(0, [1, 2])], "pairs": []},  # same frame as the first record
+    {"frame": 5.7, "groups": [_group(0, [1, 2])], "pairs": []},
+    {"frame": 5, "groups": [_group(0, [1.5, 2])], "pairs": []},
+    {"frame": 5, "groups": [{**_group(0, [1, 2]), "seed": [True]}], "pairs": []},
+    {"frame": 5, "groups": [_group(0, [1]), {**_group(1, [2]), "label": "single"}],
+     "pairs": [{"a": "0", "b": 1, "label": "Approach"}]},
+    {"frame": 5, "groups": [_group(0, [1, 2, 1])], "pairs": []},
+    {"frame": 5, "groups": [{**_group(0, [1, 2]), "seed": [2, 2]}], "pairs": []},
 ], ids=["no-frame", "list", "pair-index", "frame-not-int", "shared-member", "label-not-str",
-        "pair-one-group", "repeated-frame"])
+        "pair-one-group", "repeated-frame", "frame-float", "member-float", "seed-bool",
+        "pair-index-string", "repeated-member", "repeated-seed-member"])
 def test_malformed_detections_exit_data_error(tmp_path, capsys, record):
     assert _evaluate_second_record(tmp_path, record) == 2
     err = capsys.readouterr().err
@@ -236,6 +244,38 @@ def test_labels_outside_the_truth_exit_data_error(tmp_path, capsys, record):
     assert _evaluate_second_record(tmp_path, record) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and "frame 5" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["detect", "train"])
+def test_undecodable_byte_past_the_first_read_is_data_error(workdir, tmp_path, capsys, command):
+    """Tracks are parsed as they are read, so the decode error comes partway through the parse."""
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes((workdir / "train.tracks.csv").read_bytes() + b"0,1,1,2,3,4\xff\n")
+    out = tmp_path / "out"
+    args = {"detect": ["--model", FROZEN_BANK], "train": ["--annotations", workdir / "train.annotations.jsonl"]}
+    assert run([command, "--tracks", bad, *args[command], "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot read {bad}: ") and "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == [bad]
+
+
+def test_evaluate_reads_the_null_pair_labels_of_detect(tmp_path, capsys):
+    """Saturated profiles leave every relation candidate at -inf, so ``detect``
+    writes a null pair label; ``evaluate`` scores that output."""
+    p = tmp_path / "tracks.csv"
+    jumper = [(0.0, -1e9, 1.0, 1e9), (5e8, -5e8, 1.0, 1e9), (0.0, -1e9, 1.0, 1e-8)]
+    p.write_text("".join(f"{t},1,1e9,0,1,1\n{t},2,{x!r},{y!r},{w!r},{h!r}\n"
+                         for t, (x, y, w, h) in enumerate(jumper)))
+    dets = tmp_path / "dets.jsonl"
+    assert run(["detect", "--tracks", p, "--model", FROZEN_BANK, "--out", dets]) == 0
+    assert any(pair["label"] is None for line in dets.read_text().splitlines()
+               for pair in json.loads(line).get("pairs", ()))
+    truth = tmp_path / "truth.jsonl"
+    truth.write_text("".join(json.dumps({"kind": "sym", "label": "single", "frames": [0, 2], "members": [m]}) + "\n"
+                             for m in (1, 2)))
+    capsys.readouterr()
+    assert run(["evaluate", "--detections", dets, "--truth", truth]) == 0
+    assert "frames 2" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command, flag", [

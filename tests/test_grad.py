@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from groupact.clustering import GroupAssignment
+from groupact.clustering import GroupAssignment, Partition
 from groupact.features import as_entity
 from groupact.grad import (
     FrameDetection,
@@ -21,12 +21,14 @@ from groupact.grad import (
     recognize_symmetric,
     run_pipeline,
     write_detections,
+    _smooth_labels,
 )
 from groupact.grouprep import GroupRepresentative
+from groupact.metrics import score
 from groupact.seqmodel import CorrelationEngine
 from groupact.simgen import generate
 from groupact.taxonomy import INTERGROUP_CANDIDATES
-from groupact.trackio import MbbSample, TrackSet, parse_tracks, write_tracks
+from groupact.trackio import AnnotationSet, MbbSample, TrackSet, parse_tracks, write_tracks
 
 from scenarios import EVAL_SCENARIOS, WARMUP, bounded_tracks, fig1_hierarchy, ragged_tracks, walk_together
 
@@ -264,7 +266,8 @@ def test_tracks_at_the_sample_bounds_give_finite_profiles_or_a_skip_reason(bank,
     finite profiles, or skipped with a reason.  A pair label is a candidate,
     or None where saturated profiles leave every candidate at -inf."""
     engine = CorrelationEngine(bank, tracks, window=bank.window, dt=bank.dt)
-    for d in run_pipeline(bank, tracks, PipelineConfig.from_bank(bank), engine=engine):
+    dets = run_pipeline(bank, tracks, PipelineConfig.from_bank(bank), engine=engine)
+    for d in dets:
         if d.partition is None:
             assert d.skipped
             continue
@@ -274,6 +277,18 @@ def test_tracks_at_the_sample_bounds_give_finite_profiles_or_a_skip_reason(bank,
             assert prof is None or np.all(np.isfinite(prof))
         assert all(isinstance(label, str) for label in d.group_labels)
         assert all(p.label is None or p.label in INTERGROUP_CANDIDATES for p in d.pair_labels)
+    # a None pair label is written as null, read back, and scored
+    buf = io.StringIO()
+    write_detections(dets, buf)
+    buf.seek(0)
+
+    def written(ds):
+        return [(d.frame, d.skipped, d.partition and d.partition.member_sets(), d.group_labels, d.pair_labels)
+                for d in ds]
+
+    assert written(read_detections(buf)) == written(dets)
+    report = score(dets, AnnotationSet([]))
+    assert report.frames + report.skipped == len(dets)
 
 
 def test_detections_round_trip(bank):
@@ -305,6 +320,16 @@ def test_smoothing_majority_filter(bank):
     plain = run_pipeline(bank, tracks, PipelineConfig.from_bank(bank), frames=frames)
     # on a stable scenario the filter changes nothing
     assert [d.group_labels for d in smoothed] == [d.group_labels for d in plain]
+
+
+def test_smoothing_ties_go_to_a_label_over_none():
+    """A None pair label loses every vote tie, also on its own frame."""
+    groups = (GroupAssignment((1,), (), "single"), GroupAssignment((2,), (), "single"))
+    dets = [FrameDetection(t, Partition(t, (1, 2), groups), ("single", "single"), (PairLabel(0, 1, label),))
+            for t, label in enumerate(["Approach", None, None, "Approach"])]
+    smoothed = _smooth_labels(dets)
+    assert [d.pair_labels[0].label for d in smoothed] == [None, "Approach", "Approach", None]
+    assert [d.group_labels for d in smoothed] == [("single", "single")] * 4
 
 
 def test_config_validation():

@@ -129,6 +129,23 @@ def test_spec_json_round_trip():
         load_spec(io.StringIO('{"seed": 1}'))
 
 
+@pytest.mark.parametrize("path, value", [
+    (("seed",), 1.0), (("duration",), "60"), (("agents", 0, "agent"), True),
+    (("events", 0, "frames"), [0.5, 20]), (("events", 0, "members"), [1, 2.0]),
+    (("events", 0, "members"), [1, 1]),
+], ids=["seed-float", "duration-string", "agent-bool", "event-frame-float", "event-member-float",
+        "repeated-event-member"])
+def test_spec_integer_fields_are_integers(path, value):
+    payload = walk_together(seed=5).to_payload()
+    *parents, key = path
+    target = payload
+    for step in parents:
+        target = target[step]
+    target[key] = value
+    with pytest.raises(ScenarioError, match="^bad scenario structure: "):
+        load_spec(io.StringIO(json.dumps(payload)))
+
+
 def test_generated_tracks_survive_csv_round_trip():
     from groupact.trackio import parse_tracks
 

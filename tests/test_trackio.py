@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -12,10 +13,12 @@ from hypothesis import strategies as st
 
 from groupact.gmm import GaussianMixture
 from groupact.seqmodel import ActivityModel, ActivityModelBank
+from groupact.simgen import AgentSpec, ScenarioSpec, generate
 from groupact import taxonomy
 from groupact.taxonomy import ASYMMETRIC
 from groupact.trackio import (
     COORD_MAX,
+    MAX_FRAME,
     SIZE_MAX,
     SIZE_MIN,
     AnnotationRecord,
@@ -31,6 +34,8 @@ from groupact.trackio import (
     write_annotations,
     write_tracks,
 )
+
+from oracles import parse_tracks_per_line
 
 
 def test_parse_single_line():
@@ -80,6 +85,19 @@ def test_parse_malformed_line_number():
     with pytest.raises(ParseError):
         TrackSet([MbbSample(2**63, 1, 1.0, 2.0, 3.0, 4.0)])
     assert parse_tracks("9223372036854775807,1,1,2,3,4\n").frame_range == (2**63 - 1,) * 2
+
+
+@pytest.mark.parametrize("person", [2**63, -(2**63) - 1, 2**70])
+def test_person_ids_outside_int64_are_parse_errors(person):
+    text = f"0,1,1,2,3,4\n0,{person},1,2,3,4\n"
+    with pytest.raises(ParseError, match=f"^line 2: person {person} outside the int64 range$"):
+        parse_tracks(text)
+    assert parse_tracks(text, strict=False).persons == (1,)
+    with pytest.raises(ParseError, match=f"^person {person} outside"):
+        TrackSet([MbbSample(0, person, 1.0, 2.0, 3.0, 4.0)])
+    with pytest.raises(ParseError, match=f"^person {person} outside"):
+        generate(ScenarioSpec(seed=0, duration=2, agents=(AgentSpec(person, (0.0, 0.0)),)))
+    assert parse_tracks(f"0,{2**63 - 1},1,2,3,4\n0,{-(2**63)},1,2,3,4\n").persons == (-(2**63), 2**63 - 1)
 
 
 @pytest.mark.parametrize("x, y, w, h", [
@@ -187,6 +205,82 @@ def test_sparse_far_frames_match_a_dict_reference(samples):
     )
 
 
+def test_parsing_an_open_file_holds_under_250_bytes_per_sample(tmp_path):
+    """A long clip: four people walking for 3000 frames, streamed from the file into columns."""
+    agents = tuple(AgentSpec(p, start=(10.0 * p, 0.0), velocity=(0.5, 0.1 * p)) for p in range(1, 5))
+    tracks, _ = generate(ScenarioSpec(seed=0, duration=3000, agents=agents))
+    path = tmp_path / "long.csv"
+    with open(path, "w", encoding="utf-8") as fp:
+        write_tracks(tracks, fp)
+    with open(path, encoding="utf-8") as fp:
+        tracemalloc.start()
+        try:
+            parsed = parse_tracks(fp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(parsed) == 12000
+    assert peak <= 65536 + 250 * len(parsed)
+    assert list(parsed.iter_samples()) == list(tracks.iter_samples())
+
+
+@st.composite
+def track_text(draw):
+    """Track CSV mixing good lines with every kind of bad line, comments, and
+    repeats of earlier lines, good or skipped; keys collide often."""
+    bad_frame = st.sampled_from([-1, MAX_FRAME + 1, 2**70])
+    bad_person = st.sampled_from([-(2**63) - 1, 2**63, 2**70])
+    bad_value = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, 1.5e9, 2e9])
+    coord, size = st.floats(-COORD_MAX, COORD_MAX), st.floats(SIZE_MIN, SIZE_MAX)
+    lines: list[str] = []
+    for _ in range(draw(st.integers(0, 30))):
+        fields = [draw(st.sampled_from([0, 1, 2, MAX_FRAME])), draw(st.sampled_from([0, 1, -(2**63), 2**63 - 1])),
+                  draw(coord), draw(coord), draw(size), draw(size)]
+        kind = draw(st.sampled_from(["sample"] * 6 + ["repeat", "frame", "person", "box", "fields",
+                                                      "non-numeric", "comment"]))
+        if kind == "repeat" and lines:
+            lines.append(draw(st.sampled_from(lines)))
+            continue
+        if kind in ("frame", "person", "box"):
+            at = {"frame": 0, "person": 1, "box": draw(st.integers(2, 5))}[kind]
+            fields[at] = draw({"frame": bad_frame, "person": bad_person, "box": bad_value}[kind])
+        fields = [repr(f) for f in fields]
+        if kind == "fields":
+            fields = fields[:draw(st.sampled_from([1, 5]))] + ["7"] * draw(st.sampled_from([0, 1, 2]))
+        elif kind == "non-numeric":
+            fields[draw(st.integers(0, 5))] = draw(st.sampled_from(["x", "", "1.5", "nan", "0x1"]))
+        elif kind == "comment":
+            fields = [draw(st.sampled_from(["# frame", ""]))]
+        lines.append(",".join(f.center(len(f) + draw(st.integers(0, 2))) for f in fields))
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(track_text(), st.booleans())
+def test_parse_tracks_matches_the_per_line_parser(text, from_file):
+    def parse(strict):
+        return parse_tracks(io.StringIO(text) if from_file else text, strict=strict)
+
+    def by_person(samples):
+        return sorted(samples, key=lambda s: (s.person, s.frame))
+
+    samples, warnings = parse_tracks_per_line(text, strict=False)
+    lenient = parse(strict=False)
+    assert list(lenient.iter_samples()) == by_person(samples)
+    assert list(lenient.warnings) == warnings
+    try:
+        strict_samples, _ = parse_tracks_per_line(text)
+    except ParseError as expected:
+        with pytest.raises(ParseError) as err:
+            parse(strict=True)
+        assert (str(err.value), err.value.line) == (str(expected), expected.line)
+    else:
+        assert list(parse(strict=True).iter_samples()) == by_person(strict_samples)
+    again = TrackSet(lenient.iter_samples())
+    assert again.persons == lenient.persons
+    assert list(again.iter_samples()) == list(lenient.iter_samples())
+
+
 # --- annotations ----------------------------------------------------------
 
 
@@ -226,6 +320,19 @@ def test_parse_annotation_undeclared_group():
     with pytest.raises(ParseError) as err:
         parse_annotations(ann_line(kind="asym", label="Chase", frames=[0, 5], groups=["g1", "g2"]))
     assert "g1" in str(err.value)
+
+
+@pytest.mark.parametrize("fields", [
+    {"frames": [0.9, 7]}, {"frames": [0, "7"]}, {"frames": [False, 7]},
+    {"members": [1.5, 2]}, {"members": [True, 2]}, {"members": ["1"]}, {"members": [1, 2, 1]},
+], ids=["frame-float", "frame-string", "frame-bool", "member-float", "member-bool",
+        "member-string", "repeated-member"])
+def test_annotation_integer_fields_are_integers(fields):
+    record = {"kind": "sym", "label": "Fight", "frames": [0, 7], "members": [1, 2], "group_id": "g", **fields}
+    text = ann_line(kind="sym", label="single", frames=[0, 7], members=[3]) + "\n" + json.dumps(record)
+    with pytest.raises(ParseError, match="^line 2: bad record structure: ") as err:
+        parse_annotations(text)
+    assert err.value.line == 2
 
 
 def test_annotation_round_trip():
