@@ -94,11 +94,11 @@ def build_parser() -> _Parser:
     tr.add_argument("--tracks", required=True)
     tr.add_argument("--annotations", required=True)
     tr.add_argument("--out", required=True, help="model JSON path")
-    tr.add_argument("--seed", type=int, default=0)
+    tr.add_argument("--seed", type=int)
     tr.add_argument("--window", type=int, default=25)
     tr.add_argument("--dt", type=int, default=5)
-    tr.add_argument("--max-iters", type=int, default=40)
-    tr.add_argument("--max-segments", type=int, default=64)
+    tr.add_argument("--max-iters", type=int)
+    tr.add_argument("--max-segments", type=int)
     tr.add_argument("--hmm-metric", action="store_true",
                     help="pin advance probabilities at 1 (synchronous metric)")
     tr.add_argument("--lenient", action="store_true", help="skip malformed track lines")
@@ -107,16 +107,16 @@ def build_parser() -> _Parser:
     det.add_argument("--tracks", required=True)
     det.add_argument("--model", required=True)
     det.add_argument("--out", required=True, help="detections JSONL path")
-    det.add_argument("--gr", choices=("p", "v", "sv"), default="sv")
-    det.add_argument("--variant", type=int, choices=(1, 2), default=1)
-    det.add_argument("--baseline", choices=("mv",), default=None)
-    det.add_argument("--window", type=int, default=None)
-    det.add_argument("--dt", type=int, default=None)
-    det.add_argument("--tc", type=float, default=None)
-    det.add_argument("--to", type=float, default=None)
-    det.add_argument("--tr", type=float, default=None)
+    det.add_argument("--gr", choices=("p", "v", "sv"))
+    det.add_argument("--variant", type=int, choices=(1, 2))
+    det.add_argument("--baseline", choices=("mv",))
+    det.add_argument("--window", type=int)
+    det.add_argument("--dt", type=int)
+    det.add_argument("--tc", type=float)
+    det.add_argument("--to", type=float)
+    det.add_argument("--tr", type=float)
     det.add_argument("--smooth", action="store_true")
-    det.add_argument("--frames", default=None, help="start:end inclusive")
+    det.add_argument("--frames", help="start:end inclusive")
     det.add_argument("--lenient", action="store_true")
 
     ev = sub.add_parser("evaluate", help="score detections against ground truth")
@@ -144,12 +144,9 @@ def cmd_simulate(args) -> int:
 def cmd_train(args) -> int:
     try:
         check_window(args.window, args.dt)
-        config = TrainConfig(
-            seed=args.seed,
-            max_iters=args.max_iters,
-            max_segments=args.max_segments,
-            fix_advance=1.0 if args.hmm_metric else None,
-        )
+        given = {k: getattr(args, k) for k in ("seed", "max_iters", "max_segments")}  # None: unset
+        config = TrainConfig(**{k: v for k, v in given.items() if v is not None},
+                             fix_advance=1.0 if args.hmm_metric else None)
     except ValueError as exc:
         raise CliError(EXIT_USAGE, f"groupact train: error: {exc}") from None
     tracks = _read(args.tracks, parse_tracks, strict=not args.lenient)
@@ -176,7 +173,7 @@ def cmd_detect(args) -> int:
             gr=args.gr, variant=args.variant, baseline=args.baseline,
             tc=args.tc, to=args.to, tr=args.tr,
             window=args.window, dt=args.dt,
-            smoothing=True if args.smooth else None,
+            smoothing=args.smooth,
         )
     except ValueError as exc:
         raise CliError(EXIT_USAGE, f"groupact detect: error: {exc}") from None

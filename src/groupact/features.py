@@ -125,13 +125,11 @@ def pair_observation(tracks: TrackSet, i, j, t: int) -> np.ndarray:
 
 def body_size_change(tracks: TrackSet, i: int, t: int) -> float:
     """|W(t)H(t) - W(t-1)H(t-1)| / (W(t)H(t)) for person ``i``."""
-    cur = tracks.sample(i, t)
-    prev = tracks.sample(i, t - 1)
-    if cur is None or prev is None:
+    track = EntityTrack(tracks, (i,), t - 1, t)
+    if not track.usable[1]:
         raise ObservationUnavailable(f"missing sample for person {i} at frames {t - 1}..{t}")
-    area_t = cur.w * cur.h
-    area_p = prev.w * prev.h
-    return abs(area_t - area_p) / area_t
+    area_p, area_t = track.w * track.h
+    return float(abs(area_t - area_p) / area_t)
 
 
 def _group_rows(members: list[EntityTrack], i: np.ndarray) -> np.ndarray:

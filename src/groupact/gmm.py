@@ -8,6 +8,7 @@ import numpy as np
 
 VAR_FLOOR = 1e-6
 EM_MAX_ITERS = 200
+KMEANS_ITERS = 50  # Lloyd rounds that seed a mixture fit
 EM_TOL = 1e-4  # relative log-likelihood improvement below which EM stops
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -98,13 +99,13 @@ class GaussianMixture:
         )
 
 
-def _kmeans(x: np.ndarray, k: int, rng: np.random.Generator, iters: int = 50) -> np.ndarray:
+def _kmeans(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Plain Lloyd iteration; deterministic for a given generator state."""
     n = x.shape[0]
     idx = rng.choice(n, size=k, replace=False)
     centers = x[idx].copy()
     assign = np.zeros(n, dtype=int)
-    for _ in range(iters):
+    for _ in range(KMEANS_ITERS):
         d2 = np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         new_assign = np.argmin(d2, axis=1)
         for j in range(k):

@@ -35,23 +35,23 @@ from .seqmodel import (
     check_window,
 )
 from .taxonomy import GROUPING_LABELS, INTERGROUP_CANDIDATES, SINGLE
-from .trackio import ParseError, TrackSet, json_ids, json_int
+from .trackio import ParseError, TrackSet, json_ids, json_int, json_str
 
 SMOOTH_RADIUS = 2  # frames on each side of the label majority filter
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class PipelineConfig:
-    """Runtime knobs; defaults follow the trained bank where not given."""
+    """Runtime knobs; ``from_bank`` takes window, dt and the thresholds from the bank."""
 
     gr: str = "sv"
     variant: int = 1
     baseline: str | None = None
-    tc: float = 0.1
-    to: float = 0.95
-    tr: float = 0.3
-    window: int = 25
-    dt: int = 5
+    tc: float
+    to: float
+    tr: float
+    window: int
+    dt: int
     smoothing: bool = False
 
     def __post_init__(self) -> None:
@@ -321,25 +321,19 @@ def write_detections(dets: list[FrameDetection], fp) -> None:
         fp.write(json.dumps({"frame": d.frame, "groups": groups, "pairs": pairs}) + "\n")
 
 
-def _label(value, what: str = "label") -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"{what} {value!r} is not a string")
-    return value
-
-
 def _detection_record(obj) -> FrameDetection:
     frame = json_int(obj["frame"], "frame")
     if "skipped" in obj:
-        return FrameDetection(frame, None, skipped=_label(obj["skipped"], f"frame {frame}: skip reason"))
+        return FrameDetection(frame, None, skipped=json_str(obj["skipped"], f"frame {frame}: skip reason"))
     groups = []
     for g in obj["groups"]:
         members = tuple(sorted(json_ids(g["members"], "members")))
         seed = tuple(sorted(json_ids(g.get("seed", ()), "seed")))
-        groups.append(GroupAssignment(members, seed, _label(g["label"])))
+        groups.append(GroupAssignment(members, seed, json_str(g["label"], "label")))
     persons = tuple(sorted(m for g in groups for m in g.members))
     partition = Partition(frame, persons, tuple(groups))
     pairs = tuple(PairLabel(json_int(p["a"], "pair a"), json_int(p["b"], "pair b"),
-                            None if p["label"] is None else _label(p["label"]))
+                            None if p["label"] is None else json_str(p["label"], "label"))
                   for p in obj.get("pairs", ()))
     for p in pairs:
         if not (0 <= p.a < len(groups) and 0 <= p.b < len(groups)) or p.a == p.b:

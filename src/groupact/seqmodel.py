@@ -23,6 +23,7 @@ from .gmm import VAR_FLOOR, GaussianMixture, fit_em, logsumexp, refit, run_em
 from .trackio import AnnotationSet, TrackSet
 
 N_STATES = N_MIXTURES = 2  # hidden states per trained model, mixture components per state
+MIN_CHUNK = 4  # frames in the shortest training piece
 EPS_MIN = 1e-3
 REL_VAR_FLOOR = 0.01  # per-dimension variance floor, as a fraction of the pooled variance
 
@@ -145,15 +146,15 @@ class ActivityModel:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ActivityModelBank:
-    """One trained model per modelable activity, group-feature models for
-    some grouping activities, and the runtime defaults."""
+    """One trained model per modelable activity, group-feature models for some
+    grouping activities, the window and dt of training, and detection thresholds."""
 
     models: dict[str, ActivityModel]
     group_models: dict[str, ActivityModel] = field(default_factory=dict)
-    window: int = 25
-    dt: int = 5
+    window: int
+    dt: int
     tc: float = 0.1
     to: float = 0.95
     tr: float = 0.3
@@ -543,19 +544,19 @@ def train_hmm_model(
     return run_em(model, step, config.max_iters)
 
 
-def _usable_chunks(usable: np.ndarray, chunk: int, min_len: int = 4) -> list[np.ndarray]:
+def _usable_chunks(usable: np.ndarray, chunk: int) -> list[np.ndarray]:
     """Indices of the usable frames, split into runs at gaps and into pieces.
 
     ``usable`` is an :class:`~groupact.features.EntityTrack` mask (index 0
     is never usable).  Pieces hold at most ``chunk`` frames; pieces shorter
-    than ``min_len`` are dropped.
+    than ``MIN_CHUNK`` are dropped.
     """
     edges = np.flatnonzero(np.diff(usable, append=False))
     out = []
     for a, b in zip(edges[::2] + 1, edges[1::2] + 1):
         for c0 in range(a, b, chunk):
             idx = np.arange(c0, min(c0 + chunk, b))
-            if idx.size >= min_len:
+            if idx.size >= MIN_CHUNK:
                 out.append(idx)
     return out
 
@@ -626,8 +627,9 @@ def train_bank(
     tracks: TrackSet,
     annotations: AnnotationSet,
     config: TrainConfig | None = None,
-    window: int = 25,
-    dt: int = 5,
+    *,
+    window: int,
+    dt: int,
 ) -> ActivityModelBank:
     """Train one model per modelable activity plus group-feature models; the bank keeps the default thresholds."""
     check_window(window, dt)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .trackio import AnnotationRecord, AnnotationSet, TrackSet, json_ids, json_int
+from .trackio import AnnotationRecord, AnnotationSet, TrackSet, json_groups, json_ids, json_int, json_str
 
 
 class ScenarioError(ValueError):
@@ -92,11 +92,11 @@ class ScenarioSpec:
         )
         events = tuple(
             EventSpec(
-                label=e["label"],
+                label=json_str(e["label"], "event label"),
                 frames=tuple(json_int(v, "event frame") for v in e["frames"]),
                 members=json_ids(e.get("members", ()), "event members"),
-                group_id=e.get("group_id"),
-                groups=tuple(e["groups"]) if "groups" in e else None,
+                group_id=None if e.get("group_id") is None else json_str(e["group_id"], "event group_id"),
+                groups=json_groups(e["groups"], "event groups") if "groups" in e else None,
                 params=dict(e.get("params", {})),
             )
             for e in obj.get("events", ())

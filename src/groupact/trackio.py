@@ -29,6 +29,7 @@ _BOX_MAX = np.array([COORD_MAX, COORD_MAX, SIZE_MAX, SIZE_MAX])
 _BOUNDS = f"|x|, |y| <= {COORD_MAX:g} and {SIZE_MIN:g} <= w, h <= {SIZE_MAX:g}"
 _SORT_KEY = np.dtype([("person", np.int64), ("frame", np.int64), ("row", np.intp)])  # sorts field by field
 _NO_SAMPLES = (np.zeros(0, dtype=np.int64), np.zeros((4, 0)))
+_WRITE_ROWS = 1024  # samples formatted at a time by write_tracks
 log = logging.getLogger(__name__)
 
 
@@ -225,9 +226,17 @@ def parse_tracks(text, strict: bool = True) -> TrackSet:
 
 
 def write_tracks(tracks: TrackSet, fp) -> None:
-    # (frame, person) is unique, so the sort never reaches the coordinates
-    for frame, person, x, y, w, h in sorted(tracks._rows()):
-        fp.write(f"{frame},{person},{x!r},{y!r},{w!r},{h!r}\n")
+    """Write the samples in (frame, person) order, formatting ``_WRITE_ROWS`` at a time."""
+    columns = [(np.full(f.size, p, dtype=np.int64), f, xywh) for p, (f, xywh) in tracks._arrays.items()]
+    if not columns:
+        return
+    person, frame, xywh = (np.concatenate(c, axis=-1) for c in zip(*columns))
+    order = np.lexsort((person, frame))
+    for i in range(0, order.size, _WRITE_ROWS):
+        rows = order[i:i + _WRITE_ROWS]
+        # Python floats from tolist(): their repr is the shortest text that reads back the same
+        fp.writelines(f"{f},{p},{x!r},{y!r},{w!r},{h!r}\n" for f, p, x, y, w, h in
+                      zip(frame[rows].tolist(), person[rows].tolist(), *xywh[:, rows].tolist()))
 
 
 @dataclass(frozen=True)
@@ -300,6 +309,20 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def json_str(value, what: str) -> str:
+    """``value`` if it is a JSON string; TypeError naming ``what`` for a list or other value."""
+    if not isinstance(value, str):
+        raise TypeError(f"{what} {value!r} is not a string")
+    return value
+
+
+def json_groups(values, what: str) -> tuple[str, str]:
+    """The two JSON strings of a ``groups`` list; TypeError for a string or a list of another length."""
+    if not isinstance(values, list) or len(values) != 2:
+        raise TypeError(f"{what} {values!r} is not a list of two group ids")
+    return tuple(json_str(v, f"{what} entry") for v in values)
+
+
 def json_ids(values, what: str) -> tuple[int, ...]:
     """The JSON integers ``values``; ValueError when one repeats."""
     ids = tuple(json_int(v, f"{what} entry") for v in values)
@@ -321,12 +344,12 @@ def parse_annotations(text) -> AnnotationSet:
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc}", line=lineno) from None
         try:
-            kind = obj["kind"]
-            label = obj["label"]
+            kind = json_str(obj["kind"], "kind")
+            label = json_str(obj["label"], "label")
             start, end = (json_int(v, "frame") for v in obj["frames"])
             members = json_ids(obj["members"], "members") if "members" in obj else None
-            groups = tuple(obj["groups"]) if "groups" in obj else None
-            group_id = obj.get("group_id")
+            groups = json_groups(obj["groups"], "groups") if "groups" in obj else None
+            group_id = None if obj.get("group_id") is None else json_str(obj["group_id"], "group_id")
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad record structure: {exc}", line=lineno) from None
         records.append(

@@ -7,7 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from groupact.cli import main
+from groupact import cli
+from groupact.cli import CliError, main
+from groupact.grad import PipelineConfig
+from groupact.seqmodel import TrainConfig
 from groupact.simgen import ScenarioSpec, generate
 
 from scenarios import approach, fight, merge_for_training, split, chase, walk_together, run_together, fig1_hierarchy
@@ -103,6 +106,27 @@ def test_gr_flags_route_to_different_configs(workdir):
                 "--model", workdir / "model.json",
                 "--out", workdir / "dets_mv.jsonl", "--baseline", "mv",
                 "--variant", "2"]) == 0
+
+
+def test_unset_flags_keep_the_library_defaults(workdir, tmp_path, monkeypatch):
+    seen = {}
+
+    def stop(name):
+        def record(*args, **kwargs):
+            seen[name] = (args[2], kwargs)
+            raise CliError(9)
+        return record
+
+    monkeypatch.setattr(cli, "train_bank", stop("train"))
+    monkeypatch.setattr(cli.grad, "run_pipeline", stop("detect"))
+    assert run(["train", "--tracks", workdir / "train.tracks.csv", "--annotations",
+                workdir / "train.annotations.jsonl", "--out", tmp_path / "m.json"]) == 9
+    assert seen["train"] == (TrainConfig(), {"window": 25, "dt": 5})
+    assert run(["detect", "--tracks", workdir / "train.tracks.csv", "--model", FROZEN_BANK,
+                "--out", tmp_path / "d.jsonl"]) == 9
+    with open(FROZEN_BANK, encoding="utf-8") as fp:
+        bank = load_model(fp)
+    assert seen["detect"] == (PipelineConfig.from_bank(bank), {"frames": None})
 
 
 def test_train_missing_activity_names_it(workdir, tmp_path, capsys):
@@ -408,6 +432,58 @@ def test_simulate_invalid_spec(tmp_path, capsys):
     code = run(["simulate", "--spec", p, "--out-prefix", tmp_path / "out"])
     assert code == 2
     assert not (tmp_path / "out.tracks.csv").exists()
+
+
+def _sym(group_id, members):
+    return {"kind": "sym", "label": "InGroup", "frames": [0, 10], "members": members, "group_id": group_id}
+
+
+RELATION = {"kind": "asym", "label": "Approach", "frames": [0, 10], "groups": ["a", "b"]}
+
+
+# the third record of a truth file whose first two declare the groups "a" and "b"
+@pytest.mark.parametrize("record, field", [
+    ({**RELATION, "kind": ["asym"]}, "kind ['asym']"),
+    ({**RELATION, "label": ["Approach"]}, "label ['Approach']"),
+    (_sym(["c"], [5, 6]), "group_id ['c']"),
+    ({**RELATION, "groups": [["a"], "b"]}, "groups entry ['a']"),
+    ({**RELATION, "groups": "ab"}, "groups 'ab'"),  # not the relation between groups a and b
+], ids=["kind", "label", "group-id", "groups-entry", "groups-string"])
+@pytest.mark.parametrize("command", ["evaluate", "train"])
+def test_annotation_string_fields_are_strings(workdir, tmp_path, capsys, command, record, field):
+    truth = tmp_path / "truth.jsonl"
+    truth.write_text("".join(json.dumps(r) + "\n" for r in (_sym("a", [1, 2]), _sym("b", [3, 4]), record)))
+    out = tmp_path / "out"
+    if command == "train":
+        args = ["train", "--tracks", workdir / "train.tracks.csv", "--annotations", truth, "--out", out]
+    else:
+        dets = tmp_path / "dets.jsonl"
+        dets.write_text(json.dumps({"frame": 4, "groups": [_group(0, [1, 2])], "pairs": []}) + "\n")
+        args = ["evaluate", "--detections", dets, "--truth", truth, "--csv", out]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: line 3: bad record structure: ") and field in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("event, field", [
+    ({"label": ["Ignore"], "frames": [0, 5], "groups": ["a", "b"]}, "event label ['Ignore']"),
+    ({"label": "InGroup", "frames": [0, 5], "members": [3], "group_id": ["c"]}, "event group_id ['c']"),
+    ({"label": "Ignore", "frames": [0, 5], "groups": [["a"], "b"]}, "event groups entry ['a']"),
+    ({"label": "Ignore", "frames": [0, 5], "groups": "ab"}, "event groups 'ab'"),
+], ids=["label", "group-id", "groups-entry", "groups-string"])
+def test_spec_string_fields_are_strings(tmp_path, capsys, event, field):
+    p = tmp_path / "spec.json"
+    events = [{"label": "InGroup", "frames": [0, 5], "members": [m], "group_id": g} for m, g in ((1, "a"), (2, "b"))]
+    p.write_text(json.dumps({
+        "seed": 1, "duration": 10,
+        "agents": [{"agent": a, "start": [10.0 * a, 0]} for a in (1, 2, 3)],
+        "events": [*events, event],
+    }))
+    assert run(["simulate", "--spec", p, "--out-prefix", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: bad scenario structure: ") and field in err
+    assert "Traceback" not in err and not (tmp_path / "out.tracks.csv").exists()
 
 
 WINDOW_FLAGS = [["--window", "0"], ["--window", "1"], ["--dt", "-1"], ["--dt", "50"]]

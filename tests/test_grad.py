@@ -332,12 +332,22 @@ def test_smoothing_ties_go_to_a_label_over_none():
     assert [d.group_labels for d in smoothed] == [("single", "single")] * 4
 
 
-def test_config_validation():
+def test_config_validation(frozen_bank):
     with pytest.raises(ValueError):
-        PipelineConfig(gr="q")
+        PipelineConfig.from_bank(frozen_bank, gr="q")
     with pytest.raises(ValueError):
-        PipelineConfig(variant=3)
+        PipelineConfig.from_bank(frozen_bank, variant=3)
     with pytest.raises(ValueError):
-        PipelineConfig(to=1.5)
+        PipelineConfig.from_bank(frozen_bank, to=1.5)
     with pytest.raises(ValueError):
-        PipelineConfig(baseline="median")
+        PipelineConfig.from_bank(frozen_bank, baseline="median")
+
+
+def test_config_takes_window_dt_and_thresholds_from_the_bank_or_the_caller(frozen_bank):
+    # no default of its own: a config without them would run at other settings than the bank's
+    with pytest.raises(TypeError):
+        PipelineConfig(gr="v")
+    settings = dict(tc=frozen_bank.tc, to=frozen_bank.to, tr=frozen_bank.tr,
+                    window=frozen_bank.window, dt=frozen_bank.dt)
+    assert PipelineConfig(**settings) == PipelineConfig.from_bank(frozen_bank)
+    assert PipelineConfig(**settings, gr="v") == PipelineConfig.from_bank(frozen_bank, gr="v")

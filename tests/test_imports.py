@@ -16,6 +16,11 @@ The function check is by name too: a function or method counts as used
 when its name is loaded, read as an attribute or imported anywhere in
 ``src/groupact`` or ``perfbench`` outside its own body.  Dunder methods are
 left out, since Python calls them.
+
+The default check keeps each run setting's default in one place: over
+function parameters, dataclass fields and argparse ``default=``, a setting
+may have a default in at most one of them.  A ``None`` default means "not
+given" and is not counted.
 """
 
 import ast
@@ -214,3 +219,66 @@ def test_every_function_is_referenced():
     package = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     users = [p.read_text(encoding="utf-8") for p in sorted(PERFBENCH.glob("*.py"))]
     assert unreferenced_functions(package, users) == []
+
+
+SETTINGS = ("window", "dt", "tc", "to", "tr", "gr", "variant", "seed", "max_iters", "max_segments")
+
+
+def defaults(sources: dict[str, str]) -> dict[str, list[str]]:
+    """``module:line`` of each default that is not None, by parameter, field or
+    option name (``--max-iters`` as ``max_iters``), in source order."""
+    out: dict[str, list[str]] = {}
+
+    def add(name: str, module: str, value: ast.expr) -> None:
+        if not (isinstance(value, ast.Constant) and value.value is None):
+            out.setdefault(name, []).append(f"{module}:{value.lineno}")
+
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                positional = [*args.posonlyargs, *args.args]
+                pairs = [*zip(positional[len(positional) - len(args.defaults):], args.defaults),
+                         *zip(args.kwonlyargs, args.kw_defaults)]
+                for arg, value in pairs:
+                    if value is not None:  # a keyword-only parameter without a default
+                        add(arg.arg, module, value)
+            elif isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name) and stmt.value:
+                        add(stmt.target.id, module, stmt.value)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "add_argument"):
+                flags = [a.value for a in node.args if isinstance(a, ast.Constant)]
+                for kw in node.keywords:
+                    if kw.arg == "default" and flags:
+                        add(flags[-1].lstrip("-").replace("-", "_"), module, kw.value)
+    return out
+
+
+def test_defaults_finds_every_place_of_a_default():
+    source = (
+        "from dataclasses import dataclass, field\n"
+        "@dataclass(kw_only=True)\n"
+        "class A:\n"
+        "    window: int = 25\n"
+        "    dt: int\n"
+        "    seed: int | None = None\n"
+        "    extra: list = field(default_factory=list)\n"
+        "class B:\n"
+        "    window: int = 8\n"
+        "def f(a, window=12, /, *, dt, max_iters=40, tc=None):\n"
+        "    return lambda gr='sv': gr\n"
+        "def build(parser):\n"
+        "    parser.add_argument('-m', '--max-iters', type=int, default=40)\n"
+        "    parser.add_argument('--max-segments', type=int)\n"
+        "    parser.add_argument('--dt', default=None)\n"
+    )
+    assert defaults({"m": source}) == {
+        "window": ["m:4", "m:10"], "extra": ["m:7"], "max_iters": ["m:10", "m:13"], "gr": ["m:11"],
+    }
+
+
+def test_each_run_setting_has_at_most_one_default():
+    found = defaults({p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))})
+    assert {s: found[s] for s in SETTINGS if len(found.get(s, ())) > 1} == {}

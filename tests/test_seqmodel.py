@@ -20,10 +20,11 @@ from groupact.seqmodel import (
     TrainConfig,
     hmm_group_likelihood,
     train_activity_model,
+    train_bank,
     train_hmm_model,
 )
 from groupact.taxonomy import MODELABLE_LABELS
-from groupact.trackio import MbbSample, TrackSet
+from groupact.trackio import AnnotationSet, MbbSample, TrackSet
 
 from oracles import (
     ahmm_forward,
@@ -530,6 +531,14 @@ def test_training_rejects_empty_and_misordered():
         train_activity_model([])
     with pytest.raises(DataError):
         train_activity_model([(np.zeros((3, 1)), np.zeros((2, 1)))])
+
+
+def test_train_bank_and_banks_take_window_and_dt_from_the_caller():
+    # no default of their own: `groupact train --window/--dt` holds the only one
+    with pytest.raises(TypeError):
+        train_bank(TrackSet([]), AnnotationSet([]))
+    with pytest.raises(TypeError):
+        ActivityModelBank(models={})
 
 
 def test_train_hmm_model_monotone():

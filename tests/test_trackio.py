@@ -224,6 +224,24 @@ def test_parsing_an_open_file_holds_under_250_bytes_per_sample(tmp_path):
     assert list(parsed.iter_samples()) == list(tracks.iter_samples())
 
 
+def test_writing_tracks_holds_under_100_bytes_per_sample(tmp_path):
+    """The same clip, written from the per-person columns into an open file."""
+    agents = tuple(AgentSpec(p, start=(10.0 * p, 0.0), velocity=(0.5, 0.1 * p)) for p in range(1, 5))
+    tracks, _ = generate(ScenarioSpec(seed=0, duration=3000, agents=agents))
+    path = tmp_path / "long.csv"
+    with open(path, "w", encoding="utf-8") as fp:
+        tracemalloc.start()
+        try:
+            write_tracks(tracks, fp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(tracks) == 12000
+    assert peak <= 65536 + 100 * len(tracks)
+    with open(path, encoding="utf-8") as fp:
+        assert list(parse_tracks(fp).iter_samples()) == list(tracks.iter_samples())
+
+
 @st.composite
 def track_text(draw):
     """Track CSV mixing good lines with every kind of bad line, comments, and
