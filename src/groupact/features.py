@@ -8,6 +8,8 @@ the same pairwise machinery as real people.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from .trackio import TrackSet
@@ -41,72 +43,127 @@ def as_entity(who) -> tuple[int, ...]:
 
 
 class EntityTrack:
-    """Per-frame kinematics of an entity over [lo, hi].
+    """Per-frame kinematics of E entities over [lo, hi], one row per entity.
 
-    For multi-member entities each frame holds the arithmetic mean over the
-    members present at that frame; a frame is valid when at least one member
-    has a sample, and usable when it and the frame before are valid (index 0
-    never is).  ``step`` and ``size_change`` give the motion from index
-    ``i - 1`` to ``i``, computed only at the indices asked for.
+    ``x``, ``y``, ``w``, ``h`` and ``usable`` are (E, n) arrays.  For a
+    multi-member entity each frame holds the arithmetic mean over the members
+    present at that frame; a frame is valid when at least one member has a
+    sample, and usable when it and the frame before are valid (index 0 never
+    is).  ``step`` and ``size_change`` give the motion from index ``i - 1`` to
+    ``i`` of every entity, computed only at the indices asked for.
     """
 
-    def __init__(self, tracks: TrackSet, members: tuple[int, ...], lo: int, hi: int):
+    def __init__(self, tracks: TrackSet, entities: list[tuple[int, ...]], lo: int, hi: int):
         n = hi - lo + 1
-        acc = np.zeros((4, n))
-        count = np.zeros(n)
-        for m in members:
-            frames, xywh = tracks.person_arrays(m)
-            a, b = frames.searchsorted((lo, hi + 1)).tolist()
-            at = frames[a:b] - lo
-            acc[:, at] += xywh[:, a:b]
-            count[at] += 1
+        acc = np.zeros((4, len(entities), n))
+        count = np.zeros((len(entities), n))
+        for e, members in enumerate(entities):
+            for m in members:
+                frames, xywh = tracks.person_arrays(m)
+                a, b = frames.searchsorted((lo, hi + 1)).tolist()
+                at = frames[a:b] - lo
+                acc[:, e, at] += xywh[:, a:b]
+                count[e, at] += 1
         valid = count > 0
-        self.usable = np.zeros(n, dtype=bool)
-        self.usable[1:] = valid[1:] & valid[:-1]
+        self.usable = np.zeros(valid.shape, dtype=bool)
+        self.usable[:, 1:] = valid[:, 1:] & valid[:, :-1]
         self.x, self.y, self.w, self.h = acc / np.maximum(count, 1.0)
 
     def step(self, i: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Displacement (dx, dy) and speed into frame indices ``i``."""
-        dx = self.x[i] - self.x[i - 1]
-        dy = self.y[i] - self.y[i - 1]
+        dx = self.x[:, i] - self.x[:, i - 1]
+        dy = self.y[:, i] - self.y[:, i - 1]
         return dx, dy, np.hypot(dx, dy)
 
     def size_change(self, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Relative change of box width and height into frame indices ``i``."""
         j = i - 1
-        return np.abs(self.w[i] - self.w[j]) / self.w[i], np.abs(self.h[i] - self.h[j]) / self.h[i]
+        return (np.abs(self.w[:, i] - self.w[:, j]) / self.w[:, i],
+                np.abs(self.h[:, i] - self.h[:, j]) / self.h[:, i])
 
 
-def member_tracks(tracks: TrackSet, members, lo: int, hi: int) -> list[EntityTrack]:
-    """One single-person track over [lo, hi] per member of an entity."""
-    return [EntityTrack(tracks, (m,), lo, hi) for m in as_entity(members)]
+def member_tracks(tracks: TrackSet, members, lo: int, hi: int) -> EntityTrack:
+    """One track over [lo, hi] with an entity per member of an entity."""
+    return EntityTrack(tracks, [(m,) for m in as_entity(members)], lo, hi)
+
+
+def _run_start(usable: np.ndarray) -> np.ndarray:
+    """Start index of the trailing run of usable frames along the last axis.
+
+    Index 0 is never usable, so the run starts after the last unusable
+    index; it is ``n`` when the last frame is not usable.
+    """
+    return usable.shape[-1] - np.argmax(~usable[..., ::-1], axis=-1)
 
 
 def _motion(track: EntityTrack, i: np.ndarray):
-    """Position, size change, speed and motion direction of one entity at indices ``i``."""
+    """Position, size change, speed and motion direction of every entity at indices ``i``."""
     cow, coh = track.size_change(i)
     dx, dy, speed = track.step(i)
     direction = np.where((dx == 0) & (dy == 0), 0.0, np.arctan2(dy, dx))
-    return track.x[i], track.y[i], cow, coh, speed, direction
+    return track.x[:, i], track.y[:, i], cow, coh, speed, direction
 
 
-def _pair_rows(ta: EntityTrack, tb: EntityTrack, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Feature rows of ``ta`` relative to ``tb`` and of ``tb`` relative to ``ta`` at usable indices ``i``.
+def _pair_rows(track: EntityTrack, i: np.ndarray) -> np.ndarray:
+    """Feature rows of every entity relative to every entity at indices ``i``.
 
-    Each entity's terms, and the shared midpoint, are computed once for both directions.
+    Shape (E, E, len(i), PAIR_DIM): ``[a, b]`` holds entity ``a`` relative to
+    entity ``b``.  Each entity's motion terms are computed once for all of its
+    pairs; the midpoint of ``[a, b]`` and ``[b, a]`` is the same float sum.
     """
-    a, b = _motion(ta, i), _motion(tb, i)
-    mid_x = (a[0] + b[0]) / 2.0
-    mid_y = (a[1] + b[1]) / 2.0
+    motion = _motion(track, i)
+    x, y, cow, coh, speed, direction = (v[:, None] for v in motion)
+    px, py, _, _, par_speed, par_direction = (v[None, :] for v in motion)
+    avg_dist = np.hypot(x - (x + px) / 2.0, y - (y + py) / 2.0)
+    angle = wrap_angle(direction - par_direction)
+    rows = np.empty(avg_dist.shape + (PAIR_DIM,))
+    for k, column in enumerate((cow, coh, speed, avg_dist, (speed - par_speed) / 2.0, angle)):
+        rows[..., k] = column  # broadcast over the partner axis
+    return rows
 
-    def rows(sub, par):
-        x, y, cow, coh, speed, direction = sub
-        *_, par_speed, par_direction = par
-        avg_dist = np.hypot(x - mid_x, y - mid_y)
-        angle = wrap_angle(direction - par_direction)
-        return np.stack([cow, coh, speed, avg_dist, (speed - par_speed) / 2.0, angle], axis=-1)
 
-    return rows(a, b), rows(b, a)
+class _PairTable:
+    """Feature rows of every ordered pair of ``entities`` over the window ending at ``t``.
+
+    ``rows[ia, ib]`` holds frame indices 1..window of entity ``ia`` relative
+    to entity ``ib``, read-only; ``first[ia, ib]`` is the start index of their
+    trailing usable run.  Cells before that run are never read.
+    """
+
+    def __init__(self, tracks: TrackSet, entities: list[tuple[int, ...]], t: int, window: int):
+        self.key = (t, window)
+        self.index = {e: k for k, e in enumerate(entities)}
+        track = EntityTrack(tracks, entities, t - window, t)
+        self.first = _run_start(track.usable[:, None] & track.usable[None, :])
+        with np.errstate(divide="ignore", invalid="ignore"):  # size changes where samples are missing
+            self.rows = _pair_rows(track, np.arange(1, window + 1))
+        self.rows.flags.writeable = False
+
+    def windows(self, ea: tuple[int, ...], eb: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray] | None:
+        """The trailing-run streams of ``ea`` and ``eb``, as ``pair_feature_windows`` returns them."""
+        ia, ib = self.index.get(ea), self.index.get(eb)
+        if ia is None or ib is None:  # no sample in the window
+            return None
+        first = self.first[ia, ib].item()
+        if first > self.key[1] - 1:  # fewer than two usable frames
+            return None
+        return self.rows[ia, ib, first - 1:], self.rows[ib, ia, first - 1:]
+
+
+# the person-pair table of each track set for the latest (t, window) asked, which
+# all pair_feature_windows calls of a frame share; a TrackSet never changes once
+# built, and weak keys keep none alive
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _person_pair_table(tracks: TrackSet, t: int, window: int) -> _PairTable:
+    """The table of every person with a sample in [t - window, t]."""
+    table = _TABLES.get(tracks)
+    if table is None or table.key != (t, window):
+        spans = ((p, tracks.person_arrays(p)[0].searchsorted((t - window, t + 1))) for p in tracks.persons)
+        persons = [(p,) for p, (a, b) in spans if a < b]
+        table = _TABLES[tracks] = _PairTable(tracks, persons, t, window)
+    return table
 
 
 def pair_observation(tracks: TrackSet, i, j, t: int) -> np.ndarray:
@@ -116,28 +173,26 @@ def pair_observation(tracks: TrackSet, i, j, t: int) -> np.ndarray:
     average distance, speed difference and motion-direction angle.
     """
     ea, eb = as_entity(i), as_entity(j)
-    ta = EntityTrack(tracks, ea, t - 1, t)
-    tb = EntityTrack(tracks, eb, t - 1, t)
-    if not (ta.usable[1] and tb.usable[1]):
+    track = EntityTrack(tracks, [ea, eb], t - 1, t)
+    if not track.usable[:, 1].all():
         raise ObservationUnavailable(f"missing sample for pair {ea}/{eb} at frames {t - 1}..{t}")
-    return _pair_rows(ta, tb, np.array([1]))[0][0]
+    return _pair_rows(track, np.array([1]))[0, 1, 0]
 
 
 def body_size_change(tracks: TrackSet, i: int, t: int) -> float:
     """|W(t)H(t) - W(t-1)H(t-1)| / (W(t)H(t)) for person ``i``."""
-    track = EntityTrack(tracks, (i,), t - 1, t)
-    if not track.usable[1]:
+    track = EntityTrack(tracks, [(i,)], t - 1, t)
+    if not track.usable[0, 1]:
         raise ObservationUnavailable(f"missing sample for person {i} at frames {t - 1}..{t}")
-    area_p, area_t = track.w * track.h
+    area_p, area_t = track.w[0] * track.h[0]
     return float(abs(area_t - area_p) / area_t)
 
 
-def _group_rows(members: list[EntityTrack], i: np.ndarray) -> np.ndarray:
-    """Group feature rows of the member tracks at usable frame indices ``i``."""
-    xs = np.stack([m.x[i] for m in members])
-    ys = np.stack([m.y[i] for m in members])
-    cow, coh = np.stack([m.size_change(i) for m in members]).mean(axis=0)
-    speeds = np.stack([m.step(i)[2] for m in members])
+def _group_rows(members: EntityTrack, i: np.ndarray) -> np.ndarray:
+    """Group feature rows of a track with one entity per member at usable frame indices ``i``."""
+    xs, ys = members.x[:, i], members.y[:, i]
+    cow, coh = (c.mean(axis=0) for c in members.size_change(i))
+    speeds = members.step(i)[2]
     cx, cy = xs.mean(axis=0), ys.mean(axis=0)
     avg_dist = np.hypot(xs - cx[None, :], ys - cy[None, :]).mean(axis=0)
     avg_speed = speeds.mean(axis=0)
@@ -152,16 +207,15 @@ def pair_feature_windows(
 
     Uses the longest contiguous run of frames ending at ``t`` where both
     entities are observable, capped at ``window``; returns None when fewer
-    than two observation frames exist.
+    than two observation frames exist.  The streams are read-only views:
+    two single persons read the table of every person pair at ``t``, kept
+    until the track set is asked for another ``(t, window)``; other
+    entities get a table of their own.
     """
-    ta = EntityTrack(tracks, as_entity(a), t - window, t)
-    tb = EntityTrack(tracks, as_entity(b), t - window, t)
-    # index 0 is never usable, so the trailing usable run starts after the last unusable index
-    first = np.flatnonzero(~(ta.usable & tb.usable))[-1] + 1
-    if first > window - 1:  # fewer than two usable frames
-        return None
-    idx = np.arange(first, window + 1)
-    return _pair_rows(ta, tb, idx)
+    ea, eb = as_entity(a), as_entity(b)
+    if len(ea) == len(eb) == 1:
+        return _person_pair_table(tracks, t, window).windows(ea, eb)
+    return _PairTable(tracks, [ea, eb], t, window).windows(ea, eb)
 
 
 def group_feature_window(tracks: TrackSet, members, t: int, window: int) -> np.ndarray | None:
@@ -170,16 +224,16 @@ def group_feature_window(tracks: TrackSet, members, t: int, window: int) -> np.n
     The ``GROUP_DIM`` columns: average change of width, average change of
     height, average speed, average distance to the centroid and speed variance.
     """
-    tms = member_tracks(tracks, members, t - window, t)
-    first = np.flatnonzero(~np.logical_and.reduce([tm.usable for tm in tms]))[-1] + 1
+    track = member_tracks(tracks, members, t - window, t)
+    first = _run_start(track.usable.all(axis=0)).item()
     if first > window:  # no usable frame
         return None
-    return _group_rows(tms, np.arange(first, window + 1))
+    return _group_rows(track, np.arange(first, window + 1))
 
 
 def entity_average_speed(tracks: TrackSet, members, t: int, window: int) -> float:
     """Mean member speed over the trailing window; 0.0 when nothing is usable."""
-    speeds = np.concatenate(
-        [tm.step(np.flatnonzero(tm.usable))[2] for tm in member_tracks(tracks, members, t - window, t)]
-    )
+    track = member_tracks(tracks, members, t - window, t)
+    # member-major, as the members' usable frames are listed
+    speeds = track.step(np.arange(1, window + 1))[2][track.usable[:, 1:]]
     return float(speeds.mean()) if speeds.size else 0.0

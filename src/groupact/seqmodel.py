@@ -547,9 +547,10 @@ def train_hmm_model(
 def _usable_chunks(usable: np.ndarray, chunk: int) -> list[np.ndarray]:
     """Indices of the usable frames, split into runs at gaps and into pieces.
 
-    ``usable`` is an :class:`~groupact.features.EntityTrack` mask (index 0
-    is never usable).  Pieces hold at most ``chunk`` frames; pieces shorter
-    than ``MIN_CHUNK`` are dropped.
+    ``usable`` is the conjunction over entities of an
+    :class:`~groupact.features.EntityTrack` mask (index 0 is never usable).
+    Pieces hold at most ``chunk`` frames; pieces shorter than ``MIN_CHUNK``
+    are dropped.
     """
     edges = np.flatnonzero(np.diff(usable, append=False))
     out = []
@@ -565,19 +566,18 @@ def _stream_chunks(
     tracks: TrackSet, ea, eb, start: int, end: int, chunk: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Ordered feature-stream pairs over an interval, split at gaps and chunked."""
-    lo = max(start, 1)
-    ta = feats.EntityTrack(tracks, feats.as_entity(ea), lo - 1, end)
-    tb = feats.EntityTrack(tracks, feats.as_entity(eb), lo - 1, end)
-    return [feats._pair_rows(ta, tb, idx) for idx in _usable_chunks(ta.usable & tb.usable, chunk)]
+    track = feats.EntityTrack(tracks, [feats.as_entity(ea), feats.as_entity(eb)], max(start, 1) - 1, end)
+    # the two cross pairs only, copied out: a kept segment holds no self-pair rows
+    return [tuple(feats._pair_rows(track, idx)[[0, 1], [1, 0]])
+            for idx in _usable_chunks(track.usable.all(axis=0), chunk)]
 
 
 def _group_chunks(
     tracks: TrackSet, members, start: int, end: int, chunk: int
 ) -> list[np.ndarray]:
     """Group-feature sequences over an interval, split at gaps and chunked."""
-    tms = feats.member_tracks(tracks, members, max(start, 1) - 1, end)
-    usable = np.logical_and.reduce([tm.usable for tm in tms])
-    return [feats._group_rows(tms, idx) for idx in _usable_chunks(usable, chunk)]
+    track = feats.member_tracks(tracks, members, max(start, 1) - 1, end)
+    return [feats._group_rows(track, idx) for idx in _usable_chunks(track.usable.all(axis=0), chunk)]
 
 
 def assemble_training_data(

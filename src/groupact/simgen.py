@@ -84,9 +84,9 @@ class ScenarioSpec:
         agents = tuple(
             AgentSpec(
                 agent=json_int(a["agent"], "agent"),
-                start=tuple(float(v) for v in a["start"]),
-                velocity=tuple(float(v) for v in a.get("velocity", (0.0, 0.0))),
-                box=tuple(float(v) for v in a.get("box", (10.0, 24.0))),
+                start=_pair(a["start"], f"agent {a['agent']} start"),
+                velocity=_pair(a.get("velocity", (0.0, 0.0)), f"agent {a['agent']} velocity"),
+                box=_pair(a.get("box", (10.0, 24.0)), f"agent {a['agent']} box"),
             )
             for a in obj["agents"]
         )
@@ -97,7 +97,7 @@ class ScenarioSpec:
                 members=json_ids(e.get("members", ()), "event members"),
                 group_id=None if e.get("group_id") is None else json_str(e["group_id"], "event group_id"),
                 groups=json_groups(e["groups"], "event groups") if "groups" in e else None,
-                params=dict(e.get("params", {})),
+                params=_params(e.get("params", {}), f"event {e['label']} params"),
             )
             for e in obj.get("events", ())
         )
@@ -137,6 +137,43 @@ class ScenarioSpec:
                 for e in self.events
             ],
         }
+
+
+# the numeric event parameters that generate reads, besides the (vx, vy) "velocity"
+_NUMBER_PARAMS = {"gait_amp", "gait_period", "sway_amp", "sway_period", "box_amp", "box_period",
+                  "jitter", "box_jitter", "speed", "min_dist", "lag", "gain"}
+_PER_MEMBER_PARAMS = {"offsets", "jitter_overrides", "box_jitter_overrides"}  # {member: number}
+
+
+def _number(value, what: str) -> float:
+    """A JSON number as a float; ScenarioError naming ``what`` for a bool, string or other value."""
+    if type(value) not in (int, float):
+        raise ScenarioError(f"{what} {value!r} is not a number")
+    return float(value)
+
+
+def _pair(values, what: str) -> tuple[float, float]:
+    """Two JSON numbers as floats; ScenarioError naming ``what`` for anything else."""
+    if not isinstance(values, (list, tuple)) or len(values) != 2:
+        raise ScenarioError(f"{what} {values!r} is not a list of two numbers")
+    return _number(values[0], what), _number(values[1], what)
+
+
+def _params(params, what: str) -> dict:
+    """Event parameters whose numeric entries are numbers; ScenarioError naming the first that is not."""
+    if not isinstance(params, dict):
+        raise ScenarioError(f"{what} {params!r} is not an object")
+    for name, value in params.items():
+        if name == "velocity":
+            _pair(value, f"{what} {name}")
+        elif name in _NUMBER_PARAMS:
+            _number(value, f"{what} {name}")
+        elif name in _PER_MEMBER_PARAMS:
+            if not isinstance(value, dict):
+                raise ScenarioError(f"{what} {name} {value!r} is not an object")
+            for member, v in value.items():
+                _number(v, f"{what} {name} {member}")
+    return dict(params)
 
 
 _MOTION_SYM = {"WalkTogether", "RunTogether", "InGroup", "Fight"}

@@ -91,14 +91,10 @@ class TrackSet:
     def __len__(self) -> int:
         return sum(f.size for f, _ in self._arrays.values())
 
-    def sample(self, person: int, frame: int) -> MbbSample | None:
-        frames, xywh = self.person_arrays(person)
-        i = int(frames.searchsorted(frame))
-        found = i < frames.size and frames[i] == frame
-        return MbbSample(int(frame), person, *xywh[:, i].tolist()) if found else None
-
     def has(self, person: int, frame: int) -> bool:
-        return self.sample(person, frame) is not None
+        frames = self.person_arrays(person)[0]
+        i = int(frames.searchsorted(frame))
+        return i < frames.size and bool(frames[i] == frame)
 
     def observable(self, person: int, frame: int) -> bool:
         """True when features at ``frame`` exist (sample here and one frame back)."""

@@ -8,7 +8,8 @@ feasible for the short sequences used in tests.
 
 ``parse_tracks_per_line`` is the line-by-line track parser that the column
 parser replaced, plus the person-id rule: each line is checked as it is
-read, against the samples kept so far.
+read, against the samples kept so far.  ``sample`` looks one sample up by
+scanning a person's arrays, where ``TrackSet.has`` searches them.
 
 The scalar reference (``ahmm_forward``, ``window_log_mass``,
 ``pair_hmm_loglik`` and ``correlation``) is the textbook forward recursion
@@ -31,6 +32,15 @@ from groupact import features as feats
 from groupact.gmm import logsumexp
 from groupact.seqmodel import ActivityModel, ActivityModelBank, _hmm_loglik, _log
 from groupact.trackio import _BOUNDS, COORD_MAX, MAX_FRAME, SIZE_MAX, SIZE_MIN, MbbSample, ParseError, TrackSet
+
+
+def sample(tracks: TrackSet, person: int, frame: int) -> MbbSample | None:
+    """The sample of ``person`` at ``frame``, or None: a scan of the person's arrays."""
+    frames, xywh = tracks.person_arrays(person)
+    for k, f in enumerate(frames.tolist()):
+        if f == frame:
+            return MbbSample(f, person, *xywh[:, k].tolist())
+    return None
 
 
 def normal_logpdf(x, mean, var):

@@ -486,6 +486,22 @@ def test_spec_string_fields_are_strings(tmp_path, capsys, event, field):
     assert "Traceback" not in err and not (tmp_path / "out.tracks.csv").exists()
 
 
+@pytest.mark.parametrize("agent, params, field", [
+    ({"agent": 1, "start": [0, 0, 3]}, {}, "agent 1 start [0, 0, 3]"),
+    ({"agent": 1, "start": [0, 0]}, {"jitter": "x"}, "event InGroup params jitter 'x'"),
+], ids=["three-number-start", "string-jitter"])
+def test_spec_numeric_fields_are_numbers(tmp_path, capsys, agent, params, field):
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps({
+        "seed": 1, "duration": 10, "agents": [agent, {"agent": 2, "start": [10.0, 0]}],
+        "events": [{"label": "InGroup", "frames": [0, 5], "members": [1, 2], "group_id": "g", "params": params}],
+    }))
+    assert run(["simulate", "--spec", p, "--out-prefix", tmp_path / "out"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("data error: ") and field in err
+    assert "Traceback" not in err and sorted(tmp_path.iterdir()) == [p]
+
+
 WINDOW_FLAGS = [["--window", "0"], ["--window", "1"], ["--dt", "-1"], ["--dt", "50"]]
 THRESHOLD_FLAGS = [["--tc", "2"], ["--to", "-0.1"], ["--tr", "nan"]]
 

@@ -1,6 +1,8 @@
 """Feature extraction tests: hand-evaluated values and structural invariances."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -17,13 +19,14 @@ from groupact.features import (
     group_feature_window,
     pair_feature_windows,
     pair_observation,
+    _pair_rows,
     wrap_angle,
 )
 from groupact.seqmodel import _group_chunks, _stream_chunks
 from groupact.trackio import MbbSample, TrackSet
 
-from oracles import group_feature_row, pair_feature_row
-from scenarios import ragged_tracks
+from oracles import group_feature_row, pair_feature_row, sample
+from scenarios import bounded_tracks, ragged_tracks
 
 
 def make_tracks(rows):
@@ -88,7 +91,7 @@ def test_pair_observation_matches_scalar_oracle_and_translates(vals, ox, oy):
     xi, yi, xj, yj, xip, yip, xjp, yjp = vals
     tracks = two_person_tracks([(xip, yip), (xi, yi)], [(xjp, yjp), (xj, yj)])
     obs = pair_observation(tracks, 1, 2, 1)
-    ref = pair_feature_row(*(tracks.sample(p, f) for p in (1, 2) for f in (1, 0)))
+    ref = pair_feature_row(*(sample(tracks, p, f) for p in (1, 2) for f in (1, 0)))
     for g, r in zip(obs, ref):
         assert g == pytest.approx(r, abs=1e-9)
     # translation invariance
@@ -175,13 +178,13 @@ def test_body_size_change_values():
 
 def test_entity_track_is_member_average():
     rows = [(t, p, 2.0 * t, 4.0 * (p - 1), 10.0, 24.0) for t in range(10) for p in (1, 2)]
-    track = EntityTrack(make_tracks(rows), (1, 2), 3, 8)
+    track = EntityTrack(make_tracks(rows), [(1, 2)], 3, 8)
     # a group entity's track is the per-frame mean of its members
-    assert np.allclose(track.x[-1], 16.0)
-    assert np.allclose(track.y[-1], 2.0)
+    assert np.allclose(track.x[0, -1], 16.0)
+    assert np.allclose(track.y[0, -1], 2.0)
     # identical members: the average equals either one
     rows = [(t, p, float(t), 1.0, 10.0, 24.0) for t in range(10) for p in (1, 2)]
-    assert np.allclose(EntityTrack(make_tracks(rows), (1, 2), 3, 8).y, 1.0)
+    assert np.allclose(EntityTrack(make_tracks(rows), [(1, 2)], 3, 8).y, 1.0)
 
 
 def test_pair_feature_windows_suffix_and_minimum():
@@ -237,11 +240,11 @@ def test_feature_paths_match_scalar_oracle_on_ragged_tracks(tracks, window, chun
         return n
 
     def pair_ref(a, b, f):
-        return pair_feature_row(*(tracks.sample(p, g) for p in (a, b) for g in (f, f - 1)))
+        return pair_feature_row(*(sample(tracks, p, g) for p in (a, b) for g in (f, f - 1)))
 
     def group_ref(members, f):
-        return group_feature_row([tracks.sample(m, f) for m in members],
-                                 [tracks.sample(m, f - 1) for m in members])
+        return group_feature_row([sample(tracks, m, f) for m in members],
+                                 [sample(tracks, m, f - 1) for m in members])
 
     subsets = [tuple(p for k, p in enumerate(persons) if mask >> k & 1)
                for mask in range(1, 2 ** len(persons))]
@@ -289,3 +292,51 @@ def test_feature_paths_match_scalar_oracle_on_ragged_tracks(tracks, window, chun
         for g, fs in zip(got, frames):
             for k, f in enumerate(fs):
                 _assert_row(g[k], group_ref(members, f))
+
+
+def _fresh_windows(tracks, a, b, t, window):
+    """The windows of persons ``a`` and ``b`` from a two-entity track of their own."""
+    track = EntityTrack(tracks, [(a,), (b,)], t - window, t)
+    usable = track.usable.all(axis=0)
+    n = 0
+    while n < window and usable[window - n]:
+        n += 1
+    if n < 2:
+        return None
+    rows = _pair_rows(track, np.arange(window - n + 1, window + 1))
+    return rows[0, 1], rows[1, 0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(ragged_tracks(), bounded_tracks()), st.integers(2, 8))
+def test_person_pair_windows_equal_fresh_pair_rows(tracks, window):
+    """Every single-person window is a read-only view, bitwise equal to a fresh track's rows.
+
+    Frames and windows are asked ascending, then descending, so each table
+    is rebuilt after others; person 99 has no sample anywhere.
+    """
+    lo, hi = tracks.frame_range or (0, 0)  # bounded tracks may hold no sample
+    persons = tracks.persons + (99,)
+    keys = [(t, w) for t in range(lo, hi + 2) for w in (window, window + 3)]
+    for t, w in keys + keys[::-1]:
+        for a in persons:
+            for b in persons:
+                got = pair_feature_windows(tracks, a, b, t, w)
+                want = _fresh_windows(tracks, a, b, t, w)
+                if not all(any(tracks.has(p, f) for f in range(t - w, t + 1)) for p in (a, b)):
+                    assert want is None  # a person without a sample in the window
+                if want is None:
+                    assert got is None
+                    continue
+                for g, r in zip(got, want):
+                    assert g.shape == r.shape and np.array_equal(g, r)
+                    assert not g.flags.writeable
+
+
+def test_person_pair_table_keeps_no_track_set_alive():
+    tracks = make_tracks([(t, p, float(t), float(p), 5.0, 5.0) for t in range(6) for p in (1, 2)])
+    assert pair_feature_windows(tracks, 1, 2, 5, window=4) is not None
+    ref = weakref.ref(tracks)
+    del tracks
+    gc.collect()
+    assert ref() is None

@@ -16,6 +16,7 @@ from groupact.simgen import (
 )
 from groupact.trackio import write_tracks
 
+from oracles import sample
 from scenarios import EVAL_SCENARIOS, fig1_hierarchy, walk_together
 
 
@@ -34,7 +35,7 @@ def test_stationary_single_agent():
         events=(EventSpec("single", (0, 19), members=(1,), group_id="g1"),),
     )
     tracks, anns = generate(spec)
-    xs = [tracks.sample(1, t).x for t in range(20)]
+    xs = [sample(tracks, 1, t).x for t in range(20)]
     assert all(x == 5.0 for x in xs)  # zero noise: perfectly constant
     assert anns.records[0].label == "single"
 
@@ -52,8 +53,8 @@ def test_together_offset_delays_velocity_profile():
         ),
     )
     tracks, _ = generate(spec)
-    v1 = np.array([tracks.sample(1, t).x - tracks.sample(1, t - 1).x for t in range(1, 60)])
-    v2 = np.array([tracks.sample(2, t).x - tracks.sample(2, t - 1).x for t in range(1, 60)])
+    v1 = np.array([sample(tracks, 1, t).x - sample(tracks, 1, t - 1).x for t in range(1, 60)])
+    v2 = np.array([sample(tracks, 2, t).x - sample(tracks, 2, t - 1).x for t in range(1, 60)])
     # the second agent's profile is the first's delayed by three frames
     assert np.allclose(v2[3:], v1[:-3], atol=1e-9)
 
@@ -154,6 +155,6 @@ def test_generated_tracks_survive_csv_round_trip():
     write_tracks(tracks, buf)
     again = parse_tracks(buf.getvalue())
     assert len(again) == len(tracks)
-    s1 = tracks.sample(1, 100)
-    s2 = again.sample(1, 100)
+    s1 = sample(tracks, 1, 100)
+    s2 = sample(again, 1, 100)
     assert s1 == s2  # exact float round-trip

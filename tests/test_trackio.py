@@ -35,13 +35,14 @@ from groupact.trackio import (
     write_tracks,
 )
 
-from oracles import parse_tracks_per_line
+from oracles import parse_tracks_per_line, sample
+from scenarios import ragged_tracks
 
 
 def test_parse_single_line():
     ts = parse_tracks("0,1,10.0,20.0,4.0,9.0")
     assert len(ts) == 1
-    s = ts.sample(1, 0)
+    s = sample(ts, 1, 0)
     assert s == MbbSample(0, 1, 10.0, 20.0, 4.0, 9.0)
     assert ts.frame_range == (0, 0)
     assert ts.persons == (1,)
@@ -189,12 +190,12 @@ def test_sparse_far_frames_match_a_dict_reference(samples):
         assert xywh.tolist() == [[getattr(s, c) for s in mine] for c in "xywh"]
     got = list(ts.iter_samples())
     assert got == [ref[k] for k in sorted(ref)]
-    for s in got + [ts.sample(s.person, s.frame) for s in got]:  # plain types: writers format with !r
+    for s in got + [sample(ts, s.person, s.frame) for s in got]:  # plain types: writers format with !r
         assert type(s.frame) is int and {type(v) for v in (s.x, s.y, s.w, s.h)} == {float}
     for f in {g for _, f in ref for g in (f - 1, f, f + 1, f + 2)} | {0, 2**31 + 4}:
         for p in persons + [99]:
             assert ts.has(p, f) == ((p, f) in ref)
-            assert ts.sample(p, f) == ref.get((p, f))
+            assert sample(ts, p, f) == ref.get((p, f))
             assert ts.observable(p, f) == ((p, f) in ref and (p, f - 1) in ref)
         assert ts.observable_persons(f) == tuple(p for p in persons if (p, f) in ref and (p, f - 1) in ref)
     buf = io.StringIO()
@@ -474,3 +475,14 @@ def test_default_taxonomy_contents():
     assert taxonomy.is_grouping("WalkTogether")
     assert taxonomy.INTERGROUP_CANDIDATES == ("Approach", "Chase", "Ignore", "Split")
     assert "single" not in taxonomy.MODELABLE_LABELS
+
+
+@settings(max_examples=60, deadline=None)
+@given(ragged_tracks())
+def test_has_and_observable_agree_with_sample_on_ragged_tracks(tracks):
+    lo, hi = tracks.frame_range
+    for p in tracks.persons + (99,):
+        for f in range(lo - 1, hi + 2):
+            found = sample(tracks, p, f) is not None
+            assert tracks.has(p, f) is found
+            assert tracks.observable(p, f) is (found and sample(tracks, p, f - 1) is not None)
