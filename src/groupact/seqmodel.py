@@ -189,40 +189,86 @@ def _fold_logaddexp(x: np.ndarray, axis: int) -> np.ndarray:
     return acc
 
 
-def _band_forward(log_entry, log_trans, ae: np.ndarray, hm: np.ndarray):
+def _band_forward(log_entry, log_trans, ae, hm, add=np.logaddexp):
     """Forward sweep over the hold-count band of the alignment lattice.
 
     Cell ``h = (t+1) - s`` counts the holds so far: an advance keeps it and a
     hold raises it, so a read-out that needs ``h < D`` keeps ``D`` cells per
-    step.  ``ae`` (T, ..., D, n) is the log weight of advancing from cell
-    ``h`` at step ``t`` (-inf where nothing is left to consume), ``hm``
-    (T, ..., n) that of holding; ``log_entry`` and ``log_trans`` broadcast
-    over the batch axes.  Cells ``h > t`` are never entered, so their
-    ``ae`` values never reach the mass.  Returns the log mass entering and
-    leaving each step, shaped like ``ae``.  With ``D = 1`` this is the
-    plain HMM forward.
+    step.  Step ``t`` of ``ae`` is (..., D, n, I), the log weight of
+    advancing from cell ``h`` (-inf where nothing is left to consume), and
+    step ``t`` of ``hm`` is (..., n, I), that of holding.  The item axis
+    ``I`` is last, so every ufunc call loops over all items at once rather
+    than over the few cells and states.  ``ae`` and ``hm`` are (T, ...)
+    arrays or iterables of their steps; ``log_entry`` (..., n) and
+    ``log_trans`` (..., n, n) broadcast over the other batch axes.  Cells
+    ``h > t`` are never entered, so their ``ae`` values never reach the
+    mass.  Yields the log mass entering and leaving each step, both shaped
+    like that step of ``ae``; a caller that needs only the last step keeps
+    no other.  With ``D = 1`` this is the plain HMM forward.
+
+    ``add`` is the semiring's sum.  ``np.logaddexp`` gives the lattice
+    mass; ``np.maximum`` gives the weight of the best path into each cell
+    (the max-product recursion), which is never above the mass and, as the
+    band holds at most ``(2n)**T`` paths, at least the mass minus
+    ``T * log(2n)``.
     """
-    tin = np.full(ae.shape, -np.inf)
-    la = np.full(ae.shape, -np.inf)
-    tin[0, ..., 0, :] = log_entry
-    for t in range(ae.shape[0]):
+    tr = log_trans[..., None, :, :, None]  # (..., 1, n, n, 1)
+    for t, (ae_t, hm_t) in enumerate(zip(ae, hm)):
         if t:
-            tin[t] = _fold_logaddexp(la[t - 1][..., None] + log_trans[..., None, :, :], axis=-2)
-        la[t] = tin[t] + ae[t]
-        la[t, ..., 1:, :] = np.logaddexp(la[t, ..., 1:, :], tin[t, ..., :-1, :] + hm[t][..., None, :])
-    return tin, la
+            tin = la[..., :, 0, None, :] + tr[..., 0, :, :]
+            for i in range(1, tr.shape[-3]):
+                tin = add(tin, la[..., :, i, None, :] + tr[..., i, :, :])
+        else:
+            tin = np.full(ae_t.shape, -np.inf)
+            tin[..., 0, :, :] = log_entry[..., None]
+        la = tin + ae_t
+        add(la[..., 1:, :, :], tin[..., :-1, :, :] + hm_t[..., None, :, :], out=la[..., 1:, :, :])
+        yield tin, la
+
+
+# exp(x) rounds to 0.0 in float64 for every x below about -745.13
+_EXP_UNDERFLOW = 746.0
+# rounding in the two sweeps: a fixed part, and a part relative to |V| for
+# coordinates whose path weights run far beyond 1e10 nats
+_SLACK_NATS, _SLACK_REL = 32.0, 1e-12
+
+
+def _one_hot_winners(V: np.ndarray, T: int, n: int) -> np.ndarray:
+    """Per item, the activity whose profile is exactly one-hot, or -1.
+
+    ``V`` (A, I) holds each item's max-plus read-out per activity: the
+    weight of the best path over the final band cells of a ``T``-step sweep
+    with ``n`` states.  Each activity's lattice mass lies in
+    ``[V, V + T log(2n)]``.  When the top activity ``w`` leads every other
+    by more than ``746 + T log(2n)`` nats plus a slack for rounding in both
+    sweeps, every ``exp(mass_o - mass_w)`` of the normalisation is 0.0, so
+    ``logsumexp`` returns ``mass_w`` exactly and the profile is bitwise 1.0
+    at ``w`` and 0.0 elsewhere.
+    """
+    w = V.argmax(axis=0)
+    items = np.arange(V.shape[1])
+    top = V[w, items]
+    others = V.copy()
+    others[w, items] = -np.inf
+    with np.errstate(invalid="ignore"):  # -inf - -inf: an item with no path at all
+        gap = top - others.max(axis=0)
+    margin = _EXP_UNDERFLOW + T * np.log(2 * n) + _SLACK_NATS + _SLACK_REL * np.abs(top)
+    return np.where(np.isfinite(top) & (gap > margin), w, -1)
 
 
 def _band_posteriors(model: ActivityModel, ae: np.ndarray, hm: np.ndarray, stats: _EmStats):
     """Forward-backward over the band of B sequences of one shape.
 
-    ``ae`` (T, B, D, n) and ``hm`` (T, B, n) are as in :func:`_band_forward`.
+    ``ae`` (T, B, D, n) and ``hm`` (T, B, n) are the weights of
+    :func:`_band_forward` with the batch axis second.
     Adds the expected chain counts to ``stats`` and returns the
     log-likelihoods (B,), the posteriors (T, B, D, n) of advancing from each
     cell and those (T, B, n) of holding at each step.
     """
     log_trans, log_exit = _log(model.trans), _log(model.exit)
-    tin, la = _band_forward(_log(model.entry), log_trans, ae, hm)
+    steps = _band_forward(_log(model.entry), log_trans, np.moveaxis(ae, 1, -1), np.moveaxis(hm, 1, -1))
+    # back to C-ordered (T, B, D, n), so that every sum below adds in the same order
+    tin, la = (np.ascontiguousarray(np.moveaxis(np.stack(xs), -1, 1)) for xs in zip(*steps))
     T, B = ae.shape[:2]
     # beta: mass of steps t..T-1 from a cell entered at t; lb: of the steps after t
     beta = np.full(ae.shape, -np.inf)
@@ -248,10 +294,10 @@ def _band_posteriors(model: ActivityModel, ae: np.ndarray, hm: np.ndarray, stats
 
 def _hmm_loglik(model: ActivityModel, logb: np.ndarray) -> float:
     """Forward over a (T, n) emission table: the band with ``D = 1``, never holding."""
-    _, la = _band_forward(
-        _log(model.entry), _log(model.trans), logb[:, None, :], np.full(logb.shape, -np.inf)
-    )
-    return float(logsumexp(la[-1, 0] + _log(model.exit)))
+    for _, la in _band_forward(_log(model.entry), _log(model.trans), logb[:, None, :, None],
+                               np.full(logb.shape + (1,), -np.inf)):
+        pass
+    return float(logsumexp(la[0, :, 0] + _log(model.exit)))
 
 
 def hmm_group_likelihood(model: ActivityModel, fa: np.ndarray) -> float:
@@ -726,10 +772,11 @@ class _BatchGmm:
 
 
 class _FrameRows:
-    """Emission rows of one frame ``u``, one row per ordered entity pair.
+    """Emission rows of one frame ``u``, one row per ordered entity pair,
+    on the last axis as the band sweep reads them.
 
-    ``marg`` (rows, A, n) holds the marginal rows with the hold weight added,
-    ``joint`` (rows, A, D, n) the band-joint rows of cells ``(u, h)``, whose
+    ``marg`` (A, n, rows) holds the marginal rows with the hold weight added,
+    ``joint`` (A, D, n, rows) the band-joint rows of cells ``(u, h)``, whose
     source frame is ``u - h``, with the advance weight added.  Cells whose
     source frame precedes the window that computed the row are -inf.
     """
@@ -739,8 +786,8 @@ class _FrameRows:
         # storage grows by a quarter at a time, since after a frame's first
         # call the rows of a few new entities at most arrive per call;
         # slots past len(index) are unused
-        self.marg = np.empty((1, A, n))
-        self.joint = np.empty((1, A, D, n))
+        self.marg = np.empty((A, n, 1))
+        self.joint = np.empty((A, D, n, 1))
 
     def lookup(self, keys: list[tuple]) -> np.ndarray:
         """Row of each key, -1 where it has none."""
@@ -751,14 +798,15 @@ class _FrameRows:
         """Write the rows of ``keys``, appending new keys; returns their rows."""
         index = self.index
         rows = np.array([index.setdefault(k, len(index)) for k in keys], dtype=np.intp)
-        if len(index) > len(self.marg):
-            cap = max(len(index), len(self.marg) * 5 // 4)
+        size = self.marg.shape[-1]
+        if len(index) > size:
+            cap = max(len(index), size * 5 // 4)
             self.marg, self.joint = (
-                np.concatenate([a, np.empty((cap - len(a),) + a.shape[1:])])
+                np.concatenate([a, np.empty(a.shape[:-1] + (cap - size,))], axis=-1)
                 for a in (self.marg, self.joint)
             )
-        self.marg[rows] = marg
-        self.joint[rows] = joint
+        self.marg[..., rows] = marg
+        self.joint[..., rows] = joint
         return rows
 
 
@@ -841,8 +889,7 @@ class CorrelationEngine:
         rows = self._emission_rows(keys, windows, lengths, t)
         for T in np.unique(lengths).tolist():
             sel = np.flatnonzero(lengths == T)
-            masses = self._window_masses(rows[:, sel], T, t)  # (I, A)
-            vals = np.exp(masses - logsumexp(masses, axis=1)[:, None])
+            vals = self._window_profiles(rows[:, sel], T, t)
             vals.flags.writeable = False
             for j, row in zip(sel.tolist(), vals):
                 self._cache[keys[j]] = out[keys[j]] = row
@@ -878,7 +925,7 @@ class CorrelationEngine:
         return rows
 
     def _frame_emissions(self, fa, fb, base, items: np.ndarray, u: int, cells: np.ndarray):
-        """Marginal and band-joint rows at frame ``u`` of ``items``.
+        """Marginal (A, n, items) and band-joint (A, D, n, items) rows at frame ``u`` of ``items``.
 
         ``fa``/``fb`` hold every item's window back to back, frame ``v`` of
         item ``i`` at ``base[i] + v``; joint cells ``h >= cells`` are -inf.
@@ -896,32 +943,54 @@ class CorrelationEngine:
         je[~live] = -np.inf
         je += self._eps
         me = self._marg.log_density(fb[at]) + self._hold
-        return me, je.swapaxes(1, 2)
+        return me.transpose(1, 2, 0), je.transpose(2, 1, 3, 0)
+
+    def _window_profiles(self, rows: np.ndarray, T: int, t: int) -> np.ndarray:
+        """Profiles of I windows of ``T`` frames, shape (I, A).
+
+        A max-plus sweep of every item runs first.  An item that
+        :func:`_one_hot_winners` proves one-hot gets its profile from that
+        bound; :meth:`_window_masses` runs the log-space sweep on the rest.
+        """
+        V = self._sweep(rows, T, t, np.maximum).max(axis=(1, 2))
+        winners = _one_hot_winners(V, T, self.n_states)
+        vals = np.zeros((rows.shape[1], len(self.labels)))
+        done = winners >= 0
+        vals[done, winners[done]] = 1.0
+        rest = np.flatnonzero(~done)
+        if rest.size:
+            masses = self._window_masses(rows[:, rest], T, t)
+            vals[rest] = np.exp(masses - logsumexp(masses, axis=1)[:, None])
+        return vals
 
     def _window_masses(self, rows: np.ndarray, T: int, t: int) -> np.ndarray:
         """Log lattice masses near the diagonal of I windows of ``T`` frames, shape (I, A).
 
-        ``rows`` (window, I) locates the items in the frame blocks.  The
-        read-out keeps only final cells with ``s >= max(1, T - dt)``, i.e.
-        hold count ``h < D = min(dt, T-1) + 1``, so the sweep runs on the
-        band of :func:`_band_forward`.
+        The read-out keeps only final cells with ``s >= max(1, T - dt)``,
+        i.e. hold count ``h < D = min(dt, T-1) + 1``, so the sweep runs on
+        the band of :func:`_band_forward`.
         """
-        I = rows.shape[1]
-        A, n = len(self.labels), self.n_states
-        D = min(self.dt, T - 1) + 1
-        # time-major: (T, I, A, D, n) advance and (T, I, A, n) hold weights
-        ae = np.empty((T, I, A, D, n))
-        hm = np.empty((T, I, A, n))
-        for k in range(T):
-            block = self._blocks[t - T + 1 + k]
-            r = rows[self.window - T + k]
-            hm[k] = block.marg[r]
-            # cells h > k, whose source frame precedes the window start, may
-            # hold a longer window's values; the sweep never enters them
-            ae[k] = block.joint[r, :, :D]
-        _, la = _band_forward(self._ent, self._tr, ae, hm)
+        la = np.moveaxis(self._sweep(rows, T, t, np.logaddexp), -1, 0)  # (I, A, D, n)
         # descending h is ascending s, the summation order of a full-lattice read-out
-        return logsumexp(la[-1, :, :, ::-1, :].reshape(I, A, -1), axis=2)
+        return logsumexp(la[:, :, ::-1, :].reshape(la.shape[0], la.shape[1], -1), axis=2)
+
+    def _sweep(self, rows: np.ndarray, T: int, t: int, add) -> np.ndarray:
+        """Mass leaving the last band step of I windows of ``T`` frames, (A, D, n, I).
+
+        ``rows`` (window, I) locates the items in the frame blocks.  Each
+        step's weights are gathered as the sweep reaches it, so no array
+        spans the ``T`` steps.
+        """
+        D = min(self.dt, T - 1) + 1
+        blocks = [self._blocks[u] for u in range(t - T + 1, t + 1)]
+        steps = rows[self.window - T :]
+        # cells h > k, whose source frame precedes the window start, may
+        # hold a longer window's values; the sweep never enters them
+        ae = (np.take(block.joint[:, :D], r, axis=-1) for block, r in zip(blocks, steps))
+        hm = (np.take(block.marg, r, axis=-1) for block, r in zip(blocks, steps))
+        for _, la in _band_forward(self._ent, self._tr, ae, hm, add):
+            pass
+        return la
 
     def group_score(self, label: str, members, t: int) -> float | None:
         """Windowed group-feature likelihood under an activity's group model."""

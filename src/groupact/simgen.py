@@ -69,8 +69,11 @@ class ScenarioSpec:
         ids = [a.agent for a in self.agents]
         if len(set(ids)) != len(ids):
             raise ScenarioError("duplicate agent ids")
-        if self.noise_sigma < 0 or self.box_sigma < 0:
-            raise ScenarioError("noise levels must be non-negative")
+        if self.duration < 1:
+            raise ScenarioError(f"duration {self.duration!r} is not positive")
+        for name in ("noise_sigma", "box_sigma"):
+            if not getattr(self, name) >= 0:
+                raise ScenarioError(f"{name} {getattr(self, name)!r} is negative or not a number")
         for ev in self.events:
             a, b = ev.frames
             if not (0 <= a <= b < self.duration):
@@ -106,8 +109,8 @@ class ScenarioSpec:
             duration=json_int(obj["duration"], "duration"),
             agents=agents,
             events=events,
-            noise_sigma=float(obj.get("noise_sigma", 0.0)),
-            box_sigma=float(obj.get("box_sigma", 0.0)),
+            noise_sigma=_number(obj.get("noise_sigma", 0.0), "noise_sigma"),
+            box_sigma=_number(obj.get("box_sigma", 0.0), "box_sigma"),
         )
 
     def to_payload(self) -> dict:
@@ -143,6 +146,9 @@ class ScenarioSpec:
 _NUMBER_PARAMS = {"gait_amp", "gait_period", "sway_amp", "sway_period", "box_amp", "box_period",
                   "jitter", "box_jitter", "speed", "min_dist", "lag", "gain"}
 _PER_MEMBER_PARAMS = {"offsets", "jitter_overrides", "box_jitter_overrides"}  # {member: number}
+# generate divides by the periods and draws or scales with the jitters
+_POSITIVE_PARAMS = {"gait_period", "sway_period", "box_period"}
+_NON_NEGATIVE_PARAMS = {"jitter", "box_jitter", "jitter_overrides", "box_jitter_overrides"}
 
 
 def _number(value, what: str) -> float:
@@ -159,20 +165,31 @@ def _pair(values, what: str) -> tuple[float, float]:
     return _number(values[0], what), _number(values[1], what)
 
 
+def _param(name: str, value, what: str) -> None:
+    """ScenarioError naming ``what`` unless ``value`` is a number in the range
+    that ``generate`` needs for the parameter ``name``."""
+    v = _number(value, what)
+    if name in _POSITIVE_PARAMS and not v > 0:
+        raise ScenarioError(f"{what} {value!r} is not positive")
+    if name in _NON_NEGATIVE_PARAMS and not v >= 0:
+        raise ScenarioError(f"{what} {value!r} is negative or not a number")
+
+
 def _params(params, what: str) -> dict:
-    """Event parameters whose numeric entries are numbers; ScenarioError naming the first that is not."""
+    """Event parameters whose numeric entries are numbers in range;
+    ScenarioError naming the first that is not."""
     if not isinstance(params, dict):
         raise ScenarioError(f"{what} {params!r} is not an object")
     for name, value in params.items():
         if name == "velocity":
             _pair(value, f"{what} {name}")
         elif name in _NUMBER_PARAMS:
-            _number(value, f"{what} {name}")
+            _param(name, value, f"{what} {name}")
         elif name in _PER_MEMBER_PARAMS:
             if not isinstance(value, dict):
                 raise ScenarioError(f"{what} {name} {value!r} is not an object")
             for member, v in value.items():
-                _number(v, f"{what} {name} {member}")
+                _param(name, v, f"{what} {name} {member}")
     return dict(params)
 
 

@@ -502,6 +502,43 @@ def test_spec_numeric_fields_are_numbers(tmp_path, capsys, agent, params, field)
     assert "Traceback" not in err and sorted(tmp_path.iterdir()) == [p]
 
 
+def _event(label, params):
+    return {"events": [{"label": label, "frames": [0, 5], "members": [1, 2], "group_id": "g", "params": params}]}
+
+
+@pytest.mark.parametrize("fields, field", [
+    (_event("InGroup", {"jitter": -1.0}), "event InGroup params jitter -1.0 is negative"),
+    (_event("InGroup", {"jitter_overrides": {"2": -0.5}}),
+     "event InGroup params jitter_overrides 2 -0.5 is negative"),
+    (_event("Fight", {"box_jitter": -0.1}), "event Fight params box_jitter -0.1 is negative"),
+    (_event("Fight", {"box_jitter_overrides": {"1": -1}}),
+     "event Fight params box_jitter_overrides 1 -1 is negative"),
+    (_event("WalkTogether", {"gait_period": 0}), "event WalkTogether params gait_period 0 is not positive"),
+    (_event("WalkTogether", {"sway_amp": 0.5, "sway_period": -3.0}),
+     "event WalkTogether params sway_period -3.0 is not positive"),
+    (_event("RunTogether", {"box_amp": 0.1, "box_period": 0.0}),
+     "event RunTogether params box_period 0.0 is not positive"),
+    ({"noise_sigma": "0.5"}, "noise_sigma '0.5' is not a number"),
+    ({"noise_sigma": True}, "noise_sigma True is not a number"),
+    ({"box_sigma": float("nan")}, "box_sigma nan is negative or not a number"),
+    ({"noise_sigma": -1.0}, "noise_sigma -1.0 is negative"),
+    ({"duration": 0}, "duration 0 is not positive"),
+    ({"duration": -3}, "duration -3 is not positive"),
+], ids=["jitter", "jitter-override", "box-jitter", "box-jitter-override", "gait-period", "sway-period",
+        "box-period", "string-noise", "bool-noise", "nan-noise", "negative-noise", "zero-duration",
+        "negative-duration"])
+def test_spec_numbers_out_of_range_are_data_errors(tmp_path, capsys, fields, field):
+    """A duration, a noise level, a period generate divides by or a jitter it draws with, out of range."""
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps({
+        "seed": 1, "duration": 10, "agents": [{"agent": a, "start": [10.0 * a, 0]} for a in (1, 2)], **fields,
+    }))
+    assert run(["simulate", "--spec", p, "--out-prefix", tmp_path / "out"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("data error: ") and field in err
+    assert "Traceback" not in err and sorted(tmp_path.iterdir()) == [p]
+
+
 WINDOW_FLAGS = [["--window", "0"], ["--window", "1"], ["--dt", "-1"], ["--dt", "50"]]
 THRESHOLD_FLAGS = [["--tc", "2"], ["--to", "-0.1"], ["--tr", "nan"]]
 

@@ -1,17 +1,20 @@
 """Sequence-model tests: exhaustive-enumeration oracles, degeneracies, training."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from groupact.features import pair_feature_windows
 from groupact.gmm import GaussianMixture
 from groupact import gmm, seqmodel
+from groupact.simgen import generate
 from groupact.seqmodel import (
     ActivityModel,
     ActivityModelBank,
@@ -31,13 +34,14 @@ from oracles import (
     correlation,
     enumerate_ahmm,
     enumerate_ahmm_counts,
+    enumerate_ahmm_lattice_best,
     enumerate_ahmm_lattice_masses,
     enumerate_hmm,
     enumerate_hmm_counts,
     pair_hmm_loglik,
     window_log_mass,
 )
-from scenarios import ragged_tracks
+from scenarios import bounded_tracks, ragged_tracks, walk_together
 
 
 def random_gmm(rng, d, k=None):
@@ -408,9 +412,16 @@ def test_engine_reusing_rows_in_any_frame_order_matches_a_fresh_engine(tracks, w
                 assert np.all(np.abs(prof - ref) <= 1e-12)
 
 
+def band_forward(log_entry, log_trans, ae, hm, add=np.logaddexp):
+    """``_band_forward`` over items on axis 1 of (T, B, ..., D, n) arrays,
+    its steps stacked back into that layout."""
+    steps = seqmodel._band_forward(log_entry, log_trans, np.moveaxis(ae, 1, -1), np.moveaxis(hm, 1, -1), add)
+    return tuple(np.moveaxis(np.stack(xs), -1, 1) for xs in zip(*steps))
+
+
 def test_band_kernel_keeps_dead_items_and_states_at_minus_inf():
     """An item whose every emission is impossible and a state nothing enters
-    give -inf, never NaN, and raise no warning."""
+    give -inf, never NaN, and raise no warning, under both semirings."""
     rng = np.random.default_rng(8)
     T, D = 5, 3
     ae = rng.normal(size=(T, 3, D, 2))
@@ -426,21 +437,164 @@ def test_band_kernel_keeps_dead_items_and_states_at_minus_inf():
     live = [0, 2]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        tin, la = seqmodel._band_forward(log_entry, log_trans, ae, hm)
-        _, la_one = seqmodel._band_forward(log_entry[1:], log_trans[1:, 1:], ae[..., 1:], hm[..., 1:])
+        for add in (np.logaddexp, np.maximum):
+            tin, la = band_forward(log_entry, log_trans, ae, hm, add)
+            _, la_one = band_forward(log_entry[1:], log_trans[1:, 1:], ae[..., 1:], hm[..., 1:], add)
+            assert not np.isnan(tin).any() and not np.isnan(la).any()
+            assert np.all(la[:, 1] == -np.inf) and np.all(la[..., 0] == -np.inf)
+            # the dead state adds exactly nothing to the live one
+            np.testing.assert_array_equal(la[..., 1:], la_one)
         stats = seqmodel._EmStats(2, TrainConfig())
         total, adv, hold = seqmodel._band_posteriors(model, ae[:, live], hm[:, live], stats)
         with pytest.raises(DataError, match="zero likelihood"):
             seqmodel._band_posteriors(model, ae, hm, seqmodel._EmStats(2, TrainConfig()))
-    assert not np.isnan(tin).any() and not np.isnan(la).any()
-    assert np.all(la[:, 1] == -np.inf) and np.all(la[..., 0] == -np.inf)
-    # the dead state adds exactly nothing to the live one
-    np.testing.assert_array_equal(la[..., 1:], la_one)
     assert np.all(np.isfinite(total))
     assert not np.isnan(adv).any() and not np.isnan(hold).any()
     assert np.all(adv[..., 0] == 0.0) and np.all(hold[..., 0] == 0.0)
     for counts in (stats.entry, stats.trans, stats.exit, adv.sum(axis=(0, 1, 2)), hold.sum(axis=(0, 1))):
         assert np.all(np.isfinite(counts))
+
+
+def test_max_plus_band_kernel_finds_the_heaviest_path_and_bounds_the_mass():
+    """Under ``add=np.maximum`` the band kernel's final cells hold the heaviest
+    path weight of path enumeration, under ``np.logaddexp`` the enumerated
+    mass, and on every item's read-out ``V <= mass <= V + T log(2n)``."""
+    rng = np.random.default_rng(41)
+    for case in range(30):
+        n = int(rng.integers(1, 4))
+        model = random_model(rng, n=n, d=1)
+        T = int(rng.integers(1, 6))
+        S = int(rng.integers(1, T + 1))
+        B = 3
+        log_eps, log_hold = seqmodel._log(model.advance), seqmodel._log(1.0 - model.advance)
+        # every band cell: the last step's cell h is alignment s = T - h
+        ae = np.full((T, T + 1, n, B), -np.inf)
+        hm = np.empty((T, n, B))
+        best, masses = [], []
+        for b in range(B):
+            fi, fj = rng.normal(size=(S, 1)), rng.normal(size=(T, 1))
+            jfn, mfn = oracle_fns(model, fi, fj)
+            for t in range(T):
+                for k in range(n):
+                    hm[t, k, b] = log_hold[k] + mfn(k, t)
+                    for h in range(max(0, t - S + 1), t + 1):
+                        ae[t, h, k, b] = log_eps[k] + jfn(k, t - h, t)
+            args = (model.entry, model.trans, model.advance, jfn, mfn, S, T)
+            best.append(enumerate_ahmm_lattice_best(*args))
+            masses.append(enumerate_ahmm_lattice_masses(*args))
+        log_entry, log_trans = seqmodel._log(model.entry), seqmodel._log(model.trans)
+        for _, v in seqmodel._band_forward(log_entry, log_trans, ae, hm, np.maximum):
+            pass
+        for _, la in seqmodel._band_forward(log_entry, log_trans, ae, hm):
+            pass
+        for b in range(B):
+            got_v, got_m = v[::-1, :, b], la[::-1, :, b]  # row s of the lattice
+            np.testing.assert_allclose(got_v[: S + 1], best[b], rtol=1e-12, err_msg=f"case {case}")
+            np.testing.assert_allclose(np.exp(got_m[: S + 1]), masses[b], rtol=1e-9, atol=1e-300)
+            assert np.all(got_v[S + 1 :] == -np.inf) and np.all(got_m[S + 1 :] == -np.inf)
+            top, mass = got_v.max(), gmm.logsumexp(got_m)
+            assert top - 1e-12 * abs(top) <= mass <= top + T * math.log(2 * n)
+
+
+def test_one_hot_certificate_keeps_a_relative_slack_at_large_weights():
+    """A lead above the fixed margin certifies at small weights; at |V| near
+    1e20 it must also clear the rounding slack relative to |V|."""
+    T, n = 12, 2
+    fixed = 746.0 + T * math.log(2 * n)
+    inf = np.inf
+    V = np.array([
+        # |V| ~ 1e20: a lead of 2**20 nats clears the fixed margin only; 2**40 clears both
+        [-1e20, -1e20, -5.0, -5.0, -5.0, -inf, 3.0],
+        [-1e20 - 2.0**20, -1e20 - 2.0**40, -5.0 - fixed - 40.0, -5.0 - fixed, -inf, -inf, 3.0],
+        [-1e20 - 2.0**41, -inf, -inf, -inf, -inf, -inf, -inf],
+    ])
+    assert V[0, 0] - V[1, 0] == 2.0**20 > fixed + 100.0
+    got = seqmodel._one_hot_winners(V, T, n)
+    # not certified: within the relative slack, within the fixed slack,
+    # no path at all, and a tie
+    assert got.tolist() == [-1, 0, 0, -1, 0, -1, -1]
+    assert seqmodel._one_hot_winners(V[::-1], T, n).tolist() == [-1, 2, 2, -1, 2, -1, -1]
+
+
+def test_profiles_proved_one_hot_equal_the_full_log_space_sweep(frozen_bank):
+    """Every profile the engine returns equals, bitwise, the row of the
+    log-space sweep of every item, on ragged tracks at 4K-frame coordinates
+    and on tracks at the sample bounds; the draws reach both the rows the
+    max-plus bound proves one-hot and the rows it leaves to the sweep."""
+    certify = seqmodel._one_hot_winners
+    seen = {"proved": 0, "swept": 0}
+
+    def counted(V, T, n):
+        winners = certify(V, T, n)
+        seen["proved"] += int(np.count_nonzero(winners >= 0))
+        seen["swept"] += int(np.count_nonzero(winners < 0))
+        return winners
+
+    def never(V, T, n):
+        return np.full(V.shape[1], -1)
+
+    # a group walking together: most of its rows stay short of one-hot
+    walk = TrackSet([s for s in generate(walk_together(seed=0))[0].iter_samples() if s.frame < 24])
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.one_of(ragged_tracks(min_frames=8, max_frames=20), bounded_tracks(max_frames=20)))
+    @example(walk)
+    def check(tracks):
+        persons = tracks.persons
+        items = [((a,), (b,)) for a in persons for b in persons if a != b]
+        if len(persons) >= 3:
+            pair = tuple(persons[1:3])
+            items += [((persons[0],), pair), (pair, (persons[0],))]
+        engine, full = CorrelationEngine(frozen_bank, tracks), CorrelationEngine(frozen_bank, tracks)
+        lo, hi = tracks.frame_range or (0, 0)  # an empty set when no frame was sampled
+        for t in range(lo + 1, hi + 1):
+            with mock.patch.object(seqmodel, "_one_hot_winners", counted):
+                got = engine.profiles(items, t)
+            with mock.patch.object(seqmodel, "_one_hot_winners", never):
+                want = full.profiles(items, t)
+            assert got.keys() == want.keys()
+            for key, ref in want.items():
+                assert (got[key] is None) == (ref is None)
+                assert ref is None or np.array_equal(got[key], ref), (key, t, got[key], ref)
+
+    check()
+    assert seen["proved"] > 0 and seen["swept"] > 0, seen
+
+
+def test_profiles_peak_memory_stays_within_one_step_of_the_sweep(frozen_bank):
+    """The tracemalloc peak of one ``profiles`` call of a warmed engine on 306
+    person pairs stays under a fixed term plus 8 KiB per pair, whether the
+    max-plus bound proves the rows one-hot or the log-space sweep runs on them
+    all.  A sweep that kept every step's (T, A, D, n, I) masses needs about
+    10 KiB more per pair."""
+    rng = np.random.default_rng(5)
+    rows = []
+    for p in range(18):
+        vx, vy = rng.normal(0.0, 1.5, size=2)
+        for t in range(32):
+            x, y = (p % 6) * 30.0 + t * vx, (p // 6) * 30.0 + t * vy
+            rows.append(MbbSample(t, p, x + rng.normal(0.0, 0.3), y + rng.normal(0.0, 0.3), 20.0, 50.0))
+    tracks = TrackSet(rows)
+    items = [(a, b) for a in range(18) for b in range(18) if a != b]
+
+    def peak_of_last_frame():
+        engine = CorrelationEngine(frozen_bank, tracks)
+        for t in range(18, 30):
+            engine.profiles(items, t)
+        tracemalloc.start()
+        try:
+            got = engine.profiles(items, 30)
+            return tracemalloc.get_traced_memory()[1], got
+        finally:
+            tracemalloc.stop()
+
+    bound = 256 * 1024 + 8 * 1024 * len(items)
+    peak, got = peak_of_last_frame()
+    assert peak <= bound
+    with mock.patch.object(seqmodel, "_one_hot_winners", lambda V, T, n: np.full(V.shape[1], -1)):
+        peak_swept, swept = peak_of_last_frame()
+    assert peak_swept <= bound
+    assert all(np.array_equal(got[key], swept[key]) for key in swept)
 
 
 # --- training -------------------------------------------------------------
@@ -736,7 +890,6 @@ def test_group_likelihood_factorized_cross_check():
 def test_directional_model_prefers_trained_order(bank):
     """A model of an order-dependent activity scores its trained order higher."""
     from groupact import features as feats
-    from groupact.simgen import generate
 
     from scenarios import approach, chase
 
