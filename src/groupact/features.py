@@ -9,6 +9,7 @@ the same pairwise machinery as real people.
 from __future__ import annotations
 
 import weakref
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -166,17 +167,45 @@ def _person_pair_table(tracks: TrackSet, t: int, window: int) -> _PairTable:
     return table
 
 
+# the table of one batch's entities, kept only while the batch reads it:
+# callers keep several track sets alive
+_BATCHES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+@contextmanager
+def pair_window_batch(tracks: TrackSet, keys: list[tuple], t: int, window: int):
+    """While the block runs, ``pair_feature_windows`` reads every pair of
+    ``keys`` that has a multi-member entity from one table at ``(t, window)``
+    over the entities of all such pairs; ``keys`` are (subject, partner)
+    pairs of :func:`as_entity` tuples."""
+    entities = list(dict.fromkeys(e for key in keys if len(key[0]) > 1 or len(key[1]) > 1 for e in key))
+    if entities:
+        _BATCHES[tracks] = _PairTable(tracks, entities, t, window)
+    try:
+        yield
+    finally:
+        _BATCHES.pop(tracks, None)
+
+
 def pair_observation(tracks: TrackSet, i, j, t: int) -> np.ndarray:
     """Feature vector of entity ``i`` relative to entity ``j`` at frame ``t``.
 
     The ``PAIR_DIM`` columns: change of width, change of height, speed,
-    average distance, speed difference and motion-direction angle.
+    average distance, speed difference and motion-direction angle.  Given
+    lists of entities of one length for ``i`` and ``j``, it returns one row
+    per pair ``(i[k], j[k])``, all from one two-frame track.
     """
-    ea, eb = as_entity(i), as_entity(j)
-    track = EntityTrack(tracks, [ea, eb], t - 1, t)
-    if not track.usable[:, 1].all():
+    batch = isinstance(i, list)
+    keys = [(as_entity(a), as_entity(b)) for a, b in zip(*((i, j) if batch else ([i], [j])), strict=True)]
+    index = {e: k for k, e in enumerate(dict.fromkeys(e for key in keys for e in key))}
+    a, b = (np.array([index[key[side]] for key in keys], dtype=np.intp) for side in (0, 1))
+    track = EntityTrack(tracks, list(index), t - 1, t)
+    missing = ~(track.usable[a, 1] & track.usable[b, 1])
+    if missing.any():
+        ea, eb = keys[missing.argmax()]
         raise ObservationUnavailable(f"missing sample for pair {ea}/{eb} at frames {t - 1}..{t}")
-    return _pair_rows(track, np.array([1]))[0, 1, 0]
+    rows = _pair_rows(track, np.array([1]))[a, b, 0]
+    return rows if batch else rows[0]
 
 
 def body_size_change(tracks: TrackSet, i: int, t: int) -> float:
@@ -209,13 +238,17 @@ def pair_feature_windows(
     entities are observable, capped at ``window``; returns None when fewer
     than two observation frames exist.  The streams are read-only views:
     two single persons read the table of every person pair at ``t``, kept
-    until the track set is asked for another ``(t, window)``; other
-    entities get a table of their own.
+    until the track set is asked for another ``(t, window)``; a pair with a
+    multi-member entity reads the table of the :func:`pair_window_batch`
+    that holds both entities, or else a table of the two alone.
     """
     ea, eb = as_entity(a), as_entity(b)
     if len(ea) == len(eb) == 1:
         return _person_pair_table(tracks, t, window).windows(ea, eb)
-    return _PairTable(tracks, [ea, eb], t, window).windows(ea, eb)
+    table = _BATCHES.get(tracks)
+    if table is None or table.key != (t, window) or not {ea, eb} <= table.index.keys():
+        table = _PairTable(tracks, [ea, eb], t, window)
+    return table.windows(ea, eb)
 
 
 def group_feature_window(tracks: TrackSet, members, t: int, window: int) -> np.ndarray | None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import combinations
 
 import numpy as np
 
@@ -262,15 +263,23 @@ def _detect_frame(engine: CorrelationEngine, t: int, config: PipelineConfig) -> 
         speed = feats.entity_average_speed(engine.tracks, grp.members, t, config.window)
         contexts.append(GroupContext(idx, grp.members, rep, speed))
 
-    pair_labels = []
-    for i in range(len(contexts)):
-        for j in range(i + 1, len(contexts)):
-            if config.baseline == "mv":
-                pl = majority_vote_intergroup(engine, contexts[i], contexts[j], t)
-            else:
-                pl = recognize_intergroup(engine, contexts[i], contexts[j], t)
-            pair_labels.append(pl)
+    pair_labels = _pair_labels(engine, contexts, t, config.baseline)
     return FrameDetection(t, partition, tuple(labels), tuple(pair_labels))
+
+
+def _pair_labels(engine: CorrelationEngine, contexts: list[GroupContext], t: int,
+                 baseline: str | None) -> list[PairLabel]:
+    """The relation label of every group pair, in index order.
+
+    The representatives' profiles are computed in one engine call before
+    any pair is labelled; the majority vote never reads them.
+    """
+    pairs = list(combinations(contexts, 2))
+    if baseline == "mv":
+        return [majority_vote_intergroup(engine, a, b, t) for a, b in pairs]
+    ordered = (_order_groups(a, b) for a, b in pairs)
+    engine.profiles([(fast.rep.members, slow.rep.members) for slow, fast in ordered], t)
+    return [recognize_intergroup(engine, a, b, t) for a, b in pairs]
 
 
 def _keyed_labels(d: FrameDetection) -> dict[frozenset, str | None]:

@@ -36,20 +36,14 @@ class GroupRepresentative:
     fallback: bool = False
 
 
-def _frame_density(engine: CorrelationEngine, person: int, rest: tuple[int, ...],
-                   label: str, t: int) -> float:
-    """Entry-weighted marginal emission density of one member's frame features."""
-    model = engine.bank.models[label]
-    obs = feats.pair_observation(engine.tracks, (person,), rest, t)
-    per_state = np.array([g.log_density(obs) for g in model.marginal])
-    with np.errstate(divide="ignore"):
-        return float(logsumexp(np.log(model.entry) + per_state))
-
-
 def member_log_scores(
     engine: CorrelationEngine, group, label: str, t: int
 ) -> dict[int, float]:
-    """Log of density(member | activity) * exp(sum of others' correlations to it)."""
+    """Log of density(member | activity) * exp(sum of others' correlations to it).
+
+    The density is the entry-weighted marginal emission density of the
+    member's frame features relative to the average of the other members.
+    """
     members = feats.as_entity(group)
     if len(members) < 2:
         return {m: 0.0 for m in members}
@@ -57,15 +51,20 @@ def member_log_scores(
         [((j,), (i,)) for i in members for j in members if j != i], t
     )
     col = engine.column[label]
+    model = engine.bank.models[label]
+    rests = [tuple(m for m in members if m != i) for i in members]
+    obs = feats.pair_observation(engine.tracks, [(i,) for i in members], rests, t)
+    per_state = np.stack([g.log_density(obs) for g in model.marginal], axis=1)
+    with np.errstate(divide="ignore"):
+        density = logsumexp(np.log(model.entry) + per_state, axis=1)
     scores = {}
-    for i in members:
-        rest = tuple(m for m in members if m != i)
+    for i, rest, d in zip(members, rests, density.tolist()):
         co_sum = 0.0
         for j in rest:
             p = profs.get(((j,), (i,)))
             if p is not None:
                 co_sum += p[col]
-        scores[i] = _frame_density(engine, i, rest, label, t) + co_sum
+        scores[i] = d + co_sum
     return scores
 
 

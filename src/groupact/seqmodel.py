@@ -860,7 +860,9 @@ class CorrelationEngine:
         """Profiles for many (subject, target) entity pairs at one frame.
 
         Each is a read-only row of values in ``labels`` order, or None when
-        no usable window of length >= 2 ends at ``t``.
+        no usable window of length >= 2 ends at ``t``.  The windows of the
+        uncached pairs with a multi-member entity are built together, in
+        one :func:`~groupact.features.pair_window_batch`.
         """
         if t != self._t:
             self._cache.clear()
@@ -871,18 +873,22 @@ class CorrelationEngine:
         for u in [u for u in self._blocks if not t - self.window < u <= t]:
             del self._blocks[u]
         out: dict[tuple, np.ndarray | None] = {}
-        keys, windows = [], []
+        todo = []
         for a, b in items:
             key = (feats.as_entity(a), feats.as_entity(b))
             if key in self._cache:
                 out[key] = self._cache[key]
-                continue
-            pw = feats.pair_feature_windows(self.tracks, *key, t, self.window)
-            if pw is None:
-                self._cache[key] = out[key] = None
-                continue
-            keys.append(key)
-            windows.append(pw)
+            else:
+                todo.append(key)
+        keys, windows = [], []
+        with feats.pair_window_batch(self.tracks, todo, t, self.window):
+            for key in todo:
+                pw = feats.pair_feature_windows(self.tracks, *key, t, self.window)
+                if pw is None:
+                    self._cache[key] = out[key] = None
+                    continue
+                keys.append(key)
+                windows.append(pw)
         if not keys:
             return out
         lengths = np.array([fa.shape[0] for fa, _ in windows])

@@ -145,7 +145,8 @@ class ScenarioSpec:
 # the numeric event parameters that generate reads, besides the (vx, vy) "velocity"
 _NUMBER_PARAMS = {"gait_amp", "gait_period", "sway_amp", "sway_period", "box_amp", "box_period",
                   "jitter", "box_jitter", "speed", "min_dist", "lag", "gain"}
-_PER_MEMBER_PARAMS = {"offsets", "jitter_overrides", "box_jitter_overrides"}  # {member: number}
+# {member: number}; offsets are whole frames
+_PER_MEMBER_PARAMS = {"offsets", "jitter_overrides", "box_jitter_overrides"}
 # generate divides by the periods and draws or scales with the jitters
 _POSITIVE_PARAMS = {"gait_period", "sway_period", "box_period"}
 _NON_NEGATIVE_PARAMS = {"jitter", "box_jitter", "jitter_overrides", "box_jitter_overrides"}
@@ -189,6 +190,8 @@ def _params(params, what: str) -> dict:
             if not isinstance(value, dict):
                 raise ScenarioError(f"{what} {name} {value!r} is not an object")
             for member, v in value.items():
+                if name == "offsets" and type(v) is not int:
+                    raise ScenarioError(f"{what} {name} {member} {v!r} is not an integer")
                 _param(name, v, f"{what} {name} {member}")
     return dict(params)
 

@@ -18,6 +18,9 @@ reuses the library in three places: every emission is a
 ``GaussianMixture.log_density`` of the model, ``pair_hmm_loglik`` runs the
 library's synchronous forward ``seqmodel._hmm_loglik``, and ``correlation``
 reads its streams from ``features.pair_feature_windows``.
+
+``member_log_scores`` is the group-representative score one member at a
+time, each member's density from its own single-pair observation.
 """
 
 from __future__ import annotations
@@ -425,6 +428,34 @@ def correlation(
     fa, fb = pairw
     masses = np.array([window_log_mass(bank.models[label], fa, fb, dt) for label in bank.labels()])
     return np.exp(masses - logsumexp(masses))
+
+
+def member_log_scores(engine, group, label: str, t: int) -> dict[int, float]:
+    """``grouprep.member_log_scores`` one member at a time.
+
+    Each member's frame features come from its own ``pair_observation``
+    against the rest of the group, and its entry-weighted density takes one
+    ``GaussianMixture.log_density`` call per state, on that one row.
+    """
+    members = feats.as_entity(group)
+    if len(members) < 2:
+        return {m: 0.0 for m in members}
+    model = engine.bank.models[label]
+    col = engine.column[label]
+    scores = {}
+    for i in members:
+        rest = tuple(m for m in members if m != i)
+        obs = feats.pair_observation(engine.tracks, (i,), rest, t)
+        per_state = np.array([g.log_density(obs) for g in model.marginal])
+        with np.errstate(divide="ignore"):
+            density = float(logsumexp(np.log(model.entry) + per_state))
+        co_sum = 0.0
+        for j in rest:
+            p = engine.profile((j,), (i,), t)
+            if p is not None:
+                co_sum += p[col]
+        scores[i] = density + co_sum
+    return scores
 
 
 def parse_tracks_per_line(text: str, strict: bool = True) -> tuple[list[MbbSample], list[str]]:

@@ -518,6 +518,12 @@ def _event(label, params):
      "event WalkTogether params sway_period -3.0 is not positive"),
     (_event("RunTogether", {"box_amp": 0.1, "box_period": 0.0}),
      "event RunTogether params box_period 0.0 is not positive"),
+    (_event("WalkTogether", {"offsets": {"2": 1.7}}), "event WalkTogether params offsets 2 1.7 is not an integer"),
+    (_event("WalkTogether", {"offsets": {"2": float("inf")}}),
+     "event WalkTogether params offsets 2 inf is not an integer"),
+    (_event("RunTogether", {"offsets": {"1": float("nan")}}),
+     "event RunTogether params offsets 1 nan is not an integer"),
+    (_event("WalkTogether", {"offsets": {"2": True}}), "event WalkTogether params offsets 2 True is not an integer"),
     ({"noise_sigma": "0.5"}, "noise_sigma '0.5' is not a number"),
     ({"noise_sigma": True}, "noise_sigma True is not a number"),
     ({"box_sigma": float("nan")}, "box_sigma nan is negative or not a number"),
@@ -525,10 +531,11 @@ def _event(label, params):
     ({"duration": 0}, "duration 0 is not positive"),
     ({"duration": -3}, "duration -3 is not positive"),
 ], ids=["jitter", "jitter-override", "box-jitter", "box-jitter-override", "gait-period", "sway-period",
-        "box-period", "string-noise", "bool-noise", "nan-noise", "negative-noise", "zero-duration",
-        "negative-duration"])
+        "box-period", "fractional-offset", "infinite-offset", "nan-offset", "bool-offset", "string-noise",
+        "bool-noise", "nan-noise", "negative-noise", "zero-duration", "negative-duration"])
 def test_spec_numbers_out_of_range_are_data_errors(tmp_path, capsys, fields, field):
-    """A duration, a noise level, a period generate divides by or a jitter it draws with, out of range."""
+    """A duration, a noise level, a period generate divides by or a jitter it draws with, out of range;
+    an offset that is not a whole number of frames."""
     p = tmp_path / "spec.json"
     p.write_text(json.dumps({
         "seed": 1, "duration": 10, "agents": [{"agent": a, "start": [10.0 * a, 0]} for a in (1, 2)], **fields,

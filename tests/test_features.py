@@ -20,6 +20,8 @@ from groupact.features import (
     pair_feature_windows,
     pair_observation,
     _pair_rows,
+    as_entity,
+    pair_window_batch,
     wrap_angle,
 )
 from groupact.seqmodel import _group_chunks, _stream_chunks
@@ -295,8 +297,8 @@ def test_feature_paths_match_scalar_oracle_on_ragged_tracks(tracks, window, chun
 
 
 def _fresh_windows(tracks, a, b, t, window):
-    """The windows of persons ``a`` and ``b`` from a two-entity track of their own."""
-    track = EntityTrack(tracks, [(a,), (b,)], t - window, t)
+    """The windows of entities ``a`` and ``b`` from a two-entity track of their own."""
+    track = EntityTrack(tracks, [as_entity(a), as_entity(b)], t - window, t)
     usable = track.usable.all(axis=0)
     n = 0
     while n < window and usable[window - n]:
@@ -331,6 +333,45 @@ def test_person_pair_windows_equal_fresh_pair_rows(tracks, window):
                 for g, r in zip(got, want):
                     assert g.shape == r.shape and np.array_equal(g, r)
                     assert not g.flags.writeable
+
+
+def _assert_fresh(tracks, a, b, t, window, got):
+    """``got`` is None exactly when a fresh two-entity track has no window, else equal read-only views."""
+    want = _fresh_windows(tracks, a, b, t, window)
+    if want is None:
+        assert got is None
+        return
+    for g, r in zip(got, want):
+        assert g.shape == r.shape and np.array_equal(g, r)
+        assert not g.flags.writeable
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(ragged_tracks(), bounded_tracks()), st.integers(2, 8))
+def test_entity_pair_windows_equal_fresh_pair_rows(tracks, window):
+    """Windows of (person, entity), (entity, person) and (entity, entity) pairs equal a fresh track's rows.
+
+    The entities are like seeds (disjoint member pairs) and like group
+    representatives (member subsets); one holds person 99, who has no
+    sample.  Each (frame, window) asks all pairs in one batch, ascending
+    and then descending, and asks them again one at a time.
+    """
+    lo, hi = tracks.frame_range or (0, 0)
+    persons = tracks.persons + (99,)
+    seeds = [persons[k:k + 2] for k in range(0, len(persons) - 1, 2)]
+    reps = [persons[:-1], persons[1:3], (persons[0], 99)]
+    entities = list(dict.fromkeys(as_entity(e) for e in seeds + reps if len(set(e)) > 1))
+    pairs = [(p, e) for p in persons for e in entities] + [(e, p) for p in persons for e in entities]
+    pairs += [(e, f) for e in entities for f in entities if e != f]
+    keys = [(as_entity(a), as_entity(b)) for a, b in pairs]
+    frames = [(t, w) for t in range(lo, hi + 2) for w in (window, window + 3)]
+    for t, w in frames + frames[::-1]:
+        with pair_window_batch(tracks, keys, t, w):
+            got = [pair_feature_windows(tracks, a, b, t, w) for a, b in pairs]
+        for (a, b), g in zip(pairs, got):
+            _assert_fresh(tracks, a, b, t, w, g)
+    for a, b in pairs:
+        _assert_fresh(tracks, a, b, hi, window, pair_feature_windows(tracks, a, b, hi, window))
 
 
 def test_person_pair_table_keeps_no_track_set_alive():

@@ -1,13 +1,16 @@
 """Pipeline tests: recognition paths, majority vote, structure, determinism."""
 
 import copy
+import gc
 import io
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from groupact import features, grad
 from groupact.clustering import GroupAssignment, Partition
 from groupact.features import as_entity
 from groupact.grad import (
@@ -30,7 +33,9 @@ from groupact.simgen import generate
 from groupact.taxonomy import INTERGROUP_CANDIDATES
 from groupact.trackio import AnnotationSet, MbbSample, TrackSet, parse_tracks, write_tracks
 
-from scenarios import EVAL_SCENARIOS, WARMUP, bounded_tracks, fig1_hierarchy, ragged_tracks, walk_together
+from scenarios import (
+    EVAL_SCENARIOS, WARMUP, bounded_tracks, composite_spec, fig1_hierarchy, ragged_tracks, walk_together,
+)
 
 
 class StubEngine:
@@ -219,6 +224,97 @@ def test_engine_memory_stays_flat_over_a_long_run(frozen_bank):
     finally:
         tracemalloc.stop()
     assert abs(current[60] - current[30]) <= 1 << 20
+
+
+def test_stages_after_the_person_pairs_build_a_fixed_number_of_tracks(frozen_bank, monkeypatch):
+    """Assignment, each representative and the relation stage build at most one track each.
+
+    Frame 114 of the composite scene has 7 remaining persons for 12 seeds,
+    19 groups and representative pairs that no earlier stage asked for; the
+    relation stage computes them in one engine call.
+    """
+    tracks, _ = generate(composite_spec(0))
+    cfg = PipelineConfig.from_bank(frozen_bank)
+    engine = CorrelationEngine(frozen_bank, tracks)
+    builds, computing_calls = [0], []
+
+    class CountingTrack(features.EntityTrack):
+        def __init__(self, *args):
+            builds[0] += 1
+            super().__init__(*args)
+
+    windows = features.pair_feature_windows
+
+    def counting_windows(*args):
+        computing_calls[-1] = True
+        return windows(*args)
+
+    profiles = engine.profiles
+
+    def counting_profiles(items, t):
+        computing_calls.append(False)
+        return profiles(items, t)
+
+    stages: dict[str, list[int]] = {}
+
+    def counted(name):
+        fn = getattr(grad, name)
+
+        def run(*args):
+            before, calls = builds[0], len(computing_calls)
+            out = fn(*args)
+            stages.setdefault(name, []).append(builds[0] - before)
+            if name == "_pair_labels":
+                stages["relation_computing_calls"] = [sum(computing_calls[calls:])]
+            return out
+        monkeypatch.setattr(grad, name, run)
+
+    monkeypatch.setattr(features, "EntityTrack", CountingTrack)
+    monkeypatch.setattr(features, "pair_feature_windows", counting_windows)
+    monkeypatch.setattr(engine, "profiles", counting_profiles)
+    for name in ("assign_remaining", "make_representative", "_pair_labels"):
+        counted(name)
+    det = run_pipeline(frozen_bank, tracks, cfg, frames=[114], engine=engine)[0]
+    seeds = [g.seed_members for g in det.partition.groups if g.seed_members]
+    remaining = len(det.partition.persons) - sum(map(len, seeds))
+    assert remaining * len(seeds) > 1 and len(det.pair_labels) > 1
+    assert stages["assign_remaining"] == [1]
+    assert len(stages["make_representative"]) == len(det.partition.groups)
+    assert set(stages["make_representative"]) == {0, 1}  # one for a group of two or more
+    assert stages["_pair_labels"] == [1]
+    assert stages["relation_computing_calls"] == [1]
+
+
+def test_a_frame_keeps_no_entity_table(frozen_bank):
+    """After a frame with seeds and multi-member representatives only the person-pair table stays.
+
+    Once the engine is gone, the array data that ``features`` allocated in
+    the frame and still holds is that table plus a small fixed term, and
+    nothing keeps the track set alive.  Only numpy's tracemalloc domain is
+    read: Python's free lists keep freed tuples traced.
+    """
+    tracks, _ = generate(composite_spec(0))
+    cfg = PipelineConfig.from_bank(frozen_bank)
+    engine = CorrelationEngine(frozen_bank, tracks)
+    run_pipeline(frozen_bank, tracks, cfg, frames=[113], engine=engine)
+    tracemalloc.start()
+    try:
+        det = run_pipeline(frozen_bank, tracks, cfg, frames=[114], engine=engine)[0]
+        del engine
+        gc.collect()
+        held = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+        ).filter_traces([tracemalloc.Filter(True, features.__file__)])
+    finally:
+        tracemalloc.stop()
+    assert any(len(g.seed_members) > 1 for g in det.partition.groups)
+    table = features._TABLES[tracks]
+    retained = sum(stat.size for stat in held.statistics("filename"))
+    assert table.rows.nbytes + table.first.nbytes <= retained <= table.rows.nbytes + table.first.nbytes + 4096
+    ref = weakref.ref(tracks)
+    del tracks, table
+    gc.collect()
+    assert ref() is None
 
 
 def test_run_pipeline_rejects_an_engine_built_for_another_run(bank):

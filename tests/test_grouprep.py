@@ -15,6 +15,7 @@ from groupact.seqmodel import CorrelationEngine
 from groupact.simgen import generate
 from groupact.trackio import MbbSample, TrackSet
 
+import oracles
 from scenarios import approach_with_outlier, outlier_probe
 
 
@@ -50,6 +51,18 @@ def test_scores_scale_invariance(bank):
     best = max(sorted(scores), key=lambda m: (scores[m], -m))
     shifted = {m: s + 123.0 for m, s in scores.items()}
     assert max(sorted(shifted), key=lambda m: (shifted[m], -m)) == best
+
+
+@pytest.mark.parametrize("scenario, seed", [(approach_with_outlier, 21), (outlier_probe, 11)])
+def test_member_scores_equal_the_per_member_reference(bank, scenario, seed):
+    """One batched density per state gives each member's per-member score exactly."""
+    tracks, _ = generate(scenario(seed=seed))
+    engine = CorrelationEngine(bank, tracks)
+    for t in range(20, 300, 20):
+        for group in ((1, 2, 3), (1, 3), (2, 3)):
+            for label in ("InGroup", "Fight", "WalkTogether"):
+                got = member_log_scores(engine, group, label, t)
+                assert got == oracles.member_log_scores(engine, group, label, t), (t, group, label)
 
 
 def test_sv_three_equal_scores_keep_everyone(bank, monkeypatch):
