@@ -81,8 +81,8 @@ def detect_seeds(
     tracks = engine.tracks
     present = tracks.observable_persons(t)
     seeds: list[ClusterSeed] = []
-    for i in present:
-        change = feats.body_size_change(tracks, i, t)
+    changes = feats.body_size_change(tracks, list(present), t)
+    for i, change in zip(present, changes):
         if change > tc:
             seeds.append(ClusterSeed((i,), "active", None, (i,), change))
     for ia, a in enumerate(present):

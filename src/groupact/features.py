@@ -34,13 +34,35 @@ def wrap_angle(a):
 
 
 def as_entity(who) -> tuple[int, ...]:
-    """Normalise a person id or iterable of ids to a sorted member tuple."""
-    if isinstance(who, (int, np.integer)):
+    """Normalise a person id or a collection of ids to a sorted member tuple.
+
+    Ids are Python or numpy integers (a bool is not an id), each given at
+    most once; anything else is a ValueError that names the value.  A tuple
+    that is already sorted and holds only Python ints comes back as it is.
+    """
+    if type(who) is tuple:
+        if len(who) == 1:
+            if type(who[0]) is int:
+                return who
+        elif who and all(type(m) is int for m in who) and all(a < b for a, b in zip(who, who[1:])):
+            return who
+    if isinstance(who, (int, np.integer)) and not isinstance(who, bool):
         return (int(who),)
-    members = tuple(sorted(int(m) for m in who))
+    try:
+        if isinstance(who, (str, bytes, bytearray)):  # iterables of characters or bytes, not of ids
+            raise TypeError
+        members = list(who)
+    except TypeError:
+        raise ValueError(f"entity {who!r} is not a person id or a collection of ids") from None
+    for m in members:
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+            raise ValueError(f"entity {who!r} has member {m!r}, which is not an integer id")
     if not members:
-        raise ValueError("entity needs at least one member")
-    return members
+        raise ValueError(f"entity {who!r} has no member")
+    members = sorted(map(int, members))
+    if any(a == b for a, b in zip(members, members[1:])):
+        raise ValueError(f"entity {who!r} repeats a member")
+    return tuple(members)
 
 
 class EntityTrack:
@@ -208,13 +230,21 @@ def pair_observation(tracks: TrackSet, i, j, t: int) -> np.ndarray:
     return rows if batch else rows[0]
 
 
-def body_size_change(tracks: TrackSet, i: int, t: int) -> float:
-    """|W(t)H(t) - W(t-1)H(t-1)| / (W(t)H(t)) for person ``i``."""
-    track = EntityTrack(tracks, [(i,)], t - 1, t)
-    if not track.usable[0, 1]:
-        raise ObservationUnavailable(f"missing sample for person {i} at frames {t - 1}..{t}")
-    area_p, area_t = track.w[0] * track.h[0]
-    return float(abs(area_t - area_p) / area_t)
+def body_size_change(tracks: TrackSet, i, t: int):
+    """|W(t)H(t) - W(t-1)H(t-1)| / (W(t)H(t)) for person ``i``.
+
+    Given a list of persons, it returns one value per person, all from one
+    two-frame track.
+    """
+    batch = isinstance(i, list)
+    persons = i if batch else [i]
+    track = EntityTrack(tracks, [(p,) for p in persons], t - 1, t)
+    missing = ~track.usable[:, 1]
+    if missing.any():
+        raise ObservationUnavailable(f"missing sample for person {persons[missing.argmax()]} at frames {t - 1}..{t}")
+    area_p, area_t = (track.w * track.h).T
+    change = (np.abs(area_t - area_p) / area_t).tolist()
+    return change if batch else change[0]
 
 
 def _group_rows(members: EntityTrack, i: np.ndarray) -> np.ndarray:

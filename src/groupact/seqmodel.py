@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import repeat
 
 import numpy as np
 
@@ -199,8 +200,10 @@ def _band_forward(log_entry, log_trans, ae, hm, add=np.logaddexp):
     step ``t`` of ``hm`` is (..., n, I), that of holding.  The item axis
     ``I`` is last, so every ufunc call loops over all items at once rather
     than over the few cells and states.  ``ae`` and ``hm`` are (T, ...)
-    arrays or iterables of their steps; ``log_entry`` (..., n) and
-    ``log_trans`` (..., n, n) broadcast over the other batch axes.  Cells
+    arrays or iterables of their steps; ``log_entry`` (..., n, I) and
+    ``log_trans`` (..., n, n, I) broadcast over the other batch axes, and
+    over the item axis where it has length 1, so each item (a column) may
+    carry its own chain weights.  Cells
     ``h > t`` are never entered, so their ``ae`` values never reach the
     mass.  Yields the log mass entering and leaving each step, both shaped
     like that step of ``ae``; a caller that needs only the last step keeps
@@ -212,7 +215,7 @@ def _band_forward(log_entry, log_trans, ae, hm, add=np.logaddexp):
     band holds at most ``(2n)**T`` paths, at least the mass minus
     ``T * log(2n)``.
     """
-    tr = log_trans[..., None, :, :, None]  # (..., 1, n, n, 1)
+    tr = log_trans[..., None, :, :, :]  # (..., 1, n, n, I)
     for t, (ae_t, hm_t) in enumerate(zip(ae, hm)):
         if t:
             tin = la[..., :, 0, None, :] + tr[..., 0, :, :]
@@ -220,7 +223,7 @@ def _band_forward(log_entry, log_trans, ae, hm, add=np.logaddexp):
                 tin = add(tin, la[..., :, i, None, :] + tr[..., i, :, :])
         else:
             tin = np.full(ae_t.shape, -np.inf)
-            tin[..., 0, :, :] = log_entry[..., None]
+            tin[..., 0, :, :] = log_entry
         la = tin + ae_t
         add(la[..., 1:, :, :], tin[..., :-1, :, :] + hm_t[..., None, :, :], out=la[..., 1:, :, :])
         yield tin, la
@@ -233,27 +236,24 @@ _EXP_UNDERFLOW = 746.0
 _SLACK_NATS, _SLACK_REL = 32.0, 1e-12
 
 
-def _one_hot_winners(V: np.ndarray, T: int, n: int) -> np.ndarray:
-    """Per item, the activity whose profile is exactly one-hot, or -1.
+def _open_cells(V: np.ndarray, T: int, n: int) -> np.ndarray:
+    """The (activity, item) cells that can reach an item's profile, (A, I) bool.
 
     ``V`` (A, I) holds each item's max-plus read-out per activity: the
     weight of the best path over the final band cells of a ``T``-step sweep
     with ``n`` states.  Each activity's lattice mass lies in
-    ``[V, V + T log(2n)]``.  When the top activity ``w`` leads every other
-    by more than ``746 + T log(2n)`` nats plus a slack for rounding in both
-    sweeps, every ``exp(mass_o - mass_w)`` of the normalisation is 0.0, so
-    ``logsumexp`` returns ``mass_w`` exactly and the profile is bitwise 1.0
-    at ``w`` and 0.0 elsewhere.
+    ``[V, V + T log(2n)]``.  A cell is closed when the item's top activity
+    leads it by more than ``746 + T log(2n)`` nats plus a slack for rounding
+    in both sweeps: then ``exp(mass - row max)`` is 0.0 for it, in
+    ``logsumexp``'s normaliser and in the profile, exactly as for a mass of
+    -inf.  The top cell is always open, so an item with one open cell is
+    bitwise 1.0 there and 0.0 elsewhere.  An item with no finite ``V``
+    keeps every cell open.
     """
-    w = V.argmax(axis=0)
-    items = np.arange(V.shape[1])
-    top = V[w, items]
-    others = V.copy()
-    others[w, items] = -np.inf
-    with np.errstate(invalid="ignore"):  # -inf - -inf: an item with no path at all
-        gap = top - others.max(axis=0)
+    top = V.max(axis=0)
     margin = _EXP_UNDERFLOW + T * np.log(2 * n) + _SLACK_NATS + _SLACK_REL * np.abs(top)
-    return np.where(np.isfinite(top) & (gap > margin), w, -1)
+    with np.errstate(invalid="ignore"):  # -inf - -inf: an item with no path at all
+        return ~(top - V > margin) | ~np.isfinite(top)
 
 
 def _band_posteriors(model: ActivityModel, ae: np.ndarray, hm: np.ndarray, stats: _EmStats):
@@ -266,7 +266,8 @@ def _band_posteriors(model: ActivityModel, ae: np.ndarray, hm: np.ndarray, stats
     cell and those (T, B, n) of holding at each step.
     """
     log_trans, log_exit = _log(model.trans), _log(model.exit)
-    steps = _band_forward(_log(model.entry), log_trans, np.moveaxis(ae, 1, -1), np.moveaxis(hm, 1, -1))
+    steps = _band_forward(_log(model.entry)[:, None], log_trans[..., None],
+                          np.moveaxis(ae, 1, -1), np.moveaxis(hm, 1, -1))
     # back to C-ordered (T, B, D, n), so that every sum below adds in the same order
     tin, la = (np.ascontiguousarray(np.moveaxis(np.stack(xs), -1, 1)) for xs in zip(*steps))
     T, B = ae.shape[:2]
@@ -294,8 +295,8 @@ def _band_posteriors(model: ActivityModel, ae: np.ndarray, hm: np.ndarray, stats
 
 def _hmm_loglik(model: ActivityModel, logb: np.ndarray) -> float:
     """Forward over a (T, n) emission table: the band with ``D = 1``, never holding."""
-    for _, la in _band_forward(_log(model.entry), _log(model.trans), logb[:, None, :, None],
-                               np.full(logb.shape + (1,), -np.inf)):
+    for _, la in _band_forward(_log(model.entry)[:, None], _log(model.trans)[..., None],
+                               logb[:, None, :, None], np.full(logb.shape + (1,), -np.inf)):
         pass
     return float(logsumexp(la[0, :, 0] + _log(model.exit)))
 
@@ -772,42 +773,27 @@ class _BatchGmm:
 
 
 class _FrameRows:
-    """Emission rows of one frame ``u``, one row per ordered entity pair,
-    on the last axis as the band sweep reads them.
+    """Emission rows of one frame ``u`` at the engine's slot of each ordered
+    entity pair, on the last axis as the band sweep reads them.
 
-    ``marg`` (A, n, rows) holds the marginal rows with the hold weight added,
-    ``joint`` (A, D, n, rows) the band-joint rows of cells ``(u, h)``, whose
+    ``marg`` (A, n, slots) holds the marginal rows with the hold weight added,
+    ``joint`` (A, D, n, slots) the band-joint rows of cells ``(u, h)``, whose
     source frame is ``u - h``, with the advance weight added.  Cells whose
     source frame precedes the window that computed the row are -inf.
+    ``have`` marks the slots that hold a row.
     """
 
-    def __init__(self, A: int, D: int, n: int):
-        self.index: dict[tuple, int] = {}
-        # storage grows by a quarter at a time, since after a frame's first
-        # call the rows of a few new entities at most arrive per call;
-        # slots past len(index) are unused
-        self.marg = np.empty((A, n, 1))
-        self.joint = np.empty((A, D, n, 1))
+    def __init__(self, A: int, D: int, n: int, size: int):
+        self.have = np.zeros(size, dtype=bool)
+        self.marg = np.empty((A, n, size))
+        self.joint = np.empty((A, D, n, size))
 
-    def lookup(self, keys: list[tuple]) -> np.ndarray:
-        """Row of each key, -1 where it has none."""
-        get = self.index.get
-        return np.array([get(k, -1) for k in keys], dtype=np.intp)
-
-    def store(self, keys: list[tuple], marg, joint) -> np.ndarray:
-        """Write the rows of ``keys``, appending new keys; returns their rows."""
-        index = self.index
-        rows = np.array([index.setdefault(k, len(index)) for k in keys], dtype=np.intp)
-        size = self.marg.shape[-1]
-        if len(index) > size:
-            cap = max(len(index), size * 5 // 4)
-            self.marg, self.joint = (
-                np.concatenate([a, np.empty(a.shape[:-1] + (cap - size,))], axis=-1)
-                for a in (self.marg, self.joint)
-            )
-        self.marg[..., rows] = marg
-        self.joint[..., rows] = joint
-        return rows
+    def resize(self, size: int) -> None:
+        """Grow to ``size`` slots; the new slots hold no row."""
+        self.have, self.marg, self.joint = (
+            np.concatenate([a, np.zeros(a.shape[:-1] + (size - a.shape[-1],), dtype=a.dtype)], axis=-1)
+            for a in (self.have, self.marg, self.joint)
+        )
 
 
 class CorrelationEngine:
@@ -836,8 +822,9 @@ class CorrelationEngine:
         if any(m.n_states != self.n_states for m in models):
             raise ValueError("engine requires a uniform state count across activities")
         self.obs_dim = models[0].obs_dim
-        self._ent = np.stack([_log(m.entry) for m in models])
-        self._tr = np.stack([_log(m.trans) for m in models])
+        # chain weights with the activity axis last, as the sweep's columns read them
+        self._ent_cols = np.stack([_log(m.entry) for m in models], axis=-1)
+        self._tr_cols = np.stack([_log(m.trans) for m in models], axis=-1)
         self._eps = np.stack([_log(m.advance) for m in models])
         self._hold = np.stack([_log(1.0 - m.advance) for m in models])
         self._marg = _BatchGmm([list(m.marginal) for m in models], self.obs_dim)
@@ -847,8 +834,13 @@ class CorrelationEngine:
         # profiles of frame _t only: a lookup at another frame drops them
         self._t: int | None = None
         self._cache: dict[tuple, np.ndarray | None] = {}
-        # emission rows of the frames [_t - window + 1, _t]
+        # emission rows of the frames [_t - window + 1, _t], each block at the
+        # slot of each ordered entity pair; a pair that leaves every block
+        # frees its slot
         self._blocks: dict[int, _FrameRows] = {}
+        self._slots: dict[tuple, int] = {}
+        self._free: list[int] = []
+        self._size = 0  # slots per block
 
     def profile(self, subject, target, t: int) -> np.ndarray | None:
         key = (feats.as_entity(subject), feats.as_entity(target))
@@ -860,65 +852,93 @@ class CorrelationEngine:
         """Profiles for many (subject, target) entity pairs at one frame.
 
         Each is a read-only row of values in ``labels`` order, or None when
-        no usable window of length >= 2 ends at ``t``.  The windows of the
-        uncached pairs with a multi-member entity are built together, in
-        one :func:`~groupact.features.pair_window_batch`.
+        no usable window of length >= 2 ends at ``t``.  A call whose pairs
+        are all cached at ``t`` reads the cache and nothing else.  The
+        windows of the uncached pairs with a multi-member entity are built
+        together, in one :func:`~groupact.features.pair_window_batch`.
         """
+        as_entity, cache = feats.as_entity, self._cache
+        keys = [(as_entity(a), as_entity(b)) for a, b in items]
         if t != self._t:
-            self._cache.clear()
+            cache.clear()
             if self._t is not None and t < self._t:
                 # an earlier window may start earlier and need more joint cells
                 self._blocks.clear()
             self._t = t
-        for u in [u for u in self._blocks if not t - self.window < u <= t]:
-            del self._blocks[u]
-        out: dict[tuple, np.ndarray | None] = {}
-        todo = []
-        for a, b in items:
-            key = (feats.as_entity(a), feats.as_entity(b))
-            if key in self._cache:
-                out[key] = self._cache[key]
-            else:
-                todo.append(key)
+            for u in [u for u in self._blocks if not t - self.window < u <= t]:
+                del self._blocks[u]
+            self._free_slots()
+        todo = [key for key in keys if key not in cache]
+        if todo:
+            self._compute(todo, t)
+        return {key: cache[key] for key in keys}
+
+    def _compute(self, todo: list[tuple], t: int) -> None:
+        """Cache the profiles of the uncached pairs ``todo`` at frame ``t``."""
         keys, windows = [], []
         with feats.pair_window_batch(self.tracks, todo, t, self.window):
             for key in todo:
                 pw = feats.pair_feature_windows(self.tracks, *key, t, self.window)
                 if pw is None:
-                    self._cache[key] = out[key] = None
+                    self._cache[key] = None
                     continue
                 keys.append(key)
                 windows.append(pw)
         if not keys:
-            return out
+            return
         lengths = np.array([fa.shape[0] for fa, _ in windows])
-        rows = self._emission_rows(keys, windows, lengths, t)
+        slots = self._emission_rows(keys, windows, lengths, t)
         for T in np.unique(lengths).tolist():
             sel = np.flatnonzero(lengths == T)
-            vals = self._window_profiles(rows[:, sel], T, t)
+            vals = self._window_profiles(slots[sel], T, t)
             vals.flags.writeable = False
-            for j, row in zip(sel.tolist(), vals):
-                self._cache[keys[j]] = out[keys[j]] = row
+            self._cache.update(zip([keys[j] for j in sel.tolist()], vals))
+
+    def _slot_index(self, keys: list[tuple]) -> np.ndarray:
+        """The slot of each key, shared by every frame block; a key without
+        one takes a freed slot or a new one."""
+        slots = self._slots
+        out = np.fromiter(map(slots.get, keys, repeat(-1)), dtype=np.intp, count=len(keys))
+        for i in np.flatnonzero(out < 0).tolist():
+            key = keys[i]
+            if key not in slots:
+                slots[key] = self._free.pop() if self._free else len(slots)
+            out[i] = slots[key]
+        size = self._size
+        if len(slots) > size:
+            # grow by a quarter at a time: after a frame's first call the
+            # rows of a few new entities at most arrive per call
+            self._size = max(len(slots), size * 5 // 4)
+            for block in self._blocks.values():
+                block.resize(self._size)
         return out
 
+    def _free_slots(self) -> None:
+        """Free the slots of the keys that no frame block holds a row of."""
+        held = np.zeros(self._size, dtype=bool)
+        for block in self._blocks.values():
+            held |= block.have
+        held = held.tolist()
+        for key in [key for key, slot in self._slots.items() if not held[slot]]:
+            self._free.append(self._slots.pop(key))
+
     def _emission_rows(self, keys, windows, lengths: np.ndarray, t: int) -> np.ndarray:
-        """Row of every item in the block of each frame ``t - window + 1 + k``, shape (window, I).
+        """Slot of every item in the frame blocks, shape (I,).
 
         Computes the rows that a block lacks for frames inside the item's
         window, one frame's rows per batched density call.  Frames ascend
         between block clears, so a window never starts before that of a
         stored row and the row has every cell the window reaches.
         """
-        W, D = self.window, self._D
+        D = self._D
         starts = t + 1 - lengths
-        rows = np.empty((W, len(keys)), dtype=np.intp)
+        slots = self._slot_index(keys)
         flat = None
-        for k, u in enumerate(range(t - W + 1, t + 1)):
+        for u in range(t - self.window + 1, t + 1):
             block = self._blocks.get(u)
             if block is None:
-                block = self._blocks[u] = _FrameRows(len(self.labels), D, self.n_states)
-            rows[k] = block.lookup(keys)
-            miss = np.flatnonzero((rows[k] < 0) & (u >= starts))
+                block = self._blocks[u] = _FrameRows(len(self.labels), D, self.n_states, self._size)
+            miss = np.flatnonzero(~block.have[slots] & (u >= starts))
             if miss.size:
                 if flat is None:
                     fa = np.concatenate([w[0] for w in windows])
@@ -927,8 +947,11 @@ class CorrelationEngine:
                 # cells from u back to the window start
                 cells = np.minimum(D, u + 1 - starts[miss])
                 me, je = self._frame_emissions(*flat, miss, u, cells)
-                rows[k, miss] = block.store([keys[i] for i in miss], me, je)
-        return rows
+                at = slots[miss]
+                block.marg[..., at] = me
+                block.joint[..., at] = je
+                block.have[at] = True
+        return slots
 
     def _frame_emissions(self, fa, fb, base, items: np.ndarray, u: int, cells: np.ndarray):
         """Marginal (A, n, items) and band-joint (A, D, n, items) rows at frame ``u`` of ``items``.
@@ -951,50 +974,62 @@ class CorrelationEngine:
         me = self._marg.log_density(fb[at]) + self._hold
         return me.transpose(1, 2, 0), je.transpose(2, 1, 3, 0)
 
-    def _window_profiles(self, rows: np.ndarray, T: int, t: int) -> np.ndarray:
+    def _window_profiles(self, slots: np.ndarray, T: int, t: int) -> np.ndarray:
         """Profiles of I windows of ``T`` frames, shape (I, A).
 
-        A max-plus sweep of every item runs first.  An item that
-        :func:`_one_hot_winners` proves one-hot gets its profile from that
-        bound; :meth:`_window_masses` runs the log-space sweep on the rest.
+        A max-plus sweep of every (activity, item) cell runs first, and
+        :func:`_open_cells` reads from its bound which cells can reach a
+        profile.  An item with one open cell is one-hot there;
+        :meth:`_window_masses` runs the log-space sweep on the open cells of
+        the rest, and their closed cells get mass -inf.
         """
-        V = self._sweep(rows, T, t, np.maximum).max(axis=(1, 2))
-        winners = _one_hot_winners(V, T, self.n_states)
-        vals = np.zeros((rows.shape[1], len(self.labels)))
-        done = winners >= 0
-        vals[done, winners[done]] = 1.0
-        rest = np.flatnonzero(~done)
+        A, I = len(self.labels), slots.size
+        act, item = np.indices((A, I)).reshape(2, -1)
+        V = self._sweep(slots, T, t, np.maximum, act, item).max(axis=(0, 1)).reshape(A, I)
+        cells = _open_cells(V, T, self.n_states)
+        one = cells.sum(axis=0) == 1
+        vals = np.zeros((I, A))
+        vals[one, cells[:, one].argmax(axis=0)] = 1.0
+        rest = np.flatnonzero(~one)
         if rest.size:
-            masses = self._window_masses(rows[:, rest], T, t)
+            act, item = np.nonzero(cells[:, rest])
+            masses = np.full((rest.size, A), -np.inf)
+            masses[item, act] = self._window_masses(slots[rest], T, t, act, item)
             vals[rest] = np.exp(masses - logsumexp(masses, axis=1)[:, None])
         return vals
 
-    def _window_masses(self, rows: np.ndarray, T: int, t: int) -> np.ndarray:
-        """Log lattice masses near the diagonal of I windows of ``T`` frames, shape (I, A).
+    def _window_masses(self, slots: np.ndarray, T: int, t: int, act, item) -> np.ndarray:
+        """Log lattice masses near the diagonal of the (``act[c]``, ``item[c]``)
+        cells of I windows of ``T`` frames, shape (C,).
 
         The read-out keeps only final cells with ``s >= max(1, T - dt)``,
         i.e. hold count ``h < D = min(dt, T-1) + 1``, so the sweep runs on
         the band of :func:`_band_forward`.
         """
-        la = np.moveaxis(self._sweep(rows, T, t, np.logaddexp), -1, 0)  # (I, A, D, n)
+        la = np.moveaxis(self._sweep(slots, T, t, np.logaddexp, act, item), -1, 0)  # (C, D, n)
         # descending h is ascending s, the summation order of a full-lattice read-out
-        return logsumexp(la[:, :, ::-1, :].reshape(la.shape[0], la.shape[1], -1), axis=2)
+        return logsumexp(la[:, ::-1, :].reshape(la.shape[0], -1), axis=1)
 
-    def _sweep(self, rows: np.ndarray, T: int, t: int, add) -> np.ndarray:
-        """Mass leaving the last band step of I windows of ``T`` frames, (A, D, n, I).
+    def _sweep(self, slots: np.ndarray, T: int, t: int, add, act, item) -> np.ndarray:
+        """Mass leaving the last band step of the (``act[c]``, ``item[c]``)
+        cells of I windows of ``T`` frames, one column per cell, (D, n, C).
 
-        ``rows`` (window, I) locates the items in the frame blocks.  Each
-        step's weights are gathered as the sweep reaches it, so no array
-        spans the ``T`` steps.
+        ``slots`` (I,) locates the items in the frame blocks.  Each step's
+        weights are gathered as the sweep reaches it, so no array spans the
+        ``T`` steps.
         """
-        D = min(self.dt, T - 1) + 1
+        D, n, size = min(self.dt, T - 1) + 1, self.n_states, self._size
+        at = slots[item]
+        # offsets of each column's cells in every block's flat marg and joint
+        marg = (act * n + np.arange(n)[:, None]) * size + at
+        joint = ((act * self._D + np.arange(D)[:, None, None]) * n + np.arange(n)[:, None]) * size + at
         blocks = [self._blocks[u] for u in range(t - T + 1, t + 1)]
-        steps = rows[self.window - T :]
         # cells h > k, whose source frame precedes the window start, may
         # hold a longer window's values; the sweep never enters them
-        ae = (np.take(block.joint[:, :D], r, axis=-1) for block, r in zip(blocks, steps))
-        hm = (np.take(block.marg, r, axis=-1) for block, r in zip(blocks, steps))
-        for _, la in _band_forward(self._ent, self._tr, ae, hm, add):
+        ae = (block.joint.take(joint) for block in blocks)
+        hm = (block.marg.take(marg) for block in blocks)
+        ent, tr = (w.take(act, axis=-1) for w in (self._ent_cols, self._tr_cols))
+        for _, la in _band_forward(ent, tr, ae, hm, add):
             pass
         return la
 

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import re
 import weakref
 
 import numpy as np
@@ -176,6 +177,45 @@ def test_body_size_change_values():
     assert body_size_change(tracks, 1, 2) == 0.0
     assert body_size_change(tracks, 2, 1) == pytest.approx(0.5)
     assert body_size_change(tracks, 2, 1) > 0.1
+
+
+@settings(max_examples=40, deadline=None)
+@given(ragged_tracks())
+def test_body_size_change_of_many_persons_equals_one_at_a_time(tracks):
+    """A list of persons gives each person's value bitwise; a person without
+    a sample at ``t`` or ``t - 1`` is named, the first such one in the list."""
+    lo, hi = tracks.frame_range or (0, 0)
+    for t in range(lo, hi + 2):
+        present = list(tracks.observable_persons(t))
+        assert body_size_change(tracks, present, t) == [body_size_change(tracks, p, t) for p in present]
+        everyone = [*reversed(tracks.persons), 99]
+        first = next(p for p in everyone if p not in present)
+        with pytest.raises(ObservationUnavailable, match=f"^missing sample for person {first} at frames {t - 1}..{t}$"):
+            body_size_change(tracks, everyone, t)
+
+
+_IDS = st.sets(st.integers(-(2**31), 2**31 - 1), min_size=1, max_size=6)
+_ID_TYPES = st.sampled_from([int, np.int32, np.int64, np.intp])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_IDS, st.data())
+def test_as_entity_sorts_integer_ids_in_any_form_and_order(ids, data):
+    want = tuple(sorted(ids))
+    members = [data.draw(_ID_TYPES)(m) for m in data.draw(st.permutations(sorted(ids)))]
+    forms = [list, tuple, set] + ([lambda m: m[0]] if len(members) == 1 else [])
+    got = as_entity(data.draw(st.sampled_from(forms))(members))
+    assert got == want and all(type(m) is int for m in got)
+    assert as_entity(want) is want
+
+
+@pytest.mark.parametrize("who", [
+    (1.9,), [np.float64(3.0)], "12", b"12", True, np.bool_(True), [True], (2, 2), [np.int64(4), 4],
+    1.5, None, (), [None], ((1,),),
+], ids=repr)
+def test_as_entity_rejects_what_is_not_a_set_of_integer_ids(who):
+    with pytest.raises(ValueError, match=re.escape(repr(who))):
+        as_entity(who)
 
 
 def test_entity_track_is_member_average():

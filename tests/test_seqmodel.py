@@ -415,7 +415,8 @@ def test_engine_reusing_rows_in_any_frame_order_matches_a_fresh_engine(tracks, w
 def band_forward(log_entry, log_trans, ae, hm, add=np.logaddexp):
     """``_band_forward`` over items on axis 1 of (T, B, ..., D, n) arrays,
     its steps stacked back into that layout."""
-    steps = seqmodel._band_forward(log_entry, log_trans, np.moveaxis(ae, 1, -1), np.moveaxis(hm, 1, -1), add)
+    steps = seqmodel._band_forward(log_entry[..., None], log_trans[..., None],
+                                   np.moveaxis(ae, 1, -1), np.moveaxis(hm, 1, -1), add)
     return tuple(np.moveaxis(np.stack(xs), -1, 1) for xs in zip(*steps))
 
 
@@ -482,7 +483,7 @@ def test_max_plus_band_kernel_finds_the_heaviest_path_and_bounds_the_mass():
             args = (model.entry, model.trans, model.advance, jfn, mfn, S, T)
             best.append(enumerate_ahmm_lattice_best(*args))
             masses.append(enumerate_ahmm_lattice_masses(*args))
-        log_entry, log_trans = seqmodel._log(model.entry), seqmodel._log(model.trans)
+        log_entry, log_trans = seqmodel._log(model.entry)[:, None], seqmodel._log(model.trans)[..., None]
         for _, v in seqmodel._band_forward(log_entry, log_trans, ae, hm, np.maximum):
             pass
         for _, la in seqmodel._band_forward(log_entry, log_trans, ae, hm):
@@ -509,29 +510,34 @@ def test_one_hot_certificate_keeps_a_relative_slack_at_large_weights():
         [-1e20 - 2.0**41, -inf, -inf, -inf, -inf, -inf, -inf],
     ])
     assert V[0, 0] - V[1, 0] == 2.0**20 > fixed + 100.0
-    got = seqmodel._one_hot_winners(V, T, n)
-    # not certified: within the relative slack, within the fixed slack,
+    got = seqmodel._open_cells(V, T, n)
+    # several open cells: within the relative slack, within the fixed slack,
     # no path at all, and a tie
-    assert got.tolist() == [-1, 0, 0, -1, 0, -1, -1]
-    assert seqmodel._one_hot_winners(V[::-1], T, n).tolist() == [-1, 2, 2, -1, 2, -1, -1]
+    assert got.T.astype(int).tolist() == [
+        [1, 1, 0], [1, 0, 0], [1, 0, 0], [1, 1, 0], [1, 0, 0], [1, 1, 1], [1, 1, 0],
+    ]
+    assert np.array_equal(seqmodel._open_cells(V[::-1], T, n), got[::-1])
 
 
 def test_profiles_proved_one_hot_equal_the_full_log_space_sweep(frozen_bank):
     """Every profile the engine returns equals, bitwise, the row of the
-    log-space sweep of every item, on ragged tracks at 4K-frame coordinates
-    and on tracks at the sample bounds; the draws reach both the rows the
-    max-plus bound proves one-hot and the rows it leaves to the sweep."""
-    certify = seqmodel._one_hot_winners
-    seen = {"proved": 0, "swept": 0}
+    log-space sweep of every cell of every item, on ragged tracks at
+    4K-frame coordinates and on tracks at the sample bounds; the draws reach
+    the rows the max-plus bound proves one-hot, the rows it sweeps with some
+    cells closed and the rows it sweeps with every cell open."""
+    certify = seqmodel._open_cells
+    seen = {"proved": 0, "some closed": 0, "all open": 0}
 
     def counted(V, T, n):
-        winners = certify(V, T, n)
-        seen["proved"] += int(np.count_nonzero(winners >= 0))
-        seen["swept"] += int(np.count_nonzero(winners < 0))
-        return winners
+        cells = certify(V, T, n)
+        count = cells.sum(axis=0)
+        seen["proved"] += int(np.count_nonzero(count == 1))
+        seen["some closed"] += int(np.count_nonzero((count > 1) & (count < V.shape[0])))
+        seen["all open"] += int(np.count_nonzero(count == V.shape[0]))
+        return cells
 
     def never(V, T, n):
-        return np.full(V.shape[1], -1)
+        return np.ones(V.shape, dtype=bool)
 
     # a group walking together: most of its rows stay short of one-hot
     walk = TrackSet([s for s in generate(walk_together(seed=0))[0].iter_samples() if s.frame < 24])
@@ -548,9 +554,9 @@ def test_profiles_proved_one_hot_equal_the_full_log_space_sweep(frozen_bank):
         engine, full = CorrelationEngine(frozen_bank, tracks), CorrelationEngine(frozen_bank, tracks)
         lo, hi = tracks.frame_range or (0, 0)  # an empty set when no frame was sampled
         for t in range(lo + 1, hi + 1):
-            with mock.patch.object(seqmodel, "_one_hot_winners", counted):
+            with mock.patch.object(seqmodel, "_open_cells", counted):
                 got = engine.profiles(items, t)
-            with mock.patch.object(seqmodel, "_one_hot_winners", never):
+            with mock.patch.object(seqmodel, "_open_cells", never):
                 want = full.profiles(items, t)
             assert got.keys() == want.keys()
             for key, ref in want.items():
@@ -558,14 +564,61 @@ def test_profiles_proved_one_hot_equal_the_full_log_space_sweep(frozen_bank):
                 assert ref is None or np.array_equal(got[key], ref), (key, t, got[key], ref)
 
     check()
-    assert seen["proved"] > 0 and seen["swept"] > 0, seen
+    assert min(seen.values()) > 0, seen
+
+
+def test_a_call_whose_pairs_are_all_cached_reads_only_the_cache(frozen_bank):
+    """Repeating a warmed engine's call at the same frame, with the entities
+    in any accepted form, returns the same row objects and builds no window
+    batch and no emission rows."""
+    tracks = generate(walk_together(seed=0))[0]
+    persons = tracks.persons
+    items = [((a,), (b,)) for a in persons for b in persons if a != b]
+    items += [((persons[0],), tuple(persons[1:3])), (tuple(persons[1:3]), (persons[0],))]
+    engine = CorrelationEngine(frozen_bank, tracks)
+    for t in range(10, 20):
+        first = engine.profiles(items, t)
+    assert sum(row is not None for row in first.values()) == len(items)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a cached call computed something")
+
+    forms = [(np.int64(a[0]) if len(a) == 1 else set(a), list(reversed(b))) for a, b in items]
+    with mock.patch("groupact.features.pair_window_batch", unreachable), \
+            mock.patch.object(CorrelationEngine, "_emission_rows", unreachable):
+        for asked in (items, forms):
+            again = engine.profiles(asked, 19)
+            assert list(again) == list(first)
+            assert all(again[key] is row for key, row in first.items())
+        assert all(engine.profile(*key, 19) is row for key, row in first.items())
+
+
+def test_emission_slots_hold_only_the_pairs_of_the_window(frozen_bank):
+    """Entities that change from frame to frame free their emission slots
+    once their last row leaves the window, so over a long clip the slots are
+    those of the pairs with a window in the last ``window`` frames."""
+    tracks = generate(walk_together(seed=0))[0]
+    persons = tracks.persons
+    entities = [(a, b) for a in persons for b in persons if a < b]  # a new one every frame
+    engine = CorrelationEngine(frozen_bank, tracks)
+    W = engine.window
+    computed = {}
+    for t in range(1, 200):
+        entity = entities[t % len(entities)]
+        items = [((a,), (b,)) for a in persons for b in persons if a != b]
+        items += [((p,), entity) for p in persons if p not in entity]
+        computed[t] = {key for key, row in engine.profiles(items, t).items() if row is not None}
+        window_keys = set().union(*(computed.get(u, set()) for u in range(t - W + 1, t + 1)))
+        assert engine._slots.keys() == window_keys
+        assert len(set(engine._slots.values())) == len(window_keys)
+        assert max(engine._slots.values(), default=-1) < engine._size <= 2 * len(window_keys)
 
 
 def test_profiles_peak_memory_stays_within_one_step_of_the_sweep(frozen_bank):
     """The tracemalloc peak of one ``profiles`` call of a warmed engine on 306
     person pairs stays under a fixed term plus 8 KiB per pair, whether the
-    max-plus bound proves the rows one-hot or the log-space sweep runs on them
-    all.  A sweep that kept every step's (T, A, D, n, I) masses needs about
+    max-plus bound proves the rows one-hot or the log-space sweep runs on
+    every cell of them all.  A sweep that kept every step's (T, A, D, n, I) masses needs about
     10 KiB more per pair."""
     rng = np.random.default_rng(5)
     rows = []
@@ -591,7 +644,7 @@ def test_profiles_peak_memory_stays_within_one_step_of_the_sweep(frozen_bank):
     bound = 256 * 1024 + 8 * 1024 * len(items)
     peak, got = peak_of_last_frame()
     assert peak <= bound
-    with mock.patch.object(seqmodel, "_one_hot_winners", lambda V, T, n: np.full(V.shape[1], -1)):
+    with mock.patch.object(seqmodel, "_open_cells", lambda V, T, n: np.ones(V.shape, dtype=bool)):
         peak_swept, swept = peak_of_last_frame()
     assert peak_swept <= bound
     assert all(np.array_equal(got[key], swept[key]) for key in swept)
