@@ -150,7 +150,8 @@ class _PairTable:
 
     ``rows[ia, ib]`` holds frame indices 1..window of entity ``ia`` relative
     to entity ``ib``, read-only; ``first[ia, ib]`` is the start index of their
-    trailing usable run.  Cells before that run are never read.
+    trailing usable run.  Cells before that run are never read.  A table
+    lives for one engine call (:func:`pair_window_batch`) or one lookup.
     """
 
     def __init__(self, tracks: TrackSet, entities: list[tuple[int, ...]], t: int, window: int):
@@ -164,29 +165,11 @@ class _PairTable:
 
     def windows(self, ea: tuple[int, ...], eb: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray] | None:
         """The trailing-run streams of ``ea`` and ``eb``, as ``pair_feature_windows`` returns them."""
-        ia, ib = self.index.get(ea), self.index.get(eb)
-        if ia is None or ib is None:  # no sample in the window
-            return None
+        ia, ib = self.index[ea], self.index[eb]
         first = self.first[ia, ib].item()
         if first > self.key[1] - 1:  # fewer than two usable frames
             return None
         return self.rows[ia, ib, first - 1:], self.rows[ib, ia, first - 1:]
-
-
-# the person-pair table of each track set for the latest (t, window) asked, which
-# all pair_feature_windows calls of a frame share; a TrackSet never changes once
-# built, and weak keys keep none alive
-_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _person_pair_table(tracks: TrackSet, t: int, window: int) -> _PairTable:
-    """The table of every person with a sample in [t - window, t]."""
-    table = _TABLES.get(tracks)
-    if table is None or table.key != (t, window):
-        spans = ((p, tracks.person_arrays(p)[0].searchsorted((t - window, t + 1))) for p in tracks.persons)
-        persons = [(p,) for p, (a, b) in spans if a < b]
-        table = _TABLES[tracks] = _PairTable(tracks, persons, t, window)
-    return table
 
 
 # the table of one batch's entities, kept only while the batch reads it:
@@ -197,10 +180,10 @@ _BATCHES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 @contextmanager
 def pair_window_batch(tracks: TrackSet, keys: list[tuple], t: int, window: int):
     """While the block runs, ``pair_feature_windows`` reads every pair of
-    ``keys`` that has a multi-member entity from one table at ``(t, window)``
-    over the entities of all such pairs; ``keys`` are (subject, partner)
-    pairs of :func:`as_entity` tuples."""
-    entities = list(dict.fromkeys(e for key in keys if len(key[0]) > 1 or len(key[1]) > 1 for e in key))
+    ``keys`` from one table at ``(t, window)`` over all their entities,
+    persons included; ``keys`` are (subject, partner) pairs of
+    :func:`as_entity` tuples.  The table is dropped when the block ends."""
+    entities = list(dict.fromkeys(e for key in keys for e in key))
     if entities:
         _BATCHES[tracks] = _PairTable(tracks, entities, t, window)
     try:
@@ -266,15 +249,11 @@ def pair_feature_windows(
 
     Uses the longest contiguous run of frames ending at ``t`` where both
     entities are observable, capped at ``window``; returns None when fewer
-    than two observation frames exist.  The streams are read-only views:
-    two single persons read the table of every person pair at ``t``, kept
-    until the track set is asked for another ``(t, window)``; a pair with a
-    multi-member entity reads the table of the :func:`pair_window_batch`
-    that holds both entities, or else a table of the two alone.
+    than two observation frames exist.  The streams are read-only views of
+    the table of the open :func:`pair_window_batch` when it holds both
+    entities at ``(t, window)``, or else of a table of the two alone.
     """
     ea, eb = as_entity(a), as_entity(b)
-    if len(ea) == len(eb) == 1:
-        return _person_pair_table(tracks, t, window).windows(ea, eb)
     table = _BATCHES.get(tracks)
     if table is None or table.key != (t, window) or not {ea, eb} <= table.index.keys():
         table = _PairTable(tracks, [ea, eb], t, window)

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .trackio import json_numbers
+
 VAR_FLOOR = 1e-6
 EM_MAX_ITERS = 200
 KMEANS_ITERS = 50  # Lloyd rounds that seed a mixture fit
@@ -92,11 +94,7 @@ class GaussianMixture:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "GaussianMixture":
-        return cls(
-            weights=np.asarray(payload["weights"], dtype=float),
-            means=np.asarray(payload["means"], dtype=float),
-            variances=np.asarray(payload["variances"], dtype=float),
-        )
+        return cls(**{k: json_numbers(payload[k], k) for k in ("weights", "means", "variances")})
 
 
 def _kmeans(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 from . import features as feats
 from . import taxonomy
 from .gmm import VAR_FLOOR, GaussianMixture, fit_em, logsumexp, refit, run_em
-from .trackio import AnnotationSet, TrackSet
+from .trackio import AnnotationSet, TrackSet, json_int, json_number, json_numbers
 
 N_STATES = N_MIXTURES = 2  # hidden states per trained model, mixture components per state
 MIN_CHUNK = 4  # frames in the shortest training piece
@@ -81,18 +81,19 @@ class ActivityModel:
         entry = np.asarray(self.entry, dtype=float)
         trans = np.asarray(self.trans, dtype=float)
         exit_ = np.asarray(self.exit, dtype=float)
-        n = entry.shape[0]
-        if trans.shape != (n, n) or exit_.shape != (n,):
-            raise ValueError("inconsistent state-chain shapes")
-        if abs(entry.sum() - 1.0) > 1e-12 or np.any(entry < 0):
+        n = entry.size
+        if entry.shape != (n,) or trans.shape != (n, n) or exit_.shape != (n,):
+            raise ValueError(f"state-chain shapes disagree: entry {entry.shape}, trans {trans.shape}, exit {exit_.shape}")
+        # each check is written so that a NaN fails it
+        if not (abs(entry.sum() - 1.0) <= 1e-12 and np.all(entry >= 0)):
             raise ValueError("entry distribution must sum to 1")
         rows = trans.sum(axis=1) + exit_
-        if np.any(np.abs(rows - 1.0) > 1e-12) or np.any(trans < 0) or np.any(exit_ < 0):
+        if not (np.all(np.abs(rows - 1.0) <= 1e-12) and np.all(trans >= 0) and np.all(exit_ >= 0)):
             raise ValueError("transition rows plus exit must sum to 1")
         adv = self.advance
         if adv is not None:
             adv = np.asarray(adv, dtype=float)
-            if adv.shape != (n,) or np.any(adv < 0) or np.any(adv > 1):
+            if adv.shape != (n,) or not np.all((adv >= 0) & (adv <= 1)):
                 raise ValueError("advance probabilities must lie in [0, 1]")
         if len(self.marginal) != n:
             raise ValueError("need one marginal mixture per state")
@@ -134,16 +135,19 @@ class ActivityModel:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "ActivityModel":
+        fallback = payload.get("mixture_fallback", False)
+        if type(fallback) is not bool:
+            raise TypeError(f"mixture_fallback {fallback!r} is not a boolean")
         return cls(
-            entry=np.asarray(payload["entry"], dtype=float),
-            trans=np.asarray(payload["trans"], dtype=float),
-            exit=np.asarray(payload["exit"], dtype=float),
-            advance=None if payload["advance"] is None else np.asarray(payload["advance"], dtype=float),
+            entry=json_numbers(payload["entry"], "entry"),
+            trans=json_numbers(payload["trans"], "trans"),
+            exit=json_numbers(payload["exit"], "exit"),
+            advance=None if payload["advance"] is None else json_numbers(payload["advance"], "advance"),
             marginal=tuple(GaussianMixture.from_payload(g) for g in payload["marginal"]),
             joint=None if payload["joint"] is None else tuple(
                 GaussianMixture.from_payload(g) for g in payload["joint"]
             ),
-            mixture_fallback=bool(payload.get("mixture_fallback", False)),
+            mixture_fallback=fallback,
         )
 
 
@@ -313,7 +317,11 @@ def hmm_group_likelihood(model: ActivityModel, fa: np.ndarray) -> float:
 
 @dataclass
 class TrainConfig:
-    """Knobs for sequence-model training; deterministic given ``seed``."""
+    """Knobs for sequence-model training; deterministic given ``seed``.
+
+    ``chunk`` caps the frames of one training piece (None: the window);
+    pieces shorter than ``MIN_CHUNK`` are dropped, so a smaller cap is an error.
+    """
 
     seed: int = 0
     max_iters: int = 40
@@ -322,10 +330,14 @@ class TrainConfig:
     max_segments: int | None = 64
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
         if self.max_segments is not None and self.max_segments < 1:
             raise ValueError(f"max_segments must be at least 1 or None, got {self.max_segments}")
+        if self.chunk is not None and self.chunk < MIN_CHUNK:
+            raise ValueError(f"chunk must be at least {MIN_CHUNK} or None, got {self.chunk}")
 
 
 def _dim_floor(pooled: np.ndarray) -> np.ndarray:
@@ -681,7 +693,7 @@ def train_bank(
     """Train one model per modelable activity plus group-feature models; the bank keeps the default thresholds."""
     check_window(window, dt)
     config = config or TrainConfig()
-    chunk = config.chunk or window
+    chunk = window if config.chunk is None else config.chunk
     pair_segments, group_sequences = assemble_training_data(tracks, annotations, chunk)
     models = {}
     for idx, label in enumerate(taxonomy.MODELABLE_LABELS):
@@ -729,8 +741,8 @@ def bank_from_payload(payload: dict) -> ActivityModelBank:
     bank = ActivityModelBank(
         models={l: ActivityModel.from_payload(p) for l, p in payload["models"].items()},
         group_models={l: ActivityModel.from_payload(p) for l, p in payload["group_models"].items()},
-        window=int(cfg["window"]), dt=int(cfg["dt"]),
-        tc=float(cfg["tc"]), to=float(cfg["to"]), tr=float(cfg["tr"]),
+        window=json_int(cfg["window"], "window"), dt=json_int(cfg["dt"], "dt"),
+        tc=json_number(cfg["tc"], "tc"), to=json_number(cfg["to"], "to"), tr=json_number(cfg["tr"], "tr"),
     )
     for l, p in (*payload["models"].items(), *payload["group_models"].items()):
         if (p["label"], p["kind"]) != (l, taxonomy.level(l)):
@@ -854,8 +866,8 @@ class CorrelationEngine:
         Each is a read-only row of values in ``labels`` order, or None when
         no usable window of length >= 2 ends at ``t``.  A call whose pairs
         are all cached at ``t`` reads the cache and nothing else.  The
-        windows of the uncached pairs with a multi-member entity are built
-        together, in one :func:`~groupact.features.pair_window_batch`.
+        windows of the uncached pairs are built together, in one
+        :func:`~groupact.features.pair_window_batch`.
         """
         as_entity, cache = feats.as_entity, self._cache
         keys = [(as_entity(a), as_entity(b)) for a, b in items]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .trackio import AnnotationRecord, AnnotationSet, TrackSet, json_groups, json_ids, json_int, json_str
+from .trackio import AnnotationRecord, AnnotationSet, TrackSet, json_groups, json_ids, json_int, json_number, json_str
 
 
 class ScenarioError(ValueError):
@@ -69,6 +69,8 @@ class ScenarioSpec:
         ids = [a.agent for a in self.agents]
         if len(set(ids)) != len(ids):
             raise ScenarioError("duplicate agent ids")
+        if self.seed < 0:
+            raise ScenarioError(f"seed {self.seed!r} is negative")
         if self.duration < 1:
             raise ScenarioError(f"duration {self.duration!r} is not positive")
         for name in ("noise_sigma", "box_sigma"):
@@ -109,8 +111,8 @@ class ScenarioSpec:
             duration=json_int(obj["duration"], "duration"),
             agents=agents,
             events=events,
-            noise_sigma=_number(obj.get("noise_sigma", 0.0), "noise_sigma"),
-            box_sigma=_number(obj.get("box_sigma", 0.0), "box_sigma"),
+            noise_sigma=json_number(obj.get("noise_sigma", 0.0), "noise_sigma"),
+            box_sigma=json_number(obj.get("box_sigma", 0.0), "box_sigma"),
         )
 
     def to_payload(self) -> dict:
@@ -152,24 +154,18 @@ _POSITIVE_PARAMS = {"gait_period", "sway_period", "box_period"}
 _NON_NEGATIVE_PARAMS = {"jitter", "box_jitter", "jitter_overrides", "box_jitter_overrides"}
 
 
-def _number(value, what: str) -> float:
-    """A JSON number as a float; ScenarioError naming ``what`` for a bool, string or other value."""
-    if type(value) not in (int, float):
-        raise ScenarioError(f"{what} {value!r} is not a number")
-    return float(value)
-
-
 def _pair(values, what: str) -> tuple[float, float]:
-    """Two JSON numbers as floats; ScenarioError naming ``what`` for anything else."""
+    """Two JSON numbers as floats; a ScenarioError or TypeError naming ``what`` for anything else."""
     if not isinstance(values, (list, tuple)) or len(values) != 2:
         raise ScenarioError(f"{what} {values!r} is not a list of two numbers")
-    return _number(values[0], what), _number(values[1], what)
+    return json_number(values[0], what), json_number(values[1], what)
 
 
 def _param(name: str, value, what: str) -> None:
-    """ScenarioError naming ``what`` unless ``value`` is a number in the range
-    that ``generate`` needs for the parameter ``name``."""
-    v = _number(value, what)
+    """A TypeError naming ``what`` unless ``value`` is a number, and a
+    ScenarioError unless it is in the range that ``generate`` needs for the
+    parameter ``name``."""
+    v = json_number(value, what)
     if name in _POSITIVE_PARAMS and not v > 0:
         raise ScenarioError(f"{what} {value!r} is not positive")
     if name in _NON_NEGATIVE_PARAMS and not v >= 0:
@@ -178,7 +174,7 @@ def _param(name: str, value, what: str) -> None:
 
 def _params(params, what: str) -> dict:
     """Event parameters whose numeric entries are numbers in range;
-    ScenarioError naming the first that is not."""
+    a ScenarioError or TypeError naming the first that is not."""
     if not isinstance(params, dict):
         raise ScenarioError(f"{what} {params!r} is not an object")
     for name, value in params.items():

@@ -305,6 +305,26 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def json_number(value, what: str) -> float:
+    """``value`` as a float if it is a JSON number; TypeError naming ``what`` for a bool, string or other value."""
+    if type(value) not in (int, float):
+        raise TypeError(f"{what} {value!r} is not a number")
+    return float(value)
+
+
+def json_numbers(values, what: str) -> np.ndarray:
+    """The JSON numbers of ``values``, nested lists of any depth, as a float
+    array; TypeError naming ``what`` for an entry that is not a number."""
+    stack = [values]
+    while stack:
+        v = stack.pop()
+        if type(v) is list:
+            stack.extend(v)
+        else:
+            json_number(v, f"{what} entry")
+    return np.asarray(values, dtype=float)
+
+
 def json_str(value, what: str) -> str:
     """``value`` if it is a JSON string; TypeError naming ``what`` for a list or other value."""
     if not isinstance(value, str):

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -189,6 +190,41 @@ def test_bank_outside_the_taxonomy_is_model_error(tmp_path, capsys, corrupt):
     assert run(["detect", "--tracks", tmp_path / "missing.csv", "--model", bad, "--out", out]) == 3
     err = capsys.readouterr().err
     assert "model error" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def _fight(bank):
+    return bank["models"]["Fight"]
+
+
+@pytest.mark.parametrize("corrupt, field", [
+    (lambda bank: bank["config"].update(window=12.7), "window"),
+    (lambda bank: bank["config"].update(dt=True), "dt"),
+    (lambda bank: bank["config"].update(tc="0.1"), "tc"),
+    (lambda bank: _fight(bank).update(entry=[str(v) for v in _fight(bank)["entry"]]), "entry"),
+    (lambda bank: _fight(bank)["trans"][1].__setitem__(0, None), "trans"),
+    (lambda bank: _fight(bank).update(mixture_fallback="no"), "mixture_fallback"),
+    (lambda bank: _fight(bank).update(entry=[float("nan")] * 2), "entry"),
+    (lambda bank: _fight(bank).update(entry=[[v] for v in _fight(bank)["entry"]]), "entry (2, 1)"),
+    (lambda bank: bank["models"]["Chase"]["advance"].__setitem__(0, float("nan")), "advance"),
+    (lambda bank: _fight(bank)["marginal"][0].update(weights=[str(w) for w in _fight(bank)["marginal"][0]["weights"]]),
+     "weights"),
+    (lambda bank: _fight(bank)["marginal"][1]["variances"][0].__setitem__(0, True), "variances"),
+    (lambda bank: _fight(bank)["joint"][1]["means"][0].__setitem__(2, "0"), "means"),
+], ids=["fractional-window", "bool-dt", "string-tc", "string-entry", "null-trans",
+        "string-fallback", "nan-entry", "nested-entry", "nan-advance", "string-weights", "bool-variance", "string-mean"])
+def test_model_numbers_of_the_wrong_json_type_are_model_errors(tmp_path, capsys, corrupt, field):
+    """A model value of the wrong JSON type or shape, or a NaN probability, is named, not coerced or accepted."""
+    doc = json.loads(FROZEN_BANK.read_text(encoding="utf-8"))
+    corrupt(doc["bank"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    with open(bad, encoding="utf-8") as fp, pytest.raises(ModelFormatError, match=re.escape(field)):
+        load_model(fp)
+    out = tmp_path / "x.jsonl"
+    assert run(["detect", "--tracks", tmp_path / "missing.csv", "--model", bad, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert "model error" in err and field in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -530,9 +566,10 @@ def _event(label, params):
     ({"noise_sigma": -1.0}, "noise_sigma -1.0 is negative"),
     ({"duration": 0}, "duration 0 is not positive"),
     ({"duration": -3}, "duration -3 is not positive"),
+    ({"seed": -1}, "seed -1 is negative"),
 ], ids=["jitter", "jitter-override", "box-jitter", "box-jitter-override", "gait-period", "sway-period",
         "box-period", "fractional-offset", "infinite-offset", "nan-offset", "bool-offset", "string-noise",
-        "bool-noise", "nan-noise", "negative-noise", "zero-duration", "negative-duration"])
+        "bool-noise", "nan-noise", "negative-noise", "zero-duration", "negative-duration", "negative-seed"])
 def test_spec_numbers_out_of_range_are_data_errors(tmp_path, capsys, fields, field):
     """A duration, a noise level, a period generate divides by or a jitter it draws with, out of range;
     an offset that is not a whole number of frames."""
@@ -585,6 +622,7 @@ def test_train_takes_no_thresholds(tmp_path, capsys, flags):
 
 @pytest.mark.parametrize("flags", [
     ["--max-iters", "0"], ["--max-iters", "-3"], ["--max-segments", "0"], ["--max-segments", "-1"],
+    ["--seed", "-1"],
 ])
 def test_bad_training_count_is_usage_error(tmp_path, capsys, flags):
     # no input file exists: the check comes before any input is read

@@ -354,8 +354,8 @@ def _fresh_windows(tracks, a, b, t, window):
 def test_person_pair_windows_equal_fresh_pair_rows(tracks, window):
     """Every single-person window is a read-only view, bitwise equal to a fresh track's rows.
 
-    Frames and windows are asked ascending, then descending, so each table
-    is rebuilt after others; person 99 has no sample anywhere.
+    Frames and windows are asked ascending, then descending, outside any
+    batch; person 99 has no sample anywhere.
     """
     lo, hi = tracks.frame_range or (0, 0)  # bounded tracks may hold no sample
     persons = tracks.persons + (99,)
@@ -389,12 +389,13 @@ def _assert_fresh(tracks, a, b, t, window, got):
 @settings(max_examples=30, deadline=None)
 @given(st.one_of(ragged_tracks(), bounded_tracks()), st.integers(2, 8))
 def test_entity_pair_windows_equal_fresh_pair_rows(tracks, window):
-    """Windows of (person, entity), (entity, person) and (entity, entity) pairs equal a fresh track's rows.
+    """Windows of person, entity and self pairs in any order equal a fresh track's rows.
 
     The entities are like seeds (disjoint member pairs) and like group
     representatives (member subsets); one holds person 99, who has no
-    sample.  Each (frame, window) asks all pairs in one batch, ascending
-    and then descending, and asks them again one at a time.
+    sample.  Each (frame, window) asks all pairs, (person, person) and
+    (entity, entity) ones included, in one batch, ascending and then
+    descending, and asks them again one at a time.
     """
     lo, hi = tracks.frame_range or (0, 0)
     persons = tracks.persons + (99,)
@@ -402,7 +403,8 @@ def test_entity_pair_windows_equal_fresh_pair_rows(tracks, window):
     reps = [persons[:-1], persons[1:3], (persons[0], 99)]
     entities = list(dict.fromkeys(as_entity(e) for e in seeds + reps if len(set(e)) > 1))
     pairs = [(p, e) for p in persons for e in entities] + [(e, p) for p in persons for e in entities]
-    pairs += [(e, f) for e in entities for f in entities if e != f]
+    pairs += [(e, f) for e in entities for f in entities]
+    pairs += [(p, q) for p in persons for q in persons]
     keys = [(as_entity(a), as_entity(b)) for a, b in pairs]
     frames = [(t, w) for t in range(lo, hi + 2) for w in (window, window + 3)]
     for t, w in frames + frames[::-1]:

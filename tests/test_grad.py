@@ -227,7 +227,7 @@ def test_engine_memory_stays_flat_over_a_long_run(frozen_bank):
 
 
 def test_stages_after_the_person_pairs_build_a_fixed_number_of_tracks(frozen_bank, monkeypatch):
-    """Assignment, each representative and the relation stage build at most one track each.
+    """The person pairs, assignment, each representative and the relation stage build at most one track each.
 
     Frame 114 of the composite scene has 7 remaining persons for 12 seeds,
     19 groups and representative pairs that no earlier stage asked for; the
@@ -236,7 +236,7 @@ def test_stages_after_the_person_pairs_build_a_fixed_number_of_tracks(frozen_ban
     tracks, _ = generate(composite_spec(0))
     cfg = PipelineConfig.from_bank(frozen_bank)
     engine = CorrelationEngine(frozen_bank, tracks)
-    builds, computing_calls = [0], []
+    builds, computing_calls, call_builds = [0], [], []
 
     class CountingTrack(features.EntityTrack):
         def __init__(self, *args):
@@ -253,7 +253,10 @@ def test_stages_after_the_person_pairs_build_a_fixed_number_of_tracks(frozen_ban
 
     def counting_profiles(items, t):
         computing_calls.append(False)
-        return profiles(items, t)
+        before = builds[0]
+        out = profiles(items, t)
+        call_builds.append((items, builds[0] - before))
+        return out
 
     stages: dict[str, list[int]] = {}
 
@@ -278,6 +281,9 @@ def test_stages_after_the_person_pairs_build_a_fixed_number_of_tracks(frozen_ban
     seeds = [g.seed_members for g in det.partition.groups if g.seed_members]
     remaining = len(det.partition.persons) - sum(map(len, seeds))
     assert remaining * len(seeds) > 1 and len(det.pair_labels) > 1
+    person_items, person_builds = call_builds[0]  # the person-pair call opens the frame
+    assert len(person_items) > 1 and all(len(a) == len(b) == 1 for a, b in person_items)
+    assert person_builds == 1
     assert stages["assign_remaining"] == [1]
     assert len(stages["make_representative"]) == len(det.partition.groups)
     assert set(stages["make_representative"]) == {0, 1}  # one for a group of two or more
@@ -286,12 +292,12 @@ def test_stages_after_the_person_pairs_build_a_fixed_number_of_tracks(frozen_ban
 
 
 def test_a_frame_keeps_no_entity_table(frozen_bank):
-    """After a frame with seeds and multi-member representatives only the person-pair table stays.
+    """After a frame with seeds and multi-member representatives no pair table stays.
 
     Once the engine is gone, the array data that ``features`` allocated in
-    the frame and still holds is that table plus a small fixed term, and
-    nothing keeps the track set alive.  Only numpy's tracemalloc domain is
-    read: Python's free lists keep freed tuples traced.
+    the frame and still holds is at most a small fixed term, and nothing
+    keeps the track set alive.  Only numpy's tracemalloc domain is read:
+    Python's free lists keep freed tuples traced.
     """
     tracks, _ = generate(composite_spec(0))
     cfg = PipelineConfig.from_bank(frozen_bank)
@@ -308,11 +314,9 @@ def test_a_frame_keeps_no_entity_table(frozen_bank):
     finally:
         tracemalloc.stop()
     assert any(len(g.seed_members) > 1 for g in det.partition.groups)
-    table = features._TABLES[tracks]
-    retained = sum(stat.size for stat in held.statistics("filename"))
-    assert table.rows.nbytes + table.first.nbytes <= retained <= table.rows.nbytes + table.first.nbytes + 4096
+    assert sum(stat.size for stat in held.statistics("filename")) <= 4096
     ref = weakref.ref(tracks)
-    del tracks, table
+    del tracks
     gc.collect()
     assert ref() is None
 

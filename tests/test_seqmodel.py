@@ -748,6 +748,21 @@ def test_train_bank_and_banks_take_window_and_dt_from_the_caller():
         ActivityModelBank(models={})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("chunk", 0), ("chunk", 1), ("chunk", seqmodel.MIN_CHUNK - 1), ("chunk", -4), ("seed", -1),
+])
+def test_train_config_rejects_a_short_chunk_and_a_negative_seed(field, value):
+    # a chunk below MIN_CHUNK leaves no training piece; 0 must not stand for the window
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_takes_no_chunk_or_one_of_at_least_the_shortest_piece():
+    assert TrainConfig().chunk is None
+    assert TrainConfig(chunk=seqmodel.MIN_CHUNK).chunk == seqmodel.MIN_CHUNK
+    assert TrainConfig(seed=0).seed == 0
+
+
 def test_train_hmm_model_monotone():
     rng = np.random.default_rng(17)
     seqs = [rng.normal(size=(12, 3)) + np.array([0.0, 5.0, -2.0]) for _ in range(8)]
