@@ -273,9 +273,22 @@ def group_feature_window(tracks: TrackSet, members, t: int, window: int) -> np.n
     return _group_rows(track, np.arange(first, window + 1))
 
 
-def entity_average_speed(tracks: TrackSet, members, t: int, window: int) -> float:
-    """Mean member speed over the trailing window; 0.0 when nothing is usable."""
-    track = member_tracks(tracks, members, t - window, t)
-    # member-major, as the members' usable frames are listed
-    speeds = track.step(np.arange(1, window + 1))[2][track.usable[:, 1:]]
-    return float(speeds.mean()) if speeds.size else 0.0
+def entity_average_speed(tracks: TrackSet, members, t: int, window: int):
+    """Mean member speed over the trailing window; 0.0 when nothing is usable.
+
+    Given a list of entities, it returns one mean per entity, all from one
+    track with a row per member of each.
+    """
+    batch = isinstance(members, list)
+    entities = [as_entity(e) for e in members] if batch else [as_entity(members)]
+    track = EntityTrack(tracks, [(m,) for e in entities for m in e], t - window, t)
+    speeds = track.step(np.arange(1, window + 1))[2]
+    usable = track.usable[:, 1:]
+    means, end = [], 0
+    for e in entities:
+        rows = slice(end, end + len(e))
+        end = rows.stop
+        # member-major, as the members' usable frames are listed
+        used = speeds[rows][usable[rows]]
+        means.append(float(used.mean()) if used.size else 0.0)
+    return means if batch else means[0]

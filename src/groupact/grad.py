@@ -256,11 +256,12 @@ def _detect_frame(engine: CorrelationEngine, t: int, config: PipelineConfig) -> 
 
     contexts = []
     labels = []
-    for idx, grp in enumerate(partition.groups):
+    groups = partition.groups
+    speeds = feats.entity_average_speed(engine.tracks, [g.members for g in groups], t, config.window)
+    for idx, (grp, speed) in enumerate(zip(groups, speeds)):
         label = recognize_symmetric(engine, grp, t, config.variant)
         labels.append(label)
         rep = make_representative(config.gr, engine, grp.members, label, t, config.tr)
-        speed = feats.entity_average_speed(engine.tracks, grp.members, t, config.window)
         contexts.append(GroupContext(idx, grp.members, rep, speed))
 
     pair_labels = _pair_labels(engine, contexts, t, config.baseline)

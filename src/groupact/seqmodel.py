@@ -181,20 +181,25 @@ class ActivityModelBank:
         return sorted(self.models)
 
 
-def _fold_logaddexp(x: np.ndarray, axis: int) -> np.ndarray:
-    """log(sum(exp(x))) along a short ``axis`` as a left fold of ``np.logaddexp``.
+def _fold(ufunc, x: np.ndarray, axis: int) -> np.ndarray:
+    """``x`` reduced along a short ``axis`` by a left fold of the binary ``ufunc``.
 
-    One ufunc per term instead of the max/exp/sum/log of :func:`logsumexp`,
-    and all -inf terms give -inf without a warning.
+    One elementwise call per term runs far faster than a ufunc's reduction
+    along an axis of two or three.
     """
-    terms = np.moveaxis(x, axis, 0)
-    acc = terms[0]
-    for term in terms[1:]:
-        acc = np.logaddexp(acc, term)
+    head = (slice(None),) * (axis % x.ndim)
+    acc = x[head + (0,)]
+    for i in range(1, x.shape[axis]):
+        acc = ufunc(acc, x[head + (i,)])
     return acc
 
 
-def _band_forward(log_entry, log_trans, ae, hm, add=np.logaddexp):
+# log(sum(exp(x))) along a short axis: one ufunc per term instead of the
+# max/exp/sum/log of logsumexp, and all -inf terms give -inf without a warning
+_fold_logaddexp = partial(_fold, np.logaddexp)
+
+
+def _band_forward(log_entry, log_trans, ae, hm):
     """Forward sweep over the hold-count band of the alignment lattice.
 
     Cell ``h = (t+1) - s`` counts the holds so far: an advance keeps it and a
@@ -212,52 +217,76 @@ def _band_forward(log_entry, log_trans, ae, hm, add=np.logaddexp):
     mass.  Yields the log mass entering and leaving each step, both shaped
     like that step of ``ae``; a caller that needs only the last step keeps
     no other.  With ``D = 1`` this is the plain HMM forward.
-
-    ``add`` is the semiring's sum.  ``np.logaddexp`` gives the lattice
-    mass; ``np.maximum`` gives the weight of the best path into each cell
-    (the max-product recursion), which is never above the mass and, as the
-    band holds at most ``(2n)**T`` paths, at least the mass minus
-    ``T * log(2n)``.
     """
     tr = log_trans[..., None, :, :, :]  # (..., 1, n, n, I)
     for t, (ae_t, hm_t) in enumerate(zip(ae, hm)):
         if t:
             tin = la[..., :, 0, None, :] + tr[..., 0, :, :]
             for i in range(1, tr.shape[-3]):
-                tin = add(tin, la[..., :, i, None, :] + tr[..., i, :, :])
+                tin = np.logaddexp(tin, la[..., :, i, None, :] + tr[..., i, :, :])
         else:
             tin = np.full(ae_t.shape, -np.inf)
             tin[..., 0, :, :] = log_entry
         la = tin + ae_t
-        add(la[..., 1:, :, :], tin[..., :-1, :, :] + hm_t[..., None, :, :], out=la[..., 1:, :, :])
+        np.logaddexp(la[..., 1:, :, :], tin[..., :-1, :, :] + hm_t[..., None, :, :], out=la[..., 1:, :, :])
         yield tin, la
 
 
 # exp(x) rounds to 0.0 in float64 for every x below about -745.13
 _EXP_UNDERFLOW = 746.0
-# rounding in the two sweeps: a fixed part, and a part relative to |V| for
-# coordinates whose path weights run far beyond 1e10 nats
+# rounding in the bound sums and the log-space sweep: a fixed part, and a
+# part relative to |L| for coordinates whose path weights run far beyond
+# 1e10 nats
 _SLACK_NATS, _SLACK_REL = 32.0, 1e-12
 
 
-def _open_cells(V: np.ndarray, T: int, n: int) -> np.ndarray:
+def _path_bounds(steps, log_entry, log_trans, T, D):
+    """Bounds ``(L, U)`` on the log band mass of a ``T``-step sweep with ``D`` cells.
+
+    ``steps`` (K, n+2, ...) holds per step a lower bound on the h=0 advance
+    weight of each of the ``n`` states, an upper bound on the best advance
+    weight over every cell and state, and the gain of the best hold weight
+    over that advance (NaN where both are -inf).  A step before an item's
+    window carries 0.0, 0.0 and -inf, which add nothing.  ``log_entry``
+    (n, ...) and ``log_trans`` (n, n, ...) broadcast over the other axes,
+    as do ``T`` and ``D`` when they are arrays.
+
+    ``L`` is the best path that stays in one state and advances at every
+    step, so it is at most the mass.  ``U`` is the best entry, plus the best
+    advance of every step, plus ``D - 1`` times the largest gain of a hold
+    over an advance at one step, plus ``T - 1`` times the best transition:
+    a band path holds at most ``D - 1`` times, so ``U`` is at least its
+    heaviest path, and the mass, a sum of at most ``(2n)**T`` paths, is at
+    most ``U + T log(2n)``.  A ``U`` that is NaN bounds nothing.
+    """
+    n = log_entry.shape[0]
+    with np.errstate(invalid="ignore"):  # 0 * inf or -inf + inf: a bound that is NaN
+        gain = np.fmax.reduce(steps[:, n + 1], axis=0)
+        stay = log_trans[np.arange(n), np.arange(n)]
+        L = (log_entry + steps[:, :n].sum(axis=0) + (T - 1) * stay).max(axis=0)
+        U = (log_entry.max(axis=0) + steps[:, n].sum(axis=0) + (D - 1) * np.fmax(gain, 0.0)
+             + (T - 1) * log_trans.max(axis=(0, 1)))
+    return L, U
+
+
+def _open_cells(L: np.ndarray, U: np.ndarray, T, n: int) -> np.ndarray:
     """The (activity, item) cells that can reach an item's profile, (A, I) bool.
 
-    ``V`` (A, I) holds each item's max-plus read-out per activity: the
-    weight of the best path over the final band cells of a ``T``-step sweep
-    with ``n`` states.  Each activity's lattice mass lies in
-    ``[V, V + T log(2n)]``.  A cell is closed when the item's top activity
-    leads it by more than ``746 + T log(2n)`` nats plus a slack for rounding
-    in both sweeps: then ``exp(mass - row max)`` is 0.0 for it, in
+    ``L`` and ``U`` (A, I) are the bounds of :func:`_path_bounds` on each
+    activity's lattice mass of a ``T``-step sweep with ``n`` states, which
+    lies in ``[L, U + T log(2n)]``; ``T`` is an int or one per item.  A
+    cell is closed when the item's top ``L`` leads the cell's ``U`` by more
+    than ``746 + T log(2n)`` nats plus a slack for rounding: then
+    ``exp(mass - row max)`` is 0.0 for it, in
     ``logsumexp``'s normaliser and in the profile, exactly as for a mass of
-    -inf.  The top cell is always open, so an item with one open cell is
-    bitwise 1.0 there and 0.0 elsewhere.  An item with no finite ``V``
-    keeps every cell open.
+    -inf.  ``U >= L``, so the top cell is always open, and an item with one
+    open cell is bitwise 1.0 there and 0.0 elsewhere.  An item with no
+    finite ``L``, and a cell whose ``U`` is NaN, stay open.
     """
-    top = V.max(axis=0)
+    top = L.max(axis=0)
     margin = _EXP_UNDERFLOW + T * np.log(2 * n) + _SLACK_NATS + _SLACK_REL * np.abs(top)
     with np.errstate(invalid="ignore"):  # -inf - -inf: an item with no path at all
-        return ~(top - V > margin) | ~np.isfinite(top)
+        return ~(top - U > margin) | ~np.isfinite(top)
 
 
 def _band_posteriors(model: ActivityModel, ae: np.ndarray, hm: np.ndarray, stats: _EmStats):
@@ -669,8 +698,7 @@ def assemble_training_data(
         if ga is None or gb is None:
             continue
         span = rec.end - rec.start + 1
-        sa = feats.entity_average_speed(tracks, ga, rec.end, span)
-        sb = feats.entity_average_speed(tracks, gb, rec.end, span)
+        sa, sb = feats.entity_average_speed(tracks, [ga, gb], rec.end, span)
         slower, faster = (ga, gb) if sa <= sb else (gb, ga)
         for i in faster:
             for j in slower:
@@ -751,7 +779,12 @@ def bank_from_payload(payload: dict) -> ActivityModelBank:
 
 
 class _BatchGmm:
-    """Flattened per-(activity, state) mixtures for batched density lookups."""
+    """Flattened per-(activity, state) mixtures for batched density lookups.
+
+    ``components`` gives each mixture component's weighted log density and
+    ``log_density`` folds them.  The larger component is a lower bound on the
+    mixture's log density, and that plus ``log m_max`` an upper bound.
+    """
 
     def __init__(self, mixtures: list[list[GaussianMixture]], dim: int):
         self.n_items = len(mixtures)
@@ -775,13 +808,17 @@ class _BatchGmm:
         )
         self.m_max = m_max
 
-    def log_density(self, x: np.ndarray) -> np.ndarray:
-        """(N, n_items, n_states) log densities for data x of shape (N, d)."""
+    def components(self, x: np.ndarray) -> np.ndarray:
+        """(N, n_items, n_states, m_max) weighted component log densities for
+        data x of shape (N, d); a state with fewer components is -inf in the rest."""
         quad = x * x @ self.inv_var.T - 2.0 * (x @ self.mu_inv_var.T) + self.const[None, :]
         comp = -0.5 * quad
         comp = comp.reshape(x.shape[0], self.n_items, self.n_states, self.m_max)
-        comp = comp + self.logw[None, :, :].reshape(1, self.n_items, self.n_states, self.m_max)
-        return _fold_logaddexp(comp, axis=3)
+        return comp + self.logw[None, :, :].reshape(1, self.n_items, self.n_states, self.m_max)
+
+    def log_density(self, x: np.ndarray) -> np.ndarray:
+        """(N, n_items, n_states) log densities for data x of shape (N, d)."""
+        return _fold_logaddexp(self.components(x), axis=3)
 
 
 class _FrameRows:
@@ -792,19 +829,27 @@ class _FrameRows:
     ``joint`` (A, D, n, slots) the band-joint rows of cells ``(u, h)``, whose
     source frame is ``u - h``, with the advance weight added.  Cells whose
     source frame precedes the window that computed the row are -inf.
-    ``have`` marks the slots that hold a row.
+    ``have`` marks the slots that hold ``marg`` and ``bound``; ``folded``
+    those whose ``joint`` row is folded too, which only a log-space sweep
+    reads.  ``bound`` (n+2, A, slots) summarises each row for
+    :func:`_path_bounds`: the h=0 advance weight of each state and the best
+    advance weight over all cells and states, both from the larger mixture
+    component, the latter plus ``log m_max``, and the best hold weight's
+    gain over that advance.
     """
 
     def __init__(self, A: int, D: int, n: int, size: int):
         self.have = np.zeros(size, dtype=bool)
+        self.folded = np.zeros(size, dtype=bool)
         self.marg = np.empty((A, n, size))
+        self.bound = np.empty((n + 2, A, size))
         self.joint = np.empty((A, D, n, size))
 
     def resize(self, size: int) -> None:
         """Grow to ``size`` slots; the new slots hold no row."""
-        self.have, self.marg, self.joint = (
+        self.have, self.folded, self.marg, self.bound, self.joint = (
             np.concatenate([a, np.zeros(a.shape[:-1] + (size - a.shape[-1],), dtype=a.dtype)], axis=-1)
-            for a in (self.have, self.marg, self.joint)
+            for a in (self.have, self.folded, self.marg, self.bound, self.joint)
         )
 
 
@@ -841,6 +886,7 @@ class CorrelationEngine:
         self._hold = np.stack([_log(1.0 - m.advance) for m in models])
         self._marg = _BatchGmm([list(m.marginal) for m in models], self.obs_dim)
         self._joint = _BatchGmm([list(m.joint) for m in models], 2 * self.obs_dim)
+        self._log_m = np.log(self._joint.m_max)
         # band cells per step of a full window
         self._D = min(self.dt, self.window - 1) + 1
         # profiles of frame _t only: a lookup at another frame drops them
@@ -886,7 +932,12 @@ class CorrelationEngine:
         return {key: cache[key] for key in keys}
 
     def _compute(self, todo: list[tuple], t: int) -> None:
-        """Cache the profiles of the uncached pairs ``todo`` at frame ``t``."""
+        """Cache the profiles of the uncached pairs ``todo`` at frame ``t``.
+
+        The bounds of every item come first, then one fold of the joint rows
+        that the log-space sweeps read; the windows are dropped before the
+        sweeps run.
+        """
         keys, windows = [], []
         with feats.pair_window_batch(self.tracks, todo, t, self.window):
             for key in todo:
@@ -899,10 +950,20 @@ class CorrelationEngine:
         if not keys:
             return
         lengths = np.array([fa.shape[0] for fa, _ in windows])
-        slots = self._emission_rows(keys, windows, lengths, t)
+        starts = t + 1 - lengths
+        # every item's window back to back, frame v of item i at base[i] + v
+        flat = (np.concatenate([w[0] for w in windows]), np.concatenate([w[1] for w in windows]),
+                np.cumsum(lengths) - lengths - starts)
+        del windows  # views of the call's pair table, which goes with them
+        slots = self._emission_rows(keys, flat, starts, t)
+        cells = self._bounded_cells(slots, starts, t)
+        swept = np.flatnonzero(cells.sum(axis=0) > 1)
+        if swept.size:
+            self._fold_rows(flat, slots, starts, swept, t)
+        del flat  # the sweeps read only the frame blocks
         for T in np.unique(lengths).tolist():
             sel = np.flatnonzero(lengths == T)
-            vals = self._window_profiles(slots[sel], T, t)
+            vals = self._window_profiles(slots[sel], T, t, cells[:, sel])
             vals.flags.writeable = False
             self._cache.update(zip([keys[j] for j in sel.tolist()], vals))
 
@@ -934,71 +995,133 @@ class CorrelationEngine:
         for key in [key for key, slot in self._slots.items() if not held[slot]]:
             self._free.append(self._slots.pop(key))
 
-    def _emission_rows(self, keys, windows, lengths: np.ndarray, t: int) -> np.ndarray:
+    def _emission_rows(self, keys, flat, starts: np.ndarray, t: int) -> np.ndarray:
         """Slot of every item in the frame blocks, shape (I,).
 
         Computes the rows that a block lacks for frames inside the item's
-        window, one frame's rows per batched density call.  Frames ascend
-        between block clears, so a window never starts before that of a
-        stored row and the row has every cell the window reaches.
+        window, with their bound summaries, one frame's rows per batched
+        density call.  ``flat`` holds the items' windows back to back and
+        ``starts`` their first frames.  A new row's joint cells are folded in
+        the same call when the key's row of the frame before is folded, as
+        it is when the key was swept at the previous frame; the others wait
+        for :meth:`_fold_rows`.  Frames ascend between block clears, so a
+        window never starts before that of a stored row and the row has
+        every cell the window reaches.
         """
-        D = self._D
-        starts = t + 1 - lengths
         slots = self._slot_index(keys)
-        flat = None
+        prev = None
         for u in range(t - self.window + 1, t + 1):
             block = self._blocks.get(u)
             if block is None:
-                block = self._blocks[u] = _FrameRows(len(self.labels), D, self.n_states, self._size)
+                block = self._blocks[u] = _FrameRows(len(self.labels), self._D, self.n_states, self._size)
             miss = np.flatnonzero(~block.have[slots] & (u >= starts))
             if miss.size:
-                if flat is None:
-                    fa = np.concatenate([w[0] for w in windows])
-                    fb = np.concatenate([w[1] for w in windows])
-                    flat = fa, fb, np.cumsum(lengths) - lengths - starts
-                # cells from u back to the window start
-                cells = np.minimum(D, u + 1 - starts[miss])
-                me, je = self._frame_emissions(*flat, miss, u, cells)
                 at = slots[miss]
-                block.marg[..., at] = me
-                block.joint[..., at] = je
+                fold = prev.folded[at] if prev is not None else np.zeros(miss.size, dtype=bool)
+                # cells from u back to the window start
+                cells = np.minimum(self._D, u + 1 - starts[miss])
+                block.marg[..., at], block.bound[..., at], je = self._frame_emissions(
+                    *flat, miss, u, cells, fold)
                 block.have[at] = True
+                if je is not None:
+                    block.joint[..., at[fold]] = je
+                    block.folded[at[fold]] = True
+            prev = block
         return slots
 
-    def _frame_emissions(self, fa, fb, base, items: np.ndarray, u: int, cells: np.ndarray):
-        """Marginal (A, n, items) and band-joint (A, D, n, items) rows at frame ``u`` of ``items``.
+    def _frame_emissions(self, fa, fb, base, items: np.ndarray, u: int, cells: np.ndarray,
+                         fold: np.ndarray):
+        """Marginal (A, n, N) rows, bound summaries (n+2, A, N) and the folded
+        band-joint rows (A, D, n, F) of the F ``items`` where ``fold`` (None
+        for none), at frame ``u``.
 
         ``fa``/``fb`` hold every item's window back to back, frame ``v`` of
         item ``i`` at ``base[i] + v``; joint cells ``h >= cells`` are -inf.
         """
+        at = base[items] + u
+        comps, live = self._joint_components(fa, fb, at, cells)
+        lower = _fold(np.maximum, comps, axis=-1)
+        lower[~live] = -np.inf
+        lower += self._eps
+        me = self._marg.log_density(fb[at]) + self._hold
+        best = _fold(np.maximum, _fold(np.maximum, lower, axis=3), axis=1) + self._log_m
+        with np.errstate(invalid="ignore"):  # -inf - -inf
+            gain = _fold(np.maximum, me, axis=2) - best
+        bound = np.concatenate([lower[:, 0], best[..., None], gain[..., None]], axis=2)
+        je = self._fold_joint(comps[fold], live[fold]) if fold.any() else None
+        return me.transpose(1, 2, 0), bound.transpose(2, 1, 0), je
+
+    def _joint_components(self, fa, fb, at: np.ndarray, cells: np.ndarray):
+        """Joint component log densities (N, D, A, n, m) of the band cells of
+        the N rows whose frame sits at ``at`` in ``fa``/``fb``, and the (N, D)
+        mask of the ``cells`` live in each row."""
         d = self.obs_dim
         h = np.arange(self._D)
-        at = base[items] + u
         live = h[None, :] < cells[:, None]
         # advancing from cell (u, h) consumes fa[u-h]
         src = np.where(live, at[:, None] - h[None, :], at[:, None])
         pairs = np.concatenate(
             [fa[src], np.broadcast_to(fb[at][:, None, :], src.shape + (d,))], axis=2
         )
-        je = self._joint.log_density(pairs.reshape(-1, 2 * d)).reshape(src.shape + self._eps.shape)
+        comps = self._joint.components(pairs.reshape(-1, 2 * d))
+        return comps.reshape(src.shape + comps.shape[1:]), live
+
+    def _fold_joint(self, comps: np.ndarray, live: np.ndarray) -> np.ndarray:
+        """Band-joint rows (A, D, n, N) with the advance weight added, from
+        the rows' components and live cells of :meth:`_joint_components`."""
+        je = _fold_logaddexp(comps, axis=-1)
         je[~live] = -np.inf
         je += self._eps
-        me = self._marg.log_density(fb[at]) + self._hold
-        return me.transpose(1, 2, 0), je.transpose(2, 1, 3, 0)
+        return je.transpose(2, 1, 3, 0)
 
-    def _window_profiles(self, slots: np.ndarray, T: int, t: int) -> np.ndarray:
+    def _fold_rows(self, flat, slots: np.ndarray, starts: np.ndarray, items: np.ndarray, t: int) -> None:
+        """Fold the joint rows that the windows of ``items`` lack, in one
+        batched density call over every (frame, item) row."""
+        fa, fb, base = flat
+        rows, at, cells = [], [], []
+        for u in range(int(starts[items].min()), t + 1):
+            block = self._blocks[u]
+            its = items[starts[items] <= u]
+            its = its[~block.folded[slots[its]]]
+            if its.size:
+                rows.append((block, slots[its]))
+                at.append(base[its] + u)
+                cells.append(np.minimum(self._D, u + 1 - starts[its]))
+        if not rows:
+            return
+        je = self._fold_joint(*self._joint_components(fa, fb, np.concatenate(at), np.concatenate(cells)))
+        end = 0
+        for block, where in rows:
+            block.joint[..., where] = je[..., end:end + where.size]
+            block.folded[where] = True
+            end += where.size
+
+    def _bounded_cells(self, slots: np.ndarray, starts: np.ndarray, t: int) -> np.ndarray:
+        """:func:`_open_cells` of I windows that start at ``starts`` and end
+        at ``t``, (A, I), from the bounds of :func:`_path_bounds` over the
+        blocks' summaries, gathered for every window length at once."""
+        n, first = self.n_states, int(starts.min())
+        steps = np.empty((t + 1 - first,) + self._blocks[t].bound.shape[:-1] + slots.shape)
+        for k, u in enumerate(range(first, t + 1)):
+            self._blocks[u].bound.take(slots, axis=-1, out=steps[k])
+        early = (np.arange(first, t + 1)[:, None] < starts)[:, None, None, :]  # (K, 1, 1, I)
+        np.copyto(steps[:, : n + 1], 0.0, where=early)
+        np.copyto(steps[:, n + 1], -np.inf, where=early[:, 0])
+        T = t + 1 - starts
+        L, U = _path_bounds(steps, self._ent_cols[..., None], self._tr_cols[..., None],
+                            T, np.minimum(self.dt, T - 1) + 1)
+        return _open_cells(L, U, T, n)
+
+    def _window_profiles(self, slots: np.ndarray, T: int, t: int, cells: np.ndarray) -> np.ndarray:
         """Profiles of I windows of ``T`` frames, shape (I, A).
 
-        A max-plus sweep of every (activity, item) cell runs first, and
-        :func:`_open_cells` reads from its bound which cells can reach a
-        profile.  An item with one open cell is one-hot there;
-        :meth:`_window_masses` runs the log-space sweep on the open cells of
-        the rest, and their closed cells get mass -inf.
+        ``cells`` (A, I) are the cells that the bounds leave open
+        (:meth:`_bounded_cells`).  An item with one open cell is one-hot
+        there; :meth:`_window_masses` runs the log-space sweep on the open
+        cells of the rest, whose joint rows :meth:`_fold_rows` has folded,
+        and their closed cells get mass -inf.
         """
-        A, I = len(self.labels), slots.size
-        act, item = np.indices((A, I)).reshape(2, -1)
-        V = self._sweep(slots, T, t, np.maximum, act, item).max(axis=(0, 1)).reshape(A, I)
-        cells = _open_cells(V, T, self.n_states)
+        A, I = cells.shape
         one = cells.sum(axis=0) == 1
         vals = np.zeros((I, A))
         vals[one, cells[:, one].argmax(axis=0)] = 1.0
@@ -1018,17 +1141,17 @@ class CorrelationEngine:
         i.e. hold count ``h < D = min(dt, T-1) + 1``, so the sweep runs on
         the band of :func:`_band_forward`.
         """
-        la = np.moveaxis(self._sweep(slots, T, t, np.logaddexp, act, item), -1, 0)  # (C, D, n)
+        la = np.moveaxis(self._sweep(slots, T, t, act, item), -1, 0)  # (C, D, n)
         # descending h is ascending s, the summation order of a full-lattice read-out
         return logsumexp(la[:, ::-1, :].reshape(la.shape[0], -1), axis=1)
 
-    def _sweep(self, slots: np.ndarray, T: int, t: int, add, act, item) -> np.ndarray:
+    def _sweep(self, slots: np.ndarray, T: int, t: int, act, item) -> np.ndarray:
         """Mass leaving the last band step of the (``act[c]``, ``item[c]``)
         cells of I windows of ``T`` frames, one column per cell, (D, n, C).
 
-        ``slots`` (I,) locates the items in the frame blocks.  Each step's
-        weights are gathered as the sweep reaches it, so no array spans the
-        ``T`` steps.
+        ``slots`` (I,) locates the items in the frame blocks, whose joint
+        rows must be folded.  Each step's weights are gathered as the sweep
+        reaches it, so no array spans the ``T`` steps.
         """
         D, n, size = min(self.dt, T - 1) + 1, self.n_states, self._size
         at = slots[item]
@@ -1041,7 +1164,7 @@ class CorrelationEngine:
         ae = (block.joint.take(joint) for block in blocks)
         hm = (block.marg.take(marg) for block in blocks)
         ent, tr = (w.take(act, axis=-1) for w in (self._ent_cols, self._tr_cols))
-        for _, la in _band_forward(ent, tr, ae, hm, add):
+        for _, la in _band_forward(ent, tr, ae, hm):
             pass
         return la
 

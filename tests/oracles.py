@@ -230,33 +230,6 @@ def enumerate_ahmm_lattice_masses(
     return out
 
 
-def enumerate_ahmm_lattice_best(
-    entry, trans, eps, joint_logpdf, marg_logpdf, S: int, T: int
-) -> np.ndarray:
-    """Log weight of the heaviest path per (final alignment s, final state k),
-    no exit factor: the max-product twin of ``enumerate_ahmm_lattice_masses``."""
-    n = len(entry)
-    with np.errstate(divide="ignore"):
-        log_entry, log_trans = np.log(entry), np.log(trans)
-        log_eps, log_hold = np.log(eps), np.log(1.0 - np.asarray(eps))
-    out = np.full((S + 1, n), -np.inf)
-    for bits in _branch_sequences(T, S, S):
-        for path in itertools.product(range(n), repeat=T):
-            w = log_entry[path[0]]
-            s = 0
-            for t in range(T):
-                k = path[t]
-                if t > 0:
-                    w += log_trans[path[t - 1], k]
-                if bits[t]:
-                    w += log_eps[k] + joint_logpdf(k, s, t)
-                    s += 1
-                else:
-                    w += log_hold[k] + marg_logpdf(k, t)
-            out[s, path[-1]] = max(out[s, path[-1]], w)
-    return out
-
-
 def _hmm_paths(entry, trans, exit_, logb):
     """Every (state path, probability including exit) of a synchronous model."""
     T, n = len(logb), len(entry)

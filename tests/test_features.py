@@ -4,12 +4,14 @@ import gc
 import math
 import re
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groupact import features
 from groupact.features import (
     GROUP_DIM,
     PAIR_DIM,
@@ -192,6 +194,29 @@ def test_body_size_change_of_many_persons_equals_one_at_a_time(tracks):
         first = next(p for p in everyone if p not in present)
         with pytest.raises(ObservationUnavailable, match=f"^missing sample for person {first} at frames {t - 1}..{t}$"):
             body_size_change(tracks, everyone, t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ragged_tracks(), st.integers(2, 8))
+def test_entity_average_speed_of_many_entities_equals_one_at_a_time(tracks, window):
+    """A list of entities, overlapping ones and persons without samples
+    included, gives each entity's mean bitwise, from one track."""
+    persons = tracks.persons
+    entities = [tuple(persons[:2]), (persons[-1],), tuple(persons), (99,),
+                tuple(reversed(persons[1:] or persons))]
+    lo, hi = tracks.frame_range or (0, 0)
+    for t in range(lo, hi + 2):
+        builds = []
+
+        def counted(*args):
+            builds.append(args)
+            return EntityTrack(*args)
+
+        with mock.patch.object(features, "EntityTrack", counted):
+            got = entity_average_speed(tracks, entities, t, window)
+        assert len(builds) == 1
+        assert got == [entity_average_speed(tracks, e, t, window) for e in entities]
+    assert entity_average_speed(tracks, [], hi, window) == []
 
 
 _IDS = st.sets(st.integers(-(2**31), 2**31 - 1), min_size=1, max_size=6)

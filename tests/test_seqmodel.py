@@ -34,7 +34,6 @@ from oracles import (
     correlation,
     enumerate_ahmm,
     enumerate_ahmm_counts,
-    enumerate_ahmm_lattice_best,
     enumerate_ahmm_lattice_masses,
     enumerate_hmm,
     enumerate_hmm_counts,
@@ -412,17 +411,17 @@ def test_engine_reusing_rows_in_any_frame_order_matches_a_fresh_engine(tracks, w
                 assert np.all(np.abs(prof - ref) <= 1e-12)
 
 
-def band_forward(log_entry, log_trans, ae, hm, add=np.logaddexp):
+def band_forward(log_entry, log_trans, ae, hm):
     """``_band_forward`` over items on axis 1 of (T, B, ..., D, n) arrays,
     its steps stacked back into that layout."""
     steps = seqmodel._band_forward(log_entry[..., None], log_trans[..., None],
-                                   np.moveaxis(ae, 1, -1), np.moveaxis(hm, 1, -1), add)
+                                   np.moveaxis(ae, 1, -1), np.moveaxis(hm, 1, -1))
     return tuple(np.moveaxis(np.stack(xs), -1, 1) for xs in zip(*steps))
 
 
 def test_band_kernel_keeps_dead_items_and_states_at_minus_inf():
     """An item whose every emission is impossible and a state nothing enters
-    give -inf, never NaN, and raise no warning, under both semirings."""
+    give -inf, never NaN, and raise no warning."""
     rng = np.random.default_rng(8)
     T, D = 5, 3
     ae = rng.normal(size=(T, 3, D, 2))
@@ -438,13 +437,12 @@ def test_band_kernel_keeps_dead_items_and_states_at_minus_inf():
     live = [0, 2]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for add in (np.logaddexp, np.maximum):
-            tin, la = band_forward(log_entry, log_trans, ae, hm, add)
-            _, la_one = band_forward(log_entry[1:], log_trans[1:, 1:], ae[..., 1:], hm[..., 1:], add)
-            assert not np.isnan(tin).any() and not np.isnan(la).any()
-            assert np.all(la[:, 1] == -np.inf) and np.all(la[..., 0] == -np.inf)
-            # the dead state adds exactly nothing to the live one
-            np.testing.assert_array_equal(la[..., 1:], la_one)
+        tin, la = band_forward(log_entry, log_trans, ae, hm)
+        _, la_one = band_forward(log_entry[1:], log_trans[1:, 1:], ae[..., 1:], hm[..., 1:])
+        assert not np.isnan(tin).any() and not np.isnan(la).any()
+        assert np.all(la[:, 1] == -np.inf) and np.all(la[..., 0] == -np.inf)
+        # the dead state adds exactly nothing to the live one
+        np.testing.assert_array_equal(la[..., 1:], la_one)
         stats = seqmodel._EmStats(2, TrainConfig())
         total, adv, hold = seqmodel._band_posteriors(model, ae[:, live], hm[:, live], stats)
         with pytest.raises(DataError, match="zero likelihood"):
@@ -456,45 +454,58 @@ def test_band_kernel_keeps_dead_items_and_states_at_minus_inf():
         assert np.all(np.isfinite(counts))
 
 
-def test_max_plus_band_kernel_finds_the_heaviest_path_and_bounds_the_mass():
-    """Under ``add=np.maximum`` the band kernel's final cells hold the heaviest
-    path weight of path enumeration, under ``np.logaddexp`` the enumerated
-    mass, and on every item's read-out ``V <= mass <= V + T log(2n)``."""
+def test_path_bounds_hold_the_enumerated_band_mass():
+    """Per-step summaries that take each joint density's larger mixture
+    component, plus ``log m_max`` for the best advance, give bounds with
+    ``L <= mass <= U + T log(2n)`` on the band mass of path enumeration,
+    which the band kernel reproduces, for every band width ``D``."""
     rng = np.random.default_rng(41)
-    for case in range(30):
+    for case in range(40):
         n = int(rng.integers(1, 4))
         model = random_model(rng, n=n, d=1)
-        T = int(rng.integers(1, 6))
-        S = int(rng.integers(1, T + 1))
+        T = int(rng.integers(2, 6))
+        S = T if case % 2 else int(rng.integers(1, T + 1))
+        D = int(rng.integers(1, T + 2))
         B = 3
         log_eps, log_hold = seqmodel._log(model.advance), seqmodel._log(1.0 - model.advance)
-        # every band cell: the last step's cell h is alignment s = T - h
-        ae = np.full((T, T + 1, n, B), -np.inf)
+        log_m = math.log(max(g.n_components for g in model.joint))
+        # the band's cells: advancing from cell h at step t consumes fi[t - h]
+        ae = np.full((T, D, n, B), -np.inf)
         hm = np.empty((T, n, B))
-        best, masses = [], []
+        steps = np.empty((T, n + 2, B))
+        masses = []
         for b in range(B):
             fi, fj = rng.normal(size=(S, 1)), rng.normal(size=(T, 1))
             jfn, mfn = oracle_fns(model, fi, fj)
             for t in range(T):
+                lower = np.full((D, n), -np.inf)
                 for k in range(n):
                     hm[t, k, b] = log_hold[k] + mfn(k, t)
-                    for h in range(max(0, t - S + 1), t + 1):
+                    g = model.joint[k]
+                    for h in range(max(0, t - S + 1), min(t, D - 1) + 1):
                         ae[t, h, k, b] = log_eps[k] + jfn(k, t - h, t)
-            args = (model.entry, model.trans, model.advance, jfn, mfn, S, T)
-            best.append(enumerate_ahmm_lattice_best(*args))
-            masses.append(enumerate_ahmm_lattice_masses(*args))
+                        x = np.concatenate([fi[t - h], fj[t]])[None, :]
+                        lower[h, k] = log_eps[k] + (g.component_log_density(x)[0] + np.log(g.weights)).max()
+                steps[t, :n, b] = lower[0]
+                steps[t, n, b] = lower.max() + log_m
+                steps[t, n + 1, b] = hm[t, :, b].max() - steps[t, n, b]
+            # final cells h < D are alignments s > T - D
+            lattice = enumerate_ahmm_lattice_masses(model.entry, model.trans, model.advance, jfn, mfn, S, T)
+            masses.append(math.log(lattice[T - D + 1:].sum()) if T - D + 1 <= S else -math.inf)
         log_entry, log_trans = seqmodel._log(model.entry)[:, None], seqmodel._log(model.trans)[..., None]
-        for _, v in seqmodel._band_forward(log_entry, log_trans, ae, hm, np.maximum):
-            pass
         for _, la in seqmodel._band_forward(log_entry, log_trans, ae, hm):
             pass
+        L, U = seqmodel._path_bounds(steps, log_entry, log_trans, T, D)
         for b in range(B):
-            got_v, got_m = v[::-1, :, b], la[::-1, :, b]  # row s of the lattice
-            np.testing.assert_allclose(got_v[: S + 1], best[b], rtol=1e-12, err_msg=f"case {case}")
-            np.testing.assert_allclose(np.exp(got_m[: S + 1]), masses[b], rtol=1e-9, atol=1e-300)
-            assert np.all(got_v[S + 1 :] == -np.inf) and np.all(got_m[S + 1 :] == -np.inf)
-            top, mass = got_v.max(), gmm.logsumexp(got_m)
-            assert top - 1e-12 * abs(top) <= mass <= top + T * math.log(2 * n)
+            mass = masses[b]
+            got = gmm.logsumexp(la[..., b])
+            if mass == -math.inf:
+                assert got == -math.inf and L[b] == -math.inf, f"case {case}"
+                continue
+            assert got == pytest.approx(mass, rel=1e-9, abs=1e-9), f"case {case}"
+            assert L[b] <= mass + 1e-9 * max(1.0, abs(mass)), f"case {case}"
+            assert mass <= U[b] + T * math.log(2 * n), f"case {case}"
+            assert np.isfinite(L[b]) == (S == T)  # the all-advance path needs every fi frame
 
 
 def test_one_hot_certificate_keeps_a_relative_slack_at_large_weights():
@@ -510,41 +521,63 @@ def test_one_hot_certificate_keeps_a_relative_slack_at_large_weights():
         [-1e20 - 2.0**41, -inf, -inf, -inf, -inf, -inf, -inf],
     ])
     assert V[0, 0] - V[1, 0] == 2.0**20 > fixed + 100.0
-    got = seqmodel._open_cells(V, T, n)
+    got = seqmodel._open_cells(V, V, T, n)
     # several open cells: within the relative slack, within the fixed slack,
     # no path at all, and a tie
     assert got.T.astype(int).tolist() == [
         [1, 1, 0], [1, 0, 0], [1, 0, 0], [1, 1, 0], [1, 0, 0], [1, 1, 1], [1, 1, 0],
     ]
-    assert np.array_equal(seqmodel._open_cells(V[::-1], T, n), got[::-1])
+    assert np.array_equal(seqmodel._open_cells(V[::-1], V[::-1], T, n), got[::-1])
 
 
 def test_profiles_proved_one_hot_equal_the_full_log_space_sweep(frozen_bank):
     """Every profile the engine returns equals, bitwise, the row of the
     log-space sweep of every cell of every item, on ragged tracks at
-    4K-frame coordinates and on tracks at the sample bounds; the draws reach
-    the rows the max-plus bound proves one-hot, the rows it sweeps with some
-    cells closed and the rows it sweeps with every cell open."""
+    4K-frame coordinates and on tracks at the sample bounds.  The draws
+    reach the rows the bounds prove one-hot, the rows swept with some cells
+    closed and the rows swept with every cell open, and both ways a joint
+    row gets folded: with its frame's density call, and late, for a key
+    whose rows were left unfolded at an earlier frame."""
     certify = seqmodel._open_cells
-    seen = {"proved": 0, "some closed": 0, "all open": 0}
+    emission_rows = CorrelationEngine._emission_rows
+    seen = {"proved": 0, "some closed": 0, "all open": 0, "eager folds": 0, "late folds": 0}
 
-    def counted(V, T, n):
-        cells = certify(V, T, n)
+    def counted(L, U, T, n):
+        cells = certify(L, U, T, n)
         count = cells.sum(axis=0)
         seen["proved"] += int(np.count_nonzero(count == 1))
-        seen["some closed"] += int(np.count_nonzero((count > 1) & (count < V.shape[0])))
-        seen["all open"] += int(np.count_nonzero(count == V.shape[0]))
+        seen["some closed"] += int(np.count_nonzero((count > 1) & (count < L.shape[0])))
+        seen["all open"] += int(np.count_nonzero(count == L.shape[0]))
         return cells
 
-    def never(V, T, n):
-        return np.ones(V.shape, dtype=bool)
+    def never(L, U, T, n):
+        return np.ones(L.shape, dtype=bool)
+
+    def flags(engine):
+        return {u: (b.have.copy(), b.folded.copy()) for u, b in engine._blocks.items()}
+
+    def counted_rows(engine, *args):
+        before = flags(engine)
+        slots = emission_rows(engine, *args)
+        for u, block in engine._blocks.items():
+            had = before[u][0] if u in before else np.zeros(0, dtype=bool)
+            new = block.have.copy()
+            new[: had.size] &= ~had
+            seen["eager folds"] += int(np.count_nonzero(new & block.folded))
+        return slots
 
     # a group walking together: most of its rows stay short of one-hot
     walk = TrackSet([s for s in generate(walk_together(seed=0))[0].iter_samples() if s.frame < 24])
+    # two people at one spot, one box shrinking: the pair is proved one-hot
+    # at frame 9 and left open at frame 10, so its rows are folded late
+    shrink = TrackSet([MbbSample(f, 1, 0.0, 0.0, w, h) for f, w, h in ((7, 10.0, 24.0), (8, 1.0, 10.0),
+                                                                       (9, 1.0, 1.0), (10, 1.0, 1.0))]
+                      + [MbbSample(f, 2, 0.0, 0.0, 10.0, 24.0) for f in (3, 7, 8, 9, 10)])
 
     @settings(max_examples=30, deadline=None)
     @given(st.one_of(ragged_tracks(min_frames=8, max_frames=20), bounded_tracks(max_frames=20)))
     @example(walk)
+    @example(shrink)
     def check(tracks):
         persons = tracks.persons
         items = [((a,), (b,)) for a in persons for b in persons if a != b]
@@ -554,8 +587,15 @@ def test_profiles_proved_one_hot_equal_the_full_log_space_sweep(frozen_bank):
         engine, full = CorrelationEngine(frozen_bank, tracks), CorrelationEngine(frozen_bank, tracks)
         lo, hi = tracks.frame_range or (0, 0)  # an empty set when no frame was sampled
         for t in range(lo + 1, hi + 1):
-            with mock.patch.object(seqmodel, "_open_cells", counted):
+            before = flags(engine)
+            with mock.patch.object(seqmodel, "_open_cells", counted), \
+                    mock.patch.object(CorrelationEngine, "_emission_rows", counted_rows):
                 got = engine.profiles(items, t)
+            for u, (had, folded) in before.items():
+                block = engine._blocks.get(u)
+                if block is not None:
+                    # rows held unfolded before the call, folded by it
+                    seen["late folds"] += int(np.count_nonzero(had & ~folded & block.folded[: had.size]))
             with mock.patch.object(seqmodel, "_open_cells", never):
                 want = full.profiles(items, t)
             assert got.keys() == want.keys()
@@ -617,8 +657,8 @@ def test_emission_slots_hold_only_the_pairs_of_the_window(frozen_bank):
 def test_profiles_peak_memory_stays_within_one_step_of_the_sweep(frozen_bank):
     """The tracemalloc peak of one ``profiles`` call of a warmed engine on 306
     person pairs stays under a fixed term plus 8 KiB per pair, whether the
-    max-plus bound proves the rows one-hot or the log-space sweep runs on
-    every cell of them all.  A sweep that kept every step's (T, A, D, n, I) masses needs about
+    bounds prove the rows one-hot or the log-space sweep runs on every cell
+    of them all.  A sweep that kept every step's (T, A, D, n, I) masses needs about
     10 KiB more per pair."""
     rng = np.random.default_rng(5)
     rows = []
@@ -644,7 +684,7 @@ def test_profiles_peak_memory_stays_within_one_step_of_the_sweep(frozen_bank):
     bound = 256 * 1024 + 8 * 1024 * len(items)
     peak, got = peak_of_last_frame()
     assert peak <= bound
-    with mock.patch.object(seqmodel, "_open_cells", lambda V, T, n: np.ones(V.shape, dtype=bool)):
+    with mock.patch.object(seqmodel, "_open_cells", lambda L, U, T, n: np.ones(L.shape, dtype=bool)):
         peak_swept, swept = peak_of_last_frame()
     assert peak_swept <= bound
     assert all(np.array_equal(got[key], swept[key]) for key in swept)
@@ -977,7 +1017,9 @@ def test_directional_model_prefers_trained_order(bank):
 
 
 def test_batched_density_matches_each_mixture_at_tiled_4k_coordinates(frozen_bank):
-    """Pair rows with |avg_dist| >= 8000 px: the batched density stays within 1e-10 relative."""
+    """Pair rows with |avg_dist| >= 8000 px: the batched density stays within
+    1e-10 relative, and lies between its larger weighted component and that
+    plus ``log m_max``."""
     rng = np.random.default_rng(3)
     window = frozen_bank.window
     # two 3840x2160 scenes tiled (5, 4) frames apart: every cross pair is >= 16000 px apart
@@ -1002,7 +1044,10 @@ def test_batched_density_matches_each_mixture_at_tiled_4k_coordinates(frozen_ban
     assert marg.shape[0] == 128 * window and np.abs(marg[:, 3]).min() >= 8000.0
     models = [frozen_bank.models[l] for l in frozen_bank.labels()]
     for mixtures, x in (([m.marginal for m in models], marg), ([m.joint for m in models], joint)):
-        got = seqmodel._BatchGmm([list(row) for row in mixtures], x.shape[1]).log_density(x)
+        batch = seqmodel._BatchGmm([list(row) for row in mixtures], x.shape[1])
+        got = batch.log_density(x)
+        lower = batch.components(x).max(axis=-1)
+        assert np.all(lower <= got) and np.all(got <= lower + math.log(batch.m_max) + 1e-12 * np.abs(got))
         for a, row in enumerate(mixtures):
             for k, g in enumerate(row):
                 ref = g.log_density(x)
