@@ -276,10 +276,11 @@ def group_feature_window(tracks: TrackSet, members, t: int, window: int) -> np.n
 def entity_average_speed(tracks: TrackSet, members, t: int, window: int):
     """Mean member speed over the trailing window; 0.0 when nothing is usable.
 
-    Given a list of entities, it returns one mean per entity, all from one
-    track with a row per member of each.
+    Given a list of member tuples, it returns one mean per tuple, all from
+    one track with a row per member of each.  A list of ids is one entity,
+    as :func:`as_entity` reads it.
     """
-    batch = isinstance(members, list)
+    batch = isinstance(members, list) and all(type(e) is tuple for e in members)
     entities = [as_entity(e) for e in members] if batch else [as_entity(members)]
     track = EntityTrack(tracks, [(m,) for e in entities for m in e], t - window, t)
     speeds = track.step(np.arange(1, window + 1))[2]

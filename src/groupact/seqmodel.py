@@ -998,18 +998,14 @@ class CorrelationEngine:
     def _emission_rows(self, keys, flat, starts: np.ndarray, t: int) -> np.ndarray:
         """Slot of every item in the frame blocks, shape (I,).
 
-        Computes the rows that a block lacks for frames inside the item's
-        window, with their bound summaries, one frame's rows per batched
-        density call.  ``flat`` holds the items' windows back to back and
-        ``starts`` their first frames.  A new row's joint cells are folded in
-        the same call when the key's row of the frame before is folded, as
-        it is when the key was swept at the previous frame; the others wait
-        for :meth:`_fold_rows`.  Frames ascend between block clears, so a
-        window never starts before that of a stored row and the row has
-        every cell the window reaches.
+        Computes the marginal rows and bound summaries that a block lacks for
+        frames inside the item's window, one frame's rows per batched density
+        call; the joint rows wait for :meth:`_fold_rows`.  ``flat`` holds the
+        items' windows back to back and ``starts`` their first frames.
+        Frames ascend between block clears, so a window never starts before
+        that of a stored row and the row has every cell the window reaches.
         """
         slots = self._slot_index(keys)
-        prev = None
         for u in range(t - self.window + 1, t + 1):
             block = self._blocks.get(u)
             if block is None:
@@ -1017,23 +1013,15 @@ class CorrelationEngine:
             miss = np.flatnonzero(~block.have[slots] & (u >= starts))
             if miss.size:
                 at = slots[miss]
-                fold = prev.folded[at] if prev is not None else np.zeros(miss.size, dtype=bool)
                 # cells from u back to the window start
                 cells = np.minimum(self._D, u + 1 - starts[miss])
-                block.marg[..., at], block.bound[..., at], je = self._frame_emissions(
-                    *flat, miss, u, cells, fold)
+                block.marg[..., at], block.bound[..., at] = self._frame_emissions(*flat, miss, u, cells)
                 block.have[at] = True
-                if je is not None:
-                    block.joint[..., at[fold]] = je
-                    block.folded[at[fold]] = True
-            prev = block
         return slots
 
-    def _frame_emissions(self, fa, fb, base, items: np.ndarray, u: int, cells: np.ndarray,
-                         fold: np.ndarray):
-        """Marginal (A, n, N) rows, bound summaries (n+2, A, N) and the folded
-        band-joint rows (A, D, n, F) of the F ``items`` where ``fold`` (None
-        for none), at frame ``u``.
+    def _frame_emissions(self, fa, fb, base, items: np.ndarray, u: int, cells: np.ndarray):
+        """Marginal (A, n, N) rows and bound summaries (n+2, A, N) of the N
+        ``items`` at frame ``u``.
 
         ``fa``/``fb`` hold every item's window back to back, frame ``v`` of
         item ``i`` at ``base[i] + v``; joint cells ``h >= cells`` are -inf.
@@ -1048,8 +1036,7 @@ class CorrelationEngine:
         with np.errstate(invalid="ignore"):  # -inf - -inf
             gain = _fold(np.maximum, me, axis=2) - best
         bound = np.concatenate([lower[:, 0], best[..., None], gain[..., None]], axis=2)
-        je = self._fold_joint(comps[fold], live[fold]) if fold.any() else None
-        return me.transpose(1, 2, 0), bound.transpose(2, 1, 0), je
+        return me.transpose(1, 2, 0), bound.transpose(2, 1, 0)
 
     def _joint_components(self, fa, fb, at: np.ndarray, cells: np.ndarray):
         """Joint component log densities (N, D, A, n, m) of the band cells of
@@ -1066,17 +1053,10 @@ class CorrelationEngine:
         comps = self._joint.components(pairs.reshape(-1, 2 * d))
         return comps.reshape(src.shape + comps.shape[1:]), live
 
-    def _fold_joint(self, comps: np.ndarray, live: np.ndarray) -> np.ndarray:
-        """Band-joint rows (A, D, n, N) with the advance weight added, from
-        the rows' components and live cells of :meth:`_joint_components`."""
-        je = _fold_logaddexp(comps, axis=-1)
-        je[~live] = -np.inf
-        je += self._eps
-        return je.transpose(2, 1, 3, 0)
-
     def _fold_rows(self, flat, slots: np.ndarray, starts: np.ndarray, items: np.ndarray, t: int) -> None:
-        """Fold the joint rows that the windows of ``items`` lack, in one
-        batched density call over every (frame, item) row."""
+        """Fold the joint rows that the windows of ``items`` lack, with the
+        advance weight added, in one batched density call over every
+        (frame, item) row."""
         fa, fb, base = flat
         rows, at, cells = [], [], []
         for u in range(int(starts[items].min()), t + 1):
@@ -1089,7 +1069,11 @@ class CorrelationEngine:
                 cells.append(np.minimum(self._D, u + 1 - starts[its]))
         if not rows:
             return
-        je = self._fold_joint(*self._joint_components(fa, fb, np.concatenate(at), np.concatenate(cells)))
+        comps, live = self._joint_components(fa, fb, np.concatenate(at), np.concatenate(cells))
+        je = _fold_logaddexp(comps, axis=-1)
+        je[~live] = -np.inf
+        je += self._eps
+        je = je.transpose(2, 1, 3, 0)
         end = 0
         for block, where in rows:
             block.joint[..., where] = je[..., end:end + where.size]

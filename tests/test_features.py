@@ -199,8 +199,9 @@ def test_body_size_change_of_many_persons_equals_one_at_a_time(tracks):
 @settings(max_examples=40, deadline=None)
 @given(ragged_tracks(), st.integers(2, 8))
 def test_entity_average_speed_of_many_entities_equals_one_at_a_time(tracks, window):
-    """A list of entities, overlapping ones and persons without samples
-    included, gives each entity's mean bitwise, from one track."""
+    """A list of member tuples, overlapping ones and persons without samples
+    included, gives each entity's mean bitwise, from one track; a list of
+    ids is still one entity."""
     persons = tracks.persons
     entities = [tuple(persons[:2]), (persons[-1],), tuple(persons), (99,),
                 tuple(reversed(persons[1:] or persons))]
@@ -216,6 +217,7 @@ def test_entity_average_speed_of_many_entities_equals_one_at_a_time(tracks, wind
             got = entity_average_speed(tracks, entities, t, window)
         assert len(builds) == 1
         assert got == [entity_average_speed(tracks, e, t, window) for e in entities]
+        assert entity_average_speed(tracks, list(persons), t, window) == got[2]
     assert entity_average_speed(tracks, [], hi, window) == []
 
 

@@ -535,12 +535,11 @@ def test_profiles_proved_one_hot_equal_the_full_log_space_sweep(frozen_bank):
     log-space sweep of every cell of every item, on ragged tracks at
     4K-frame coordinates and on tracks at the sample bounds.  The draws
     reach the rows the bounds prove one-hot, the rows swept with some cells
-    closed and the rows swept with every cell open, and both ways a joint
-    row gets folded: with its frame's density call, and late, for a key
-    whose rows were left unfolded at an earlier frame."""
+    closed and the rows swept with every cell open, and the joint rows
+    folded for a sweep: rows new to the call, and rows of a key that were
+    left unfolded at an earlier frame."""
     certify = seqmodel._open_cells
-    emission_rows = CorrelationEngine._emission_rows
-    seen = {"proved": 0, "some closed": 0, "all open": 0, "eager folds": 0, "late folds": 0}
+    seen = {"proved": 0, "some closed": 0, "all open": 0, "new rows folded": 0, "held rows folded": 0}
 
     def counted(L, U, T, n):
         cells = certify(L, U, T, n)
@@ -556,20 +555,10 @@ def test_profiles_proved_one_hot_equal_the_full_log_space_sweep(frozen_bank):
     def flags(engine):
         return {u: (b.have.copy(), b.folded.copy()) for u, b in engine._blocks.items()}
 
-    def counted_rows(engine, *args):
-        before = flags(engine)
-        slots = emission_rows(engine, *args)
-        for u, block in engine._blocks.items():
-            had = before[u][0] if u in before else np.zeros(0, dtype=bool)
-            new = block.have.copy()
-            new[: had.size] &= ~had
-            seen["eager folds"] += int(np.count_nonzero(new & block.folded))
-        return slots
-
     # a group walking together: most of its rows stay short of one-hot
     walk = TrackSet([s for s in generate(walk_together(seed=0))[0].iter_samples() if s.frame < 24])
     # two people at one spot, one box shrinking: the pair is proved one-hot
-    # at frame 9 and left open at frame 10, so its rows are folded late
+    # at frame 9 and left open at frame 10, which folds its rows held from frame 9
     shrink = TrackSet([MbbSample(f, 1, 0.0, 0.0, w, h) for f, w, h in ((7, 10.0, 24.0), (8, 1.0, 10.0),
                                                                        (9, 1.0, 1.0), (10, 1.0, 1.0))]
                       + [MbbSample(f, 2, 0.0, 0.0, 10.0, 24.0) for f in (3, 7, 8, 9, 10)])
@@ -588,14 +577,15 @@ def test_profiles_proved_one_hot_equal_the_full_log_space_sweep(frozen_bank):
         lo, hi = tracks.frame_range or (0, 0)  # an empty set when no frame was sampled
         for t in range(lo + 1, hi + 1):
             before = flags(engine)
-            with mock.patch.object(seqmodel, "_open_cells", counted), \
-                    mock.patch.object(CorrelationEngine, "_emission_rows", counted_rows):
+            with mock.patch.object(seqmodel, "_open_cells", counted):
                 got = engine.profiles(items, t)
-            for u, (had, folded) in before.items():
-                block = engine._blocks.get(u)
-                if block is not None:
-                    # rows held unfolded before the call, folded by it
-                    seen["late folds"] += int(np.count_nonzero(had & ~folded & block.folded[: had.size]))
+            for u, block in engine._blocks.items():
+                had, folded = before.get(u, (np.zeros(0, dtype=bool),) * 2)
+                new = block.have.copy()
+                new[: had.size] &= ~had
+                seen["new rows folded"] += int(np.count_nonzero(new & block.folded))
+                # rows held unfolded before the call, folded by it
+                seen["held rows folded"] += int(np.count_nonzero(had & ~folded & block.folded[: had.size]))
             with mock.patch.object(seqmodel, "_open_cells", never):
                 want = full.profiles(items, t)
             assert got.keys() == want.keys()
